@@ -12,8 +12,6 @@ from .core import (
     RngStream,
     Trajectory,
     config_digest,
-    dot,
-    sample_standard_gaussian,
 )
 from .optim import (
     AdaPnm,

@@ -19,7 +19,7 @@ import numpy as np
 from . import convergence as conv
 from . import harness, noise, pacbayes, posterior
 from .core import RNG_ALGORITHM, DivergenceError, NonFiniteError, RngStream, config_digest
-from .harness import ConfigError, check_config_keys, build_analytic_oracle, write_json
+from .harness import ConfigError, check_config_keys, build_analytic_oracle, write_report
 from .problems import AdditiveNoiseOracle, QuadraticModel
 
 EXIT_OK = 0
@@ -130,9 +130,7 @@ def _cmd_posterior(args) -> None:
         payload["theoretical_scale"] = posterior.theoretical_posterior_covariance(
             cfg.get("kind", "sgd"), float(cfg["eta"]), int(cfg["batch_size"]),
             float(cfg.get("beta0", 1.0)))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "posterior.json", payload)
+    write_report(args.out, payload["config_digest"], {"posterior.json": payload})
     print(f"retained {est.retained} samples; "
           f"covariance trace {np.trace(est.covariance):.6g}; "
           f"lyapunov residual {payload['lyapunov_residual']:.4g}")
@@ -158,25 +156,20 @@ def _cmd_pacbayes(args) -> None:
         top = max(2.0, pacbayes.optimal_gamma(setting).gamma)
         gammas = np.geomspace(1.0, top, 50).tolist()
     rows = pacbayes.bound_table(setting, gammas)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"# config_digest={config_digest(cfg)} prng={RNG_ALGORITHM}",
-        "gamma,kl,kl_grad,bound",
-    ]
-    for row in rows:
-        lines.append(f"{row['gamma']!r},{row['kl']!r},{row['kl_grad']!r},{row['bound']!r}")
-    (out / "pacbayes_table.csv").write_text("\n".join(lines) + "\n")
+    table = ["gamma,kl,kl_grad,bound"]
+    table += [f"{row['gamma']!r},{row['kl']!r},{row['kl_grad']!r},{row['bound']!r}"
+              for row in rows]
     choice = pacbayes.optimal_gamma(setting)
-    write_json(out / "pacbayes_summary.json", {
+    digest = config_digest(cfg)
+    write_report(args.out, digest, {"pacbayes_summary.json": {
         "config": cfg,
-        "config_digest": config_digest(cfg),
+        "config_digest": digest,
         "prng": RNG_ALGORITHM,
         "critical_ratio": pacbayes.critical_ratio(setting.eta, setting.batch_size, setting.lam),
         "optimal_gamma": choice.gamma,
         "improvement_predicted": choice.improvement_predicted,
         "kl_minimizing_gamma": pacbayes.kl_minimizing_gamma(setting),
-    })
+    }}, {"pacbayes_table.csv": table})
     print(f"critical ratio {pacbayes.critical_ratio(setting.eta, setting.batch_size, setting.lam):.6g}; "
           f"guaranteed-improvement gamma up to {choice.gamma:.6g} "
           f"(predicted: {choice.improvement_predicted})")
@@ -206,9 +199,7 @@ def _cmd_noise(args) -> None:
         "buffer_variance_closed_form": noise.single_buffer_stationary_variance(beta1),
         "ratios": results,
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "noise_ratios.json", payload)
+    write_report(args.out, payload["config_digest"], {"noise_ratios.json": payload})
     for row in results:
         print(f"beta0 = {row['beta0']:g}: measured {row['measured_ratio']:.4f}, "
               f"predicted {row['predicted']:.4f} (se {row['standard_error']:.4f})")
@@ -248,18 +239,13 @@ def _cmd_convergence(args) -> None:
         beta0=float(cfg.get("beta0", 1.0)),
     )
     bounds = est.bound_values(inputs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"# config_digest={config_digest(cfg)} prng={RNG_ALGORITHM}",
-        "horizon,step_size,mean_min_grad_norm_sq,theorem_bound",
-    ]
-    for T, eta0, m, b in zip(est.horizons, est.step_sizes, est.mean_min_grad_sq, bounds):
-        lines.append(f"{T},{eta0!r},{m!r},{b!r}")
-    (out / "convergence_rate.csv").write_text("\n".join(lines) + "\n")
-    write_json(out / "convergence_summary.json", {
+    table = ["horizon,step_size,mean_min_grad_norm_sq,theorem_bound"]
+    table += [f"{T},{eta0!r},{m!r},{b!r}" for T, eta0, m, b in
+              zip(est.horizons, est.step_sizes, est.mean_min_grad_sq, bounds)]
+    digest = config_digest(cfg)
+    write_report(args.out, digest, {"convergence_summary.json": {
         "config": cfg,
-        "config_digest": config_digest(cfg),
+        "config_digest": digest,
         "prng": RNG_ALGORITHM,
         "slope": est.slope,
         "horizons": est.horizons,
@@ -267,7 +253,7 @@ def _cmd_convergence(args) -> None:
         "theorem_bounds": bounds.tolist(),
         "bound_satisfied": bool(np.all(est.mean_min_grad_sq <= bounds)),
         "measured_grad_bound": est.measured_grad_bound,
-    })
+    }}, {"convergence_rate.csv": table})
     print(f"fitted log-log slope: {est.slope:.3f}; "
           f"bound satisfied at every horizon: {bool(np.all(est.mean_min_grad_sq <= bounds))}")
 

@@ -51,17 +51,6 @@ def as_param_vector(values, *, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def dot(a, b) -> float:
-    """Inner product of two equally sized parameter vectors."""
-    a = as_param_vector(a, name="a")
-    b = as_param_vector(b, name="b")
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"dot: dimensions differ ({a.shape[0]} vs {b.shape[0]})"
-        )
-    return float(np.dot(a, b))
-
-
 class RngStream:
     """A seeded, single-owner random stream.
 
@@ -113,11 +102,6 @@ class RngStream:
         """
         child = np.random.SeedSequence(entropy=self.seed, spawn_key=(int(key),))
         return RngStream(int(child.generate_state(1, dtype=np.uint64)[0]))
-
-
-def sample_standard_gaussian(rng: RngStream, dim: int) -> np.ndarray:
-    """Draw a vector of i.i.d. standard normals from ``rng``."""
-    return rng.standard_gaussian_vector(dim)
 
 
 @dataclass

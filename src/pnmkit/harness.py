@@ -16,7 +16,6 @@ share data, initialization, and minibatch sequence.
 from __future__ import annotations
 
 import json
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -101,6 +100,15 @@ class ClassificationTask:
     clean_train: FiniteDataset
     corrupted_mask: np.ndarray
     theta0: np.ndarray
+
+    def train_errors(self, theta) -> tuple[float, float]:
+        """Error on the (possibly corrupted) training labels, and on the
+        training samples whose label was left intact."""
+        corrupted = self.problem.error_rate(theta, self.train)
+        clean_idx = np.flatnonzero(~self.corrupted_mask)
+        if not clean_idx.size:
+            return corrupted, corrupted
+        return corrupted, self.problem.error_rate(theta, self.clean_train.subset(clean_idx))
 
 
 def _split(dataset: FiniteDataset, test_fraction: float, rng: RngStream):
@@ -221,14 +229,32 @@ _RUN_KEYS = {
     "snapshots", "lr_decay",
 }
 
+#: Parameters beyond this magnitude (or non-finite) end a run as diverged.
+_DIVERGENCE_BOUND = 1e10
+
+
+def _int_value(value, key: str, minimum: int) -> int:
+    """``value`` if it is an integer (JSON bools excluded) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"'{key}' must be an integer >= {minimum}, got {value!r}")
+    return value
+
 
 def _decay_schedule(cfg: dict) -> tuple[set[int], float]:
     """Piecewise-constant decay: multiply lr by ``factor`` at each milestone."""
     decay = cfg.get("lr_decay")
     if decay is None:
         return set(), 1.0
+    if not isinstance(decay, dict):
+        raise ConfigError("'lr_decay' must be an object")
     check_config_keys(decay, {"milestones", "factor"}, "lr_decay")
-    return {int(m) for m in decay.get("milestones", [])}, float(decay.get("factor", 0.1))
+    milestones = decay.get("milestones", [])
+    if not isinstance(milestones, list):
+        raise ConfigError(f"'lr_decay.milestones' must be a list, got {milestones!r}")
+    factor = decay.get("factor", 0.1)
+    if isinstance(factor, bool) or not isinstance(factor, (int, float)) or not factor > 0:
+        raise ConfigError(f"'lr_decay.factor' must be a number > 0, got {factor!r}")
+    return {_int_value(m, "lr_decay.milestones", 1) for m in milestones}, float(factor)
 
 
 _CLASSIFICATION_PROBLEMS = ("two_moons_mlp", "csv_mlp")
@@ -241,116 +267,85 @@ def validate_run_config(cfg: dict) -> None:
             raise ConfigError(f"config needs '{key}'")
     if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
         raise ConfigError("'seeds' must be a nonempty list of integers")
+    for seed in cfg["seeds"]:
+        _int_value(seed, "seeds", 0)
+    _int_value(cfg["steps"], "steps", 1)
+    for key in ("batch_size", "eval_every"):
+        if key in cfg:
+            _int_value(cfg[key], key, 1)
+    _decay_schedule(cfg)
     if "name" not in cfg["problem"]:
         raise ConfigError("problem config needs 'name'")
 
 
-def _run_classification_seed(cfg: dict, seed: int, digest: str,
-                             snapshots: bool) -> RunResult:
+def run_seed(cfg: dict, seed: int, digest: str, snapshots: bool = False) -> RunResult:
+    """Train one seed of a validated run config.
+
+    The per-problem parts (gradient sampler, test-error evaluation,
+    defaults, final train errors) are chosen up front; one loop then steps
+    every problem the same way. Parameters that turn non-finite or exceed
+    1e10 in magnitude raise :class:`DivergenceError` naming the step.
+    """
     t0 = time.perf_counter()
-    task = build_classification_task(cfg["problem"], seed)
-    problem = task.problem
-    opt = build_optimizer(cfg["optimizer"], problem.dim)
-    steps = int(cfg["steps"])
-    batch_size = int(cfg.get("batch_size", min(128, problem.dataset_size)))
-    eval_every = int(cfg.get("eval_every", max(1, steps // 50)))
-    batch_rng = RngStream(seed).spawn(3)
+    steps = cfg["steps"]
+    if cfg["problem"]["name"] in _CLASSIFICATION_PROBLEMS:
+        task = build_classification_task(cfg["problem"], seed)
+        oracle, theta = task.problem, task.theta0
+        batch_size = cfg.get("batch_size", min(128, oracle.dataset_size))
 
-    theta = task.theta0.copy()
-    traj = Trajectory(seed=seed, config_digest=digest, keep_snapshots=snapshots)
-    clean_idx = np.flatnonzero(~task.corrupted_mask)
-    best_test = math.inf
-    min_gsq = math.inf
+        def sample(theta, rng):
+            return oracle.minibatch_gradient(theta, batch_size, rng)
 
-    def evaluate(step: int) -> float:
-        nonlocal min_gsq
-        loss, grad = problem.full_gradient(theta)
-        gsq = float(grad @ grad)
-        min_gsq = min(min_gsq, gsq)
-        test_err = problem.error_rate(theta, task.test)
-        traj.append(step, loss, gsq, theta if snapshots else None, test_error=test_err)
-        return test_err
+        def test_error(theta):
+            return oracle.error_rate(theta, task.test)
 
-    milestones, factor = _decay_schedule(cfg)
-    evaluate(0)
-    for step in range(1, steps + 1):
-        if step in milestones:
-            opt.lr *= factor
-        sample = problem.minibatch_gradient(theta, batch_size, batch_rng)
-        theta = opt.step(theta, sample)
-        if not np.all(np.isfinite(theta)):
-            raise DivergenceError(f"parameters became non-finite at step {step}")
-        if step % eval_every == 0 or step == steps:
-            best_test = min(best_test, evaluate(step))
-
-    final_loss, final_grad = problem.full_gradient(theta)
-    final_test = problem.error_rate(theta, task.test)
-    corrupted_train = problem.error_rate(theta, task.train)
-    if clean_idx.size:
-        clean_subset = task.clean_train.subset(clean_idx)
-        clean_train = problem.error_rate(theta, clean_subset)
+        train_errors = task.train_errors
+        eval_every = cfg.get("eval_every", max(1, steps // 50))
     else:
-        clean_train = corrupted_train
-    return RunResult(
-        config_digest=digest,
-        seed=seed,
-        final_loss=final_loss,
-        min_grad_norm_sq=min(min_gsq, float(final_grad @ final_grad)),
-        final_test_error=final_test,
-        best_test_error=min(best_test, final_test),
-        final_corrupted_train_error=corrupted_train,
-        final_clean_train_error=clean_train,
-        wall_clock=time.perf_counter() - t0,
-        trajectory=traj,
-    )
-
-
-def _run_analytic_seed(cfg: dict, seed: int, digest: str,
-                       snapshots: bool) -> RunResult:
-    t0 = time.perf_counter()
-    oracle, theta0 = build_analytic_oracle(cfg["problem"], seed)
-    opt = build_optimizer(cfg["optimizer"], theta0.shape[0])
-    steps = int(cfg["steps"])
-    eval_every = int(cfg.get("eval_every", max(1, steps // 100)))
+        oracle, theta = build_analytic_oracle(cfg["problem"], seed)
+        sample = oracle.stochastic_gradient
+        test_error = train_errors = None
+        eval_every = cfg.get("eval_every", max(1, steps // 100))
+    opt = build_optimizer(cfg["optimizer"], theta.shape[0])
     rng = RngStream(seed).spawn(3)
-    theta = theta0.copy()
+    milestones, factor = _decay_schedule(cfg)
     traj = Trajectory(seed=seed, config_digest=digest, keep_snapshots=snapshots)
-    min_gsq = math.inf
 
     def evaluate(step: int) -> None:
-        nonlocal min_gsq
         loss, grad = oracle.full_gradient(theta)
-        gsq = float(grad @ grad)
-        min_gsq = min(min_gsq, gsq)
-        traj.append(step, loss, gsq, theta if snapshots else None)
+        err = None if test_error is None else test_error(theta)
+        traj.append(step, loss, float(grad @ grad), theta if snapshots else None,
+                    test_error=err)
 
-    milestones, factor = _decay_schedule(cfg)
     evaluate(0)
     for step in range(1, steps + 1):
         if step in milestones:
             opt.lr *= factor
-        sample = oracle.stochastic_gradient(theta, rng)
-        theta = opt.step(theta, sample)
-        if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > 1e10:
-            raise DivergenceError(f"run diverged at step {step}")
+        theta = opt.step(theta, sample(theta, rng))
+        if not np.max(np.abs(theta)) <= _DIVERGENCE_BOUND:
+            raise DivergenceError(
+                f"run diverged at step {step}: parameters non-finite or "
+                f"beyond {_DIVERGENCE_BOUND:g} in magnitude"
+            )
         if step % eval_every == 0 or step == steps:
             evaluate(step)
 
-    final_loss, _ = oracle.full_gradient(theta)
-    return RunResult(
+    final = traj.records[-1]
+    result = RunResult(
         config_digest=digest,
         seed=seed,
-        final_loss=final_loss,
-        min_grad_norm_sq=min_gsq,
-        wall_clock=time.perf_counter() - t0,
+        final_loss=final.loss,
+        min_grad_norm_sq=float(np.min(traj.grad_norms_sq)),
         trajectory=traj,
     )
-
-
-def run_seed(cfg: dict, seed: int, digest: str, snapshots: bool = False) -> RunResult:
-    if cfg["problem"]["name"] in _CLASSIFICATION_PROBLEMS:
-        return _run_classification_seed(cfg, seed, digest, snapshots)
-    return _run_analytic_seed(cfg, seed, digest, snapshots)
+    if test_error is not None:
+        # The step-0 evaluation is the initialization, not a trained model.
+        result.final_test_error = final.test_error
+        result.best_test_error = min(r.test_error for r in traj.records[1:])
+        (result.final_corrupted_train_error,
+         result.final_clean_train_error) = train_errors(theta)
+    result.wall_clock = time.perf_counter() - t0
+    return result
 
 
 def aggregate(values) -> dict:
@@ -370,7 +365,7 @@ def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1,
     """
     validate_run_config(cfg)
     digest = config_digest(cfg)
-    seeds = [int(s) for s in cfg["seeds"]]
+    seeds = cfg["seeds"]
     snapshots = snapshots or bool(cfg.get("snapshots", False))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -393,11 +388,9 @@ def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1,
     summary["aggregate"] = metrics
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = write_report(out_dir, digest, {f"summary_{digest}.json": summary})
         for r in results:
             write_trajectory_csv(out_dir / f"trajectory_{digest}_seed{r.seed}.csv", r)
-        write_json(out_dir / f"summary_{digest}.json", summary)
     return summary
 
 
@@ -407,6 +400,23 @@ def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1,
 
 def write_json(path: Path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def write_report(out_dir, digest: str, json_files: dict[str, dict],
+                 csv_files: Optional[dict[str, list[str]]] = None) -> Path:
+    """Create ``out_dir`` and write each named JSON payload and CSV table
+    into it. A CSV is given as its header line followed by its rows and
+    is written after a ``# config_digest=... prng=...`` provenance line.
+    Returns the directory as a :class:`Path`.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, payload in json_files.items():
+        write_json(out_dir / name, payload)
+    for name, lines in (csv_files or {}).items():
+        provenance = f"# config_digest={digest} prng={RNG_ALGORITHM}"
+        (out_dir / name).write_text("\n".join([provenance, *lines]) + "\n")
+    return out_dir
 
 
 def write_trajectory_csv(path: Path, result: RunResult) -> None:
@@ -478,9 +488,7 @@ def label_noise_experiment(cfg: dict, optimizer_a: dict, optimizer_b: dict,
         "prng": RNG_ALGORITHM,
     }
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "label_noise_report.json", report)
+        write_report(out_dir, report["config_digest"], {"label_noise_report.json": report})
     return report
 
 
@@ -523,16 +531,10 @@ def beta0_sweep(cfg: dict, beta0_grid, out_dir: Optional[Path] = None,
         "prng": RNG_ALGORITHM,
     }
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "beta0_sweep.json", report)
-        lines = [
-            f"# config_digest={report['config_digest']} prng={RNG_ALGORITHM}",
-            "beta0,mean_test_error,std_test_error",
-        ]
-        for row in rows:
-            lines.append(f"{row['beta0']!r},{row['mean']!r},{row['std']!r}")
-        (out_dir / "beta0_sweep.csv").write_text("\n".join(lines) + "\n")
+        table = ["beta0,mean_test_error,std_test_error"]
+        table += [f"{row['beta0']!r},{row['mean']!r},{row['std']!r}" for row in rows]
+        write_report(out_dir, report["config_digest"], {"beta0_sweep.json": report},
+                     {"beta0_sweep.csv": table})
     return report
 
 
@@ -571,15 +573,10 @@ def lr_wd_grid(cfg: dict, lrs, lams, out_dir: Optional[Path] = None,
         "prng": RNG_ALGORITHM,
     }
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "lr_wd_grid.json", report)
-        lines = [
-            f"# config_digest={report['config_digest']} prng={RNG_ALGORITHM}",
-            "lr\\lam," + ",".join(repr(l) for l in lams),
-        ]
+        table = ["lr\\lam," + ",".join(repr(l) for l in lams)]
         for lr, row in zip(lrs, matrix):
-            lines.append(repr(lr) + "," + ",".join(
+            table.append(repr(lr) + "," + ",".join(
                 c if isinstance(c, str) else repr(c) for c in row))
-        (out_dir / "lr_wd_grid.csv").write_text("\n".join(lines) + "\n")
+        write_report(out_dir, report["config_digest"], {"lr_wd_grid.json": report},
+                     {"lr_wd_grid.csv": table})
     return report

@@ -70,8 +70,11 @@ class Optimizer:
         if isinstance(grad, GradientSample):
             grad = grad.gradient
         grad = np.asarray(grad, dtype=np.float64)
-        if grad.shape != (self.dim,):
-            raise ValueError(f"gradient shape {grad.shape} != ({self.dim},)")
+        if grad.shape != theta.shape or grad.shape[-1:] != (self.dim,):
+            raise ValueError(
+                f"gradient shape {grad.shape} must equal parameter shape "
+                f"{theta.shape} with last axis {self.dim}"
+            )
         if not np.all(np.isfinite(grad)):
             raise NonFiniteError(
                 f"non-finite gradient entries at step {self.t + 1}"
@@ -81,7 +84,14 @@ class Optimizer:
         return grad
 
     def step(self, theta: np.ndarray, grad) -> np.ndarray:
-        """Consume one gradient and return the updated parameters."""
+        """Consume one gradient and return the updated parameters.
+
+        ``theta`` has shape ``(..., dim)``: a leading axis stacks
+        independent replicas (chains, seeds) that share the
+        hyperparameters and step counter. ``grad`` must have the same
+        shape; the state buffers broadcast to it on the first step, so a
+        ``(k, dim)`` run equals k separate ``(dim,)`` runs bit for bit.
+        """
         theta = np.asarray(theta, dtype=np.float64)
         grad = self._prepare_gradient(theta, grad)
         self.t += 1
@@ -136,13 +146,18 @@ class Pnm(Optimizer):
         self.m = np.zeros(self.dim)        # m_{t-1} before step, m_t after
         self.m_prev = np.zeros(self.dim)   # m_{t-2} before step, m_{t-1} after
 
-    def _update(self, theta, grad):
+    def _pair(self, grad):
+        """Refresh the older buffer with ``grad``, rotate the two, and
+        return the positive-negative pair (1 + beta0) m_t - beta0 m_{t-1}."""
         bsq = self.beta1 * self.beta1
         m_new = bsq * self.m_prev + (1.0 - bsq) * grad
         pair = (1.0 + self.beta0) * m_new - self.beta0 * self.m
         self.m_prev = self.m
         self.m = m_new
-        return theta - (self.lr / self.norm) * pair
+        return pair
+
+    def _update(self, theta, grad):
+        return theta - (self.lr / self.norm) * self._pair(grad)
 
 
 class Adam(Optimizer):
@@ -171,7 +186,7 @@ class Adam(Optimizer):
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
         m_hat = self.m / (1.0 - self.beta1 ** self.t)
         if self.amsgrad:
-            np.maximum(self.v_max, self.v, out=self.v_max)
+            self.v_max = np.maximum(self.v_max, self.v)
             v_hat = self.v_max / (1.0 - self.beta2 ** self.t)
         else:
             v_hat = self.v / (1.0 - self.beta2 ** self.t)
@@ -185,50 +200,37 @@ class AmsGrad(Adam):
                          weight_decay=weight_decay)
 
 
-class AdaPnm(Optimizer):
+class AdaPnm(Pnm):
     """Adaptive positive-negative momentum.
 
-    With ``amsgrad=True`` the second moment uses the running maximum and
-    the pair normalization sits in the denominator; with ``amsgrad=False``
-    the raw bias-corrected second moment is used and the normalization is
-    folded into the numerator. Both reduce to AMSGrad/Adam at
-    beta0 = -beta1 / (1 + beta1) with a sqrt((1+beta0)^2+beta0^2)-scaled
-    learning rate.
+    The buffer pair is :class:`Pnm`'s. With ``amsgrad=True`` the second
+    moment uses the running maximum and the pair normalization sits in
+    the denominator; with ``amsgrad=False`` the raw bias-corrected second
+    moment is used and the normalization is folded into the numerator.
+    Both reduce to AMSGrad/Adam at beta0 = -beta1 / (1 + beta1) with a
+    sqrt((1+beta0)^2+beta0^2)-scaled learning rate.
     """
 
     def __init__(self, dim, lr=1e-3, beta0=1.0, beta1=0.9, beta2=0.999,
                  eps=1e-8, amsgrad=True, weight_decay=None):
-        super().__init__(dim, lr, weight_decay)
-        if beta0 < -1.0:
-            raise ValueError("beta0 must be >= -1")
-        if not 0.0 <= beta1 < 1.0:
-            raise ValueError("beta1 must lie in [0, 1)")
+        super().__init__(dim, lr, beta0, beta1, weight_decay)
         if not 0.0 <= beta2 < 1.0:
             raise ValueError("beta2 must lie in [0, 1)")
         if eps <= 0:
             raise ValueError("eps must be > 0")
-        self.beta0 = float(beta0)
-        self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.amsgrad = bool(amsgrad)
-        self.norm = pn_normalization(self.beta0)
-        self.m = np.zeros(self.dim)
-        self.m_prev = np.zeros(self.dim)
         self.v = np.zeros(self.dim)
         self.v_max = np.zeros(self.dim)
 
     def _update(self, theta, grad):
-        bsq = self.beta1 * self.beta1
-        m_new = bsq * self.m_prev + (1.0 - bsq) * grad
-        pair = (1.0 + self.beta0) * m_new - self.beta0 * self.m
-        self.m_prev = self.m
-        self.m = m_new
+        pair = self._pair(grad)
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         if self.amsgrad:
-            np.maximum(self.v_max, self.v, out=self.v_max)
+            self.v_max = np.maximum(self.v_max, self.v)
             v_hat = self.v_max / bc2
             m_hat = pair / bc1
             return theta - (self.lr / self.norm) * m_hat / (np.sqrt(v_hat) + self.eps)
@@ -259,10 +261,6 @@ def make_optimizer(name: str, dim: int, **hparams) -> Optimizer:
     if name.lower() == "sgd" and "beta1" not in hparams:
         hparams["beta1"] = 0.0
     return cls(dim=dim, **hparams)
-
-
-def optimizer_names() -> list[str]:
-    return sorted(set(_OPTIMIZERS))
 
 
 # ---------------------------------------------------------------------------

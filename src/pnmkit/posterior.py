@@ -13,15 +13,18 @@ as oracles: the exact discrete-time stationary variance for SGD at finite
 step size, and the eta/(2B)-type identity-matrix covariances that follow
 from the C = H/B noise structure.
 
-Noise amplification enters through the 'pnm' dynamics kind: each step
-combines two independent stochastic gradient estimates into the
-positive-negative average (1 + beta0) g_a - beta0 g_b, which rescales the
-gradient-noise covariance by (1 + beta0)^2 + beta0^2 while leaving the
-expected step unchanged. This is the noise model behind the rescaled
-posterior; the momentum-buffer implementation ('pnm_momentum') is also
-available and is pinned in the tests against its exact state-space
-solution, which differs from the rescaled-noise posterior because the
-buffers anticorrelate consecutive updates.
+The dynamics are the package's own optimizers stepping a (chains, dim)
+state: 'sgd' and 'pnm' run ``optim.HeavyBall`` with beta1 = 0, 'hb' runs
+``optim.HeavyBall`` with beta3 = 1 - beta1, and 'pnm_momentum' runs
+``optim.Pnm``. Noise amplification enters through the 'pnm' kind: each
+step feeds the optimizer the positive-negative average
+(1 + beta0) g_a - beta0 g_b of two independent stochastic gradient
+estimates, which rescales the gradient-noise covariance by
+(1 + beta0)^2 + beta0^2 while leaving the expected step unchanged. This
+is the noise model behind the rescaled posterior; the momentum-buffer
+update ('pnm_momentum') is pinned in the tests against its exact
+state-space solution, which differs from the rescaled-noise posterior
+because the buffers anticorrelate consecutive updates.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
-from .core import DivergenceError, RngStream
+from .core import DivergenceError, NonFiniteError, RngStream
 from .noise import amplification_factor
+from .optim import HeavyBall, Pnm
 from .problems import QuadraticModel
 
 _DIVERGENCE_FACTOR = 1e6
@@ -133,11 +137,12 @@ def simulate_stationary(
 ) -> StationaryEstimate:
     """Estimate the stationary posterior of noisy gradient dynamics.
 
-    Kinds: 'sgd' plain gradient steps; 'hb' Heavy Ball with
-    beta3 = 1 - beta1; 'pnm' gradient steps on the positive-negative
-    average of two independent gradient estimates (noise covariance scaled
-    by (1 + beta0)^2 + beta0^2, learning rate used as given); and
-    'pnm_momentum' the buffer-based update with its normalized rate.
+    Kinds: 'sgd' plain gradient steps (``HeavyBall`` with beta1 = 0);
+    'hb' ``HeavyBall`` with beta3 = 1 - beta1; 'pnm' plain gradient steps
+    on the positive-negative average of two independent gradient
+    estimates (noise covariance scaled by (1 + beta0)^2 + beta0^2,
+    learning rate used as given); and 'pnm_momentum' ``Pnm`` with its
+    normalized rate.
 
     ``chains`` independent replicas run vectorized on one stream; mean and
     covariance pool all post-burn-in (thinned) iterates, and the mean's
@@ -159,34 +164,27 @@ def simulate_stationary(
     total_steps = burn_in + per_chain * thin
     scale = _DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(model.theta_star)))
 
-    dev = np.zeros((chains, n))  # theta - theta*
-    m = np.zeros((chains, n))
-    m_prev = np.zeros((chains, n))
-    beta = beta1 * beta1
-    eta0 = eta / math.sqrt(amplification_factor(beta0))
+    if kind == "hb":
+        opt = HeavyBall(n, eta, beta1=beta1, beta3=1.0 - beta1)
+    elif kind == "pnm_momentum":
+        opt = Pnm(n, eta, beta0=beta0, beta1=beta1)
+    else:  # sgd, and pnm on its two-sample pair gradient
+        opt = HeavyBall(n, eta, beta1=0.0)
 
+    dev = np.zeros((chains, n))  # theta - theta*
     kept = np.empty((per_chain, chains, n))
     k = 0
     for t in range(total_steps):
-        grad = dev @ H
-        if kind == "sgd":
-            xi = rng.standard_normal((chains, n)) @ L.T
-            dev = dev - eta * (grad + xi)
-        elif kind == "hb":
-            xi = rng.standard_normal((chains, n)) @ L.T
-            m = beta1 * m + (1.0 - beta1) * (grad + xi)
-            dev = dev - eta * m
-        elif kind == "pnm":
-            xa = rng.standard_normal((chains, n)) @ L.T
+        xi = rng.standard_normal((chains, n)) @ L.T
+        if kind == "pnm":
             xb = rng.standard_normal((chains, n)) @ L.T
-            pair = grad + (1.0 + beta0) * xa - beta0 * xb
-            dev = dev - eta * pair
-        else:  # pnm_momentum
-            xi = rng.standard_normal((chains, n)) @ L.T
-            m_new = beta * m_prev + (1.0 - beta) * (grad + xi)
-            pair = (1.0 + beta0) * m_new - beta0 * m
-            m_prev, m = m, m_new
-            dev = dev - eta0 * pair
+            grad = dev @ H + (1.0 + beta0) * xi - beta0 * xb
+        else:
+            grad = dev @ H + xi
+        try:
+            dev = opt.step(dev, grad)
+        except NonFiniteError as exc:
+            raise DivergenceError(f"{kind} dynamics diverged at step {t}") from exc
         if t % _DIVERGENCE_CHECK_EVERY == 0 and not np.all(np.abs(dev) <= scale):
             raise DivergenceError(f"{kind} dynamics diverged at step {t}")
         if t >= burn_in and (t - burn_in) % thin == 0:

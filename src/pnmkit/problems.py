@@ -81,10 +81,6 @@ class QuadraticModel(GradientOracle):
         return GradientSample(grad, loss)
 
 
-def quadratic_eval(model: QuadraticModel, theta) -> tuple[float, np.ndarray]:
-    return model.loss_and_gradient(theta)
-
-
 def rosenbrock_eval(theta) -> tuple[float, np.ndarray]:
     """Rosenbrock function f = (1-x)^2 + 100(y-x^2)^2 with its gradient."""
     theta = as_param_vector(theta, name="theta")
@@ -373,12 +369,6 @@ class DatasetProblem(GradientOracle):
         return self.minibatch_gradient(theta, self.batch_size, rng)
 
 
-def minibatch_gradient(
-    problem: DatasetProblem, theta, batch_size: int, rng: RngStream
-) -> GradientSample:
-    return problem.minibatch_gradient(theta, batch_size, rng)
-
-
 class LinearRegressionProblem(DatasetProblem):
     """Mean squared-error regression, per-sample loss 0.5 (x^T theta - y)^2.
 
@@ -511,13 +501,6 @@ class TinyMlpProblem(DatasetProblem):
     def error_rate(self, theta, dataset: FiniteDataset) -> float:
         pred = self.predict(theta, dataset.features)
         return float(np.mean(pred != np.asarray(dataset.labels)))
-
-
-def tiny_mlp_eval(problem: TinyMlpProblem, theta, idx=None) -> tuple[float, np.ndarray]:
-    """Loss and gradient of the MLP on a batch (all samples by default)."""
-    if idx is None:
-        idx = np.arange(problem.dataset_size)
-    return problem.batch_loss_gradient(theta, idx)
 
 
 # ---------------------------------------------------------------------------

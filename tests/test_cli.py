@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pnmkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 
 
@@ -45,6 +47,39 @@ class TestExitCodes:
             steps=500,
         ))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DIVERGED
+
+    def test_mlp_divergence_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path, run_config(
+            problem={"name": "two_moons_mlp", "n": 80, "hidden": 4},
+            optimizer={"name": "sgd", "lr": 1e12},
+            steps=20, batch_size=10,
+        ))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DIVERGED
+
+    MALFORMED = [
+        ("eval_every", 0),
+        ("eval_every", -3),
+        ("steps", -5),
+        ("steps", 50.7),
+        ("steps", True),
+        ("seeds", [1.5]),
+        ("seeds", [True]),
+        ("batch_size", "8"),
+        ("lr_decay.milestones", "10"),
+        ("lr_decay.milestones", [5.5]),
+        ("lr_decay.factor", "0.1"),
+    ]
+
+    @pytest.mark.parametrize("key,value", MALFORMED,
+                             ids=[f"{k}={v!r}" for k, v in MALFORMED])
+    def test_malformed_run_value_is_config_error(self, tmp_path, capsys, key, value):
+        if key.startswith("lr_decay."):
+            overrides = {"lr_decay": {key.split(".")[1]: value}}
+        else:
+            overrides = {key: value}
+        cfg = write_config(tmp_path, run_config(**overrides))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
 
 class TestOutputs:

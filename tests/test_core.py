@@ -2,36 +2,12 @@ import numpy as np
 import pytest
 
 from pnmkit.core import (
-    DimensionMismatchError,
     NonFiniteError,
     RngStream,
     Trajectory,
     as_param_vector,
     config_digest,
-    dot,
-    sample_standard_gaussian,
 )
-
-
-class TestDot:
-    def test_hand_value(self):
-        # 1*3 + 2*4, summed by hand
-        assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-
-    def test_zero_vector(self):
-        assert dot([0.0, 0.0], [5.0, -7.0]) == 0.0
-
-    def test_unit_basis(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert dot(e1, e1) == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            dot([1.0], [1.0, 2.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            dot([np.nan], [1.0])
 
 
 class TestParamVector:
@@ -47,22 +23,26 @@ class TestParamVector:
         v = as_param_vector([1, 2, 3])
         assert v.dtype == np.float64
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(NonFiniteError):
+            as_param_vector([np.nan, 1.0])
+
 
 class TestStandardGaussian:
     def test_moments(self):
         # CLT band for the mean, ~chi-square concentration for the variance
-        draws = sample_standard_gaussian(RngStream(101), 1_000_000)
+        draws = RngStream(101).standard_gaussian_vector(1_000_000)
         assert abs(draws.mean()) < 4.0 / np.sqrt(1e6)
         assert abs(draws.var() - 1.0) < 0.01
 
     def test_determinism(self):
-        a = sample_standard_gaussian(RngStream(7), 1000)
-        b = sample_standard_gaussian(RngStream(7), 1000)
+        a = RngStream(7).standard_gaussian_vector(1000)
+        b = RngStream(7).standard_gaussian_vector(1000)
         np.testing.assert_array_equal(a, b)
 
     def test_zero_dim_rejected(self):
         with pytest.raises(ValueError):
-            sample_standard_gaussian(RngStream(0), 0)
+            RngStream(0).standard_gaussian_vector(0)
 
 
 class TestRngStream:

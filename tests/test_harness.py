@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pnmkit import harness
+from pnmkit.core import DivergenceError
 from pnmkit.harness import ConfigError
 from pnmkit.optim import momentum_recovery_beta0, pn_normalization
 
@@ -116,6 +117,13 @@ class TestRun:
         assert summary["config"] == cfg
         assert summary["config_digest"]
         assert summary["results"][0]["seed"] == 5
+
+    def test_mlp_divergence_names_step(self):
+        # Finite but huge parameters end an MLP run the same way they end
+        # an analytic one.
+        cfg = mlp_config(optimizer={"name": "sgd", "lr": 1e12})
+        with pytest.raises(DivergenceError, match=r"step \d+"):
+            harness.run(cfg)
 
     def test_lr_decay_applies(self):
         # a 10x decay at step 1 must change the trajectory

@@ -11,9 +11,10 @@ from pnmkit.noise import (
     pnm_buffer_correlation,
     single_buffer_stationary_variance,
     stationary_momentum_variance,
+    _hb_directions,
     _simulate_buffers,
 )
-from pnmkit.optim import Pnm
+from pnmkit.optim import HeavyBall, Pnm
 from pnmkit.problems import FiniteDataset, LinearRegressionProblem, PureNoiseOracle
 
 
@@ -55,6 +56,19 @@ class TestBufferSimulation:
             theta = opt.step(theta, sample)
             np.testing.assert_allclose(opt.m, m_sim[t], atol=1e-14)
             np.testing.assert_allclose(prev_before, m_prev_sim[t], atol=1e-14)
+
+    def test_hb_directions_match_optimizer_exactly(self):
+        # The IIR filter must replay HeavyBall's buffer (beta3 = 1 - beta1)
+        # on the same noise stream.
+        beta1 = 0.9
+        series = _hb_directions(beta1, 1.0 - beta1, 300, 2, RngStream(12))
+        oracle = PureNoiseOracle(2, 1.0)
+        opt = HeavyBall(dim=2, lr=0.1, beta1=beta1, beta3=1.0 - beta1)
+        theta = np.zeros(2)
+        rng = RngStream(12)
+        for t in range(300):
+            theta = opt.step(theta, oracle.stochastic_gradient(theta, rng))
+            np.testing.assert_allclose(opt.m, series[t], atol=1e-14)
 
     def test_single_buffer_variance_closed_form(self):
         # geometric series: (1 - beta)^2 / (1 - beta^2), beta = beta1^2

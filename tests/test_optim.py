@@ -266,6 +266,48 @@ class TestDeterminism:
         np.testing.assert_array_equal(run(), run())
 
 
+class TestBatchAxis:
+    @pytest.mark.parametrize("make", [
+        lambda: HeavyBall(dim=3, lr=0.05, beta1=0.9, beta3=0.1),
+        lambda: HeavyBall(dim=3, lr=0.05, beta1=0.8,
+                          weight_decay=WeightDecay("l2", 1e-2)),
+        lambda: Pnm(dim=3, lr=0.05, beta0=1.0, beta1=0.9,
+                    weight_decay=WeightDecay("decoupled", 1e-2)),
+        lambda: AdaPnm(dim=3, lr=0.01, beta0=2.0, amsgrad=True),
+        lambda: AdaPnm(dim=3, lr=0.01, beta0=2.0, amsgrad=False),
+        lambda: Adam(dim=3, lr=0.01),
+        lambda: AmsGrad(dim=3, lr=0.01),
+    ], ids=["hb", "hb_l2", "pnm_decoupled", "adapnm_amsgrad", "adapnm", "adam", "amsgrad"])
+    def test_stacked_state_equals_separate_runs(self, make):
+        # k replicas stepped as one (k, dim) state must equal k independent
+        # (dim,) optimizers bit for bit.
+        k, steps = 4, 50
+        rng = RngStream(5)
+        theta0 = rng.standard_normal((k, 3))
+        grads = rng.standard_normal((steps, k, 3))
+        batched = make()
+        theta = theta0
+        for g in grads:
+            theta = batched.step(theta, g)
+        for i in range(k):
+            single = make()
+            th = theta0[i]
+            for g in grads:
+                th = single.step(th, g[i])
+            np.testing.assert_array_equal(theta[i], th)
+
+    @pytest.mark.parametrize("theta_shape,grad_shape", [
+        ((3,), (2,)),
+        ((4, 3), (3,)),
+        ((3,), (4, 3)),
+        ((4, 2), (4, 2)),
+    ])
+    def test_gradient_shape_mismatch_rejected(self, theta_shape, grad_shape):
+        opt = Pnm(dim=3, lr=0.1)
+        with pytest.raises(ValueError, match="shape"):
+            opt.step(np.zeros(theta_shape), np.zeros(grad_shape))
+
+
 class TestFactory:
     def test_known_names(self):
         for name in ("sgd", "hb", "pnm", "adapnm", "adam", "amsgrad"):

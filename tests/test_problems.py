@@ -16,8 +16,6 @@ from pnmkit.problems import (
     fd_gradient_check,
     load_csv_dataset,
     make_two_moons,
-    minibatch_gradient,
-    quadratic_eval,
     rosenbrock_eval,
 )
 
@@ -31,14 +29,14 @@ def _random_quadratic(rng, dim):
 class TestQuadratic:
     def test_minimum(self):
         m = QuadraticModel([1.0, -2.0], [[2.0, 0.0], [0.0, 3.0]], f0=0.7)
-        loss, grad = quadratic_eval(m, m.theta_star)
+        loss, grad = m.loss_and_gradient(m.theta_star)
         assert loss == 0.7
         np.testing.assert_array_equal(grad, [0.0, 0.0])
 
     def test_hand_value(self):
         # H = I, displacement (3, 4): loss = (9 + 16) / 2
         m = QuadraticModel([0.0, 0.0], np.eye(2))
-        loss, grad = quadratic_eval(m, [3.0, 4.0])
+        loss, grad = m.loss_and_gradient([3.0, 4.0])
         assert loss == pytest.approx(12.5)
         np.testing.assert_allclose(grad, [3.0, 4.0])
 
@@ -60,7 +58,7 @@ class TestQuadratic:
     def test_dim_mismatch(self):
         m = QuadraticModel([0.0, 0.0], np.eye(2))
         with pytest.raises(DimensionMismatchError):
-            quadratic_eval(m, [1.0, 2.0, 3.0])
+            m.loss_and_gradient([1.0, 2.0, 3.0])
 
 
 class TestRosenbrock:
@@ -187,7 +185,7 @@ class TestMinibatch:
     def test_full_batch_reproduces_full_gradient(self, problem):
         theta = RngStream(21).standard_normal(5)
         _, full = problem.full_gradient(theta)
-        sample = minibatch_gradient(problem, theta, 100, RngStream(22))
+        sample = problem.minibatch_gradient(theta, 100, RngStream(22))
         np.testing.assert_array_equal(sample.gradient, full)
 
     def test_unbiasedness(self, problem):

@@ -7,7 +7,6 @@ from .core import (
     DimensionMismatchError,
     DivergenceError,
     GradientOracle,
-    GradientSample,
     NonFiniteError,
     RngStream,
     Trajectory,

@@ -3,8 +3,8 @@
 Subcommands: ``run``, ``sweep-beta0``, ``label-noise``, ``grid``,
 ``posterior``, ``pacbayes``, ``noise``, ``convergence``. Each reads a JSON
 config (strict: unknown keys are errors) and writes CSV/JSON results into
---out. Exit codes: 0 success, 1 config error, 2 numerical divergence,
-3 I/O error.
+--out. Exit codes: 0 success, 1 config or usage error, 2 numerical
+divergence, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _apply_seed_override(cfg: dict, seed) -> dict:
 
 def _cmd_run(args) -> None:
     cfg = _apply_seed_override(_load_config(args.config), args.seed)
-    summary = harness.run(cfg, Path(args.out), args.threads, args.snapshots)
+    summary = harness.run(cfg, Path(args.out), args.threads)
     agg = summary["aggregate"]
     print(f"config {summary['config_digest']}: "
           + ", ".join(f"{k} = {v['mean']:.6g} +- {v['std']:.3g}" for k, v in agg.items()))
@@ -99,10 +99,16 @@ def _cmd_posterior(args) -> None:
     model = QuadraticModel(np.zeros(eigs.size), np.diag(eigs))
     sigma2 = float(cfg.get("noise_sigma2", 1.0))
     seed = int(args.seed) if args.seed is not None else int(cfg.get("seed", 0))
+    kind = cfg.get("kind", "sgd")
+    extra = {}
+    if "batch_size" in cfg:
+        # Before the simulation, so a kind without a closed form fails fast.
+        extra["theoretical_scale"] = posterior.theoretical_posterior_covariance(
+            kind, float(cfg["eta"]), int(cfg["batch_size"]), float(cfg.get("beta0", 1.0)))
     est = posterior.simulate_stationary(
         model,
         sigma2,
-        cfg.get("kind", "sgd"),
+        kind,
         float(cfg["eta"]),
         burn_in=int(cfg.get("burn_in", 10000)),
         samples=int(cfg.get("samples", 1000000)),
@@ -122,14 +128,11 @@ def _cmd_posterior(args) -> None:
         "dim": int(eigs.size),
         "retained": est.retained,
         "lyapunov_residual": posterior.lyapunov_residual(est.covariance, model.H, eta_c),
+        **extra,
     }
-    if eigs.size == 1 and cfg.get("kind", "sgd") == "sgd":
+    if eigs.size == 1 and kind == "sgd":
         payload["closed_form_variance"] = posterior.discrete_ou_variance(
             float(eigs[0]), float(cfg["eta"]), sigma2)
-    if "batch_size" in cfg:
-        payload["theoretical_scale"] = posterior.theoretical_posterior_covariance(
-            cfg.get("kind", "sgd"), float(cfg["eta"]), int(cfg["batch_size"]),
-            float(cfg.get("beta0", 1.0)))
     write_report(args.out, payload["config_digest"], {"posterior.json": payload})
     print(f"retained {est.retained} samples; "
           f"covariance trace {np.trace(est.covariance):.6g}; "
@@ -274,21 +277,27 @@ def build_parser() -> argparse.ArgumentParser:
         "noise": _cmd_noise,
         "convergence": _cmd_convergence,
     }
+    # Each command registers only the flags its handler reads.
     for name, fn in commands.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's seed list with one seed")
+        if name != "pacbayes":
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config's seed list with one seed")
         p.add_argument("--out", default="results", help="output directory")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--snapshots", action="store_true",
-                       help="record parameter snapshots in trajectories")
+        if name in ("run", "sweep-beta0", "label-noise", "grid"):
+            p.add_argument("--threads", type=int, default=1)
         p.set_defaults(handler=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is the divergence code
+        # here; --help exits 0.
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         args.handler(args)
     except (ConfigError, KeyError, TypeError) as exc:

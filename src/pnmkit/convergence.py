@@ -119,8 +119,7 @@ def _run_grad_sq_curve(
     for k in range(horizon):
         _, full = oracle.full_gradient(theta)
         curve[k] = full @ full
-        sample = oracle.stochastic_gradient(theta, rng)
-        theta = opt.step(theta, sample)
+        theta = opt.step(theta, oracle.stochastic_gradient(theta, rng))
         if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > 1e8:
             raise DivergenceError(
                 f"PNM diverged at step {k} (horizon {horizon}, eta0 {eta0:g})"

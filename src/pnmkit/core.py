@@ -68,10 +68,6 @@ class RngStream:
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, algorithm={self.algorithm!r})"
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
     def standard_normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)
 
@@ -104,41 +100,21 @@ class RngStream:
         return RngStream(int(child.generate_state(1, dtype=np.uint64)[0]))
 
 
-@dataclass
-class GradientSample:
-    """One (possibly stochastic) gradient observation.
-
-    ``loss`` may be None for oracles that expose no objective value, e.g.
-    the pure-noise oracle.
-    """
-
-    gradient: np.ndarray
-    loss: Optional[float] = None
-
-
 class GradientOracle(ABC):
     """Source of gradients for a fixed problem.
 
-    Subclasses set the capability flags below. ``stochastic_gradient``
-    must be unbiased for ``full_gradient`` whenever the latter exists; the
-    test suite checks this statistically for every dataset-backed oracle.
+    Every gradient is a plain float64 array of shape ``(dim,)``.
+    :meth:`full_gradient` returns the loss with the exact gradient.
+    Oracles that sample without a batch size also define
+    ``stochastic_gradient(theta, rng)``, an unbiased gradient sample;
+    dataset problems draw minibatches with ``minibatch_gradient`` instead.
     """
 
     dim: int
-    has_full_gradient: bool = False
-    has_hessian: bool = False
-    dataset_size: Optional[int] = None
-    batch_size: Optional[int] = None
 
     @abstractmethod
-    def stochastic_gradient(self, theta: np.ndarray, rng: RngStream) -> GradientSample:
-        """Return an unbiased gradient sample at ``theta``."""
-
     def full_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        raise NotImplementedError(f"{type(self).__name__} has no full gradient")
-
-    def hessian(self, theta: np.ndarray) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} has no Hessian")
+        """Return the loss and the exact gradient at ``theta``."""
 
     def _check_dim(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
@@ -154,21 +130,15 @@ class TrajectoryRecord:
     step: int
     loss: float
     grad_norm_sq: float
-    snapshot: Optional[np.ndarray] = None
     test_error: Optional[float] = None
 
 
 @dataclass
 class Trajectory:
-    """Ordered per-step records of one optimization run.
-
-    Parameter snapshots are opt-in (``keep_snapshots``) so long runs do
-    not hold every iterate in memory.
-    """
+    """Ordered per-step records of one optimization run."""
 
     seed: int
     config_digest: str = ""
-    keep_snapshots: bool = False
     records: list[TrajectoryRecord] = field(default_factory=list)
 
     def append(
@@ -176,7 +146,6 @@ class Trajectory:
         step: int,
         loss: float,
         grad_norm_sq: float,
-        snapshot: Optional[np.ndarray] = None,
         test_error: Optional[float] = None,
     ) -> None:
         if self.records and step <= self.records[-1].step:
@@ -184,12 +153,8 @@ class Trajectory:
                 f"step indices must strictly increase: got {step} after "
                 f"{self.records[-1].step}"
             )
-        if not self.keep_snapshots:
-            snapshot = None
-        elif snapshot is not None:
-            snapshot = np.array(snapshot, dtype=np.float64, copy=True)
         self.records.append(
-            TrajectoryRecord(step, float(loss), float(grad_norm_sq), snapshot, test_error)
+            TrajectoryRecord(step, float(loss), float(grad_norm_sq), test_error)
         )
 
     @property

@@ -35,6 +35,7 @@ from .core import (
 from .optim import Optimizer, WeightDecay, make_optimizer
 from .problems import (
     AdditiveNoiseOracle,
+    DatasetProblem,
     FiniteDataset,
     LabelNoiseSpec,
     LinearRegressionProblem,
@@ -158,9 +159,10 @@ def build_classification_task(cfg: dict, seed: int) -> ClassificationTask:
 
 
 def build_analytic_oracle(cfg: dict, seed: int):
-    """Quadratic / Rosenbrock oracles with optional additive noise."""
+    """Quadratic / Rosenbrock / linear-regression oracles with optional
+    additive noise, and the starting point ``theta0``."""
     check_config_keys(cfg, {
-        "name", "dim", "eigenvalues", "theta_star", "f0", "noise_sigma2", "theta0",
+        "name", "dim", "n", "eigenvalues", "theta_star", "f0", "noise_sigma2", "theta0",
     }, "problem")
     name = cfg["name"]
     if name == "quadratic":
@@ -169,10 +171,10 @@ def build_analytic_oracle(cfg: dict, seed: int):
         eigs = np.asarray(eigs if eigs is not None else np.ones(dim), dtype=np.float64)
         theta_star = np.asarray(cfg.get("theta_star", np.zeros(dim)), dtype=np.float64)
         base = QuadraticModel(theta_star, np.diag(eigs), float(cfg.get("f0", 0.0)))
-        theta0 = np.asarray(cfg.get("theta0", np.ones(dim)), dtype=np.float64)
+        theta0 = cfg.get("theta0", np.ones(dim))
     elif name == "rosenbrock":
         base = RosenbrockProblem()
-        theta0 = np.asarray(cfg.get("theta0", [-1.2, 1.0]), dtype=np.float64)
+        theta0 = cfg.get("theta0", [-1.2, 1.0])
     elif name == "linear_regression":
         root = RngStream(seed).spawn(0)
         dim = int(cfg.get("dim", 5))
@@ -181,12 +183,18 @@ def build_analytic_oracle(cfg: dict, seed: int):
         w = root.standard_normal(dim)
         y = X @ w + 0.1 * root.standard_normal(n)
         base = LinearRegressionProblem(FiniteDataset(X, y))
-        theta0 = np.asarray(cfg.get("theta0", np.zeros(dim)), dtype=np.float64)
+        theta0 = cfg.get("theta0", np.zeros(dim))
     else:
         raise ConfigError(f"unknown problem {name!r}")
+    try:
+        start = np.asarray(theta0, dtype=np.float64)
+    except (TypeError, ValueError):
+        start = None
+    if start is None or start.shape != (base.dim,):
+        raise ConfigError(f"'theta0' must be a list of {base.dim} numbers, got {theta0!r}")
     sigma2 = float(cfg.get("noise_sigma2", 0.0))
     oracle = AdditiveNoiseOracle(base, sigma2) if sigma2 > 0 else base
-    return oracle, theta0
+    return oracle, start
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +233,7 @@ class RunResult:
 
 
 _RUN_KEYS = {
-    "problem", "optimizer", "steps", "batch_size", "seeds", "eval_every",
-    "snapshots", "lr_decay",
+    "problem", "optimizer", "steps", "batch_size", "seeds", "eval_every", "lr_decay",
 }
 
 #: Parameters beyond this magnitude (or non-finite) end a run as diverged.
@@ -278,23 +285,22 @@ def validate_run_config(cfg: dict) -> None:
         raise ConfigError("problem config needs 'name'")
 
 
-def run_seed(cfg: dict, seed: int, digest: str, snapshots: bool = False) -> RunResult:
+def run_seed(cfg: dict, seed: int, digest: str) -> RunResult:
     """Train one seed of a validated run config.
 
     The per-problem parts (gradient sampler, test-error evaluation,
-    defaults, final train errors) are chosen up front; one loop then steps
-    every problem the same way. Parameters that turn non-finite or exceed
-    1e10 in magnitude raise :class:`DivergenceError` naming the step.
+    defaults, final train errors) are chosen up front: every
+    :class:`DatasetProblem` is minibatched with the config's
+    ``batch_size`` (default ``min(128, N)``), any other oracle supplies its
+    own ``stochastic_gradient``. One loop then steps every problem the
+    same way. Parameters that turn non-finite or exceed 1e10 in magnitude
+    raise :class:`DivergenceError` naming the step.
     """
     t0 = time.perf_counter()
     steps = cfg["steps"]
     if cfg["problem"]["name"] in _CLASSIFICATION_PROBLEMS:
         task = build_classification_task(cfg["problem"], seed)
         oracle, theta = task.problem, task.theta0
-        batch_size = cfg.get("batch_size", min(128, oracle.dataset_size))
-
-        def sample(theta, rng):
-            return oracle.minibatch_gradient(theta, batch_size, rng)
 
         def test_error(theta):
             return oracle.error_rate(theta, task.test)
@@ -303,19 +309,24 @@ def run_seed(cfg: dict, seed: int, digest: str, snapshots: bool = False) -> RunR
         eval_every = cfg.get("eval_every", max(1, steps // 50))
     else:
         oracle, theta = build_analytic_oracle(cfg["problem"], seed)
-        sample = oracle.stochastic_gradient
         test_error = train_errors = None
         eval_every = cfg.get("eval_every", max(1, steps // 100))
+    if isinstance(oracle, DatasetProblem):
+        batch_size = cfg.get("batch_size", min(128, oracle.dataset_size))
+
+        def sample(theta, rng):
+            return oracle.minibatch_gradient(theta, batch_size, rng)
+    else:
+        sample = oracle.stochastic_gradient
     opt = build_optimizer(cfg["optimizer"], theta.shape[0])
     rng = RngStream(seed).spawn(3)
     milestones, factor = _decay_schedule(cfg)
-    traj = Trajectory(seed=seed, config_digest=digest, keep_snapshots=snapshots)
+    traj = Trajectory(seed=seed, config_digest=digest)
 
     def evaluate(step: int) -> None:
         loss, grad = oracle.full_gradient(theta)
         err = None if test_error is None else test_error(theta)
-        traj.append(step, loss, float(grad @ grad), theta if snapshots else None,
-                    test_error=err)
+        traj.append(step, loss, float(grad @ grad), test_error=err)
 
     evaluate(0)
     for step in range(1, steps + 1):
@@ -355,8 +366,7 @@ def aggregate(values) -> dict:
     return {"mean": float(arr.mean()), "std": float(arr.std())}
 
 
-def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1,
-        snapshots: bool = False) -> dict:
+def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1) -> dict:
     """Execute one config over its seeds; returns (and writes) a summary.
 
     Seeds may run on a thread pool; results are ordered by position in
@@ -366,13 +376,11 @@ def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1,
     validate_run_config(cfg)
     digest = config_digest(cfg)
     seeds = cfg["seeds"]
-    snapshots = snapshots or bool(cfg.get("snapshots", False))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda s: run_seed(cfg, s, digest, snapshots), seeds))
+            results = list(pool.map(lambda s: run_seed(cfg, s, digest), seeds))
     else:
-        results = [run_seed(cfg, s, digest, snapshots) for s in seeds]
+        results = [run_seed(cfg, s, digest) for s in seeds]
 
     summary = {
         "config": cfg,

@@ -243,8 +243,7 @@ def estimate_gradient_noise_covariance(
     _, full = problem.full_gradient(theta)
     deltas = np.empty((samples, problem.dim))
     for i in range(samples):
-        g = problem.minibatch_gradient(theta, batch_size, rng)
-        deltas[i] = g.gradient - full
+        deltas[i] = problem.minibatch_gradient(theta, batch_size, rng) - full
     deltas -= deltas.mean(axis=0)
     cov = deltas.T @ deltas / (samples - 1)
     cov = 0.5 * (cov + cov.T)

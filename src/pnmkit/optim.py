@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GradientOracle, GradientSample, NonFiniteError, RngStream
+from .core import GradientOracle, NonFiniteError, RngStream
 
 
 def pn_normalization(beta0: float) -> float:
@@ -67,8 +67,6 @@ class Optimizer:
         self.t = 0
 
     def _prepare_gradient(self, theta: np.ndarray, grad) -> np.ndarray:
-        if isinstance(grad, GradientSample):
-            grad = grad.gradient
         grad = np.asarray(grad, dtype=np.float64)
         if grad.shape != theta.shape or grad.shape[-1:] != (self.dim,):
             raise ValueError(
@@ -284,9 +282,9 @@ def record_pnm_run(
     thetas = [theta.copy()]
     ms, grads = [], []
     for _ in range(steps):
-        sample = oracle.stochastic_gradient(theta, rng)
-        theta = opt.step(theta, sample)
-        grads.append(np.asarray(sample.gradient, dtype=np.float64))
+        grad = oracle.stochastic_gradient(theta, rng)
+        theta = opt.step(theta, grad)
+        grads.append(grad)
         ms.append(opt.m.copy())
         thetas.append(theta.copy())
     return np.array(thetas), np.array(ms), np.array(grads)

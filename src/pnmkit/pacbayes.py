@@ -122,12 +122,6 @@ class PacBayesSetting:
         if self.theta_norm_sq < 0:
             raise ValueError("theta_norm_sq must be >= 0")
 
-    @classmethod
-    def from_theta(cls, eta, batch_size, dataset_size, lam, delta, theta_star):
-        theta = as_param_vector(theta_star, name="theta_star")
-        return cls(eta, batch_size, dataset_size, lam, theta.shape[0], delta,
-                   float(theta @ theta))
-
     @property
     def sigma_scale(self) -> float:
         """s = eta / (2B), the per-coordinate posterior variance at gamma=1."""

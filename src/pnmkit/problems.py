@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     DimensionMismatchError,
     GradientOracle,
-    GradientSample,
     RngStream,
     as_param_vector,
 )
@@ -34,9 +33,6 @@ class QuadraticModel(GradientOracle):
     H must be symmetric positive definite. The gradient H(theta - theta*)
     vanishes exactly at theta*.
     """
-
-    has_full_gradient = True
-    has_hessian = True
 
     def __init__(self, theta_star, hessian, f0: float = 0.0):
         self.theta_star = as_param_vector(theta_star, name="theta_star")
@@ -76,9 +72,8 @@ class QuadraticModel(GradientOracle):
     def hessian(self, theta=None) -> np.ndarray:
         return self.H
 
-    def stochastic_gradient(self, theta, rng: RngStream) -> GradientSample:
-        loss, grad = self.loss_and_gradient(theta)
-        return GradientSample(grad, loss)
+    def stochastic_gradient(self, theta, rng: RngStream) -> np.ndarray:
+        return self.loss_and_gradient(theta)[1]
 
 
 def rosenbrock_eval(theta) -> tuple[float, np.ndarray]:
@@ -97,14 +92,12 @@ class RosenbrockProblem(GradientOracle):
     """Deterministic Rosenbrock oracle (smooth, nonconvex, 2-D)."""
 
     dim = 2
-    has_full_gradient = True
 
     def full_gradient(self, theta):
         return rosenbrock_eval(theta)
 
-    def stochastic_gradient(self, theta, rng: RngStream) -> GradientSample:
-        loss, grad = rosenbrock_eval(theta)
-        return GradientSample(grad, loss)
+    def stochastic_gradient(self, theta, rng: RngStream) -> np.ndarray:
+        return rosenbrock_eval(theta)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +112,8 @@ class AdditiveNoiseOracle(GradientOracle):
     """
 
     def __init__(self, base: GradientOracle, covariance):
-        if not base.has_full_gradient:
-            raise ValueError("base oracle must expose full gradients")
         self.base = base
         self.dim = base.dim
-        self.has_full_gradient = True
-        self.has_hessian = base.has_hessian
         cov = np.asarray(covariance, dtype=np.float64)
         if cov.ndim == 0:
             if cov < 0:
@@ -147,18 +136,14 @@ class AdditiveNoiseOracle(GradientOracle):
     def full_gradient(self, theta):
         return self.base.full_gradient(theta)
 
-    def hessian(self, theta=None):
-        return self.base.hessian(theta)
-
     def draw_noise(self, rng: RngStream) -> np.ndarray:
         z = rng.standard_gaussian_vector(self.dim)
         if self._factor is None:
             return self.sigma * z
         return self._factor @ z
 
-    def stochastic_gradient(self, theta, rng: RngStream) -> GradientSample:
-        loss, grad = self.base.full_gradient(theta)
-        return GradientSample(grad + self.draw_noise(rng), loss)
+    def stochastic_gradient(self, theta, rng: RngStream) -> np.ndarray:
+        return self.base.full_gradient(theta)[1] + self.draw_noise(rng)
 
 
 class PureNoiseOracle(GradientOracle):
@@ -167,8 +152,6 @@ class PureNoiseOracle(GradientOracle):
     Used for stationary momentum-variance estimation, where the update
     direction statistics must be isolated from any drift.
     """
-
-    has_full_gradient = True
 
     def __init__(self, dim: int, sigma2: float = 1.0):
         if dim < 1:
@@ -183,9 +166,9 @@ class PureNoiseOracle(GradientOracle):
         theta = self._check_dim(theta)
         return 0.0, np.zeros(self.dim)
 
-    def stochastic_gradient(self, theta, rng: RngStream) -> GradientSample:
+    def stochastic_gradient(self, theta, rng: RngStream) -> np.ndarray:
         self._check_dim(theta)
-        return GradientSample(self.sigma * rng.standard_gaussian_vector(self.dim), None)
+        return self.sigma * rng.standard_gaussian_vector(self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +309,16 @@ class DatasetProblem(GradientOracle):
     """Common machinery for mean-loss problems over a finite dataset.
 
     Subclasses implement :meth:`batch_loss_gradient` on an index set; the
-    full gradient is the batch over all samples. Minibatches are drawn
+    full gradient is the batch over all samples. The stochastic gradient
+    is :meth:`minibatch_gradient`, a plain float64 array of shape
+    ``(dim,)`` for the batch size given per call. Minibatches are drawn
     uniformly without replacement within a batch and independently across
     steps.
     """
 
-    has_full_gradient = True
-
-    def __init__(self, dataset: FiniteDataset, batch_size: Optional[int] = None):
+    def __init__(self, dataset: FiniteDataset):
         self.dataset = dataset
         self.dataset_size = dataset.n_samples
-        if batch_size is not None:
-            self._validate_batch(batch_size)
-        self.batch_size = batch_size
 
     def _validate_batch(self, b: int) -> None:
         if not (1 <= b <= self.dataset_size):
@@ -352,21 +332,12 @@ class DatasetProblem(GradientOracle):
     def full_gradient(self, theta):
         return self.batch_loss_gradient(theta, np.arange(self.dataset_size))
 
-    def minibatch_gradient(
-        self, theta, batch_size: int, rng: RngStream
-    ) -> GradientSample:
+    def minibatch_gradient(self, theta, batch_size: int, rng: RngStream) -> np.ndarray:
         self._validate_batch(batch_size)
         if batch_size == self.dataset_size:
-            loss, grad = self.full_gradient(theta)
-        else:
-            idx = rng.choice_without_replacement(self.dataset_size, batch_size)
-            loss, grad = self.batch_loss_gradient(theta, idx)
-        return GradientSample(grad, loss)
-
-    def stochastic_gradient(self, theta, rng: RngStream) -> GradientSample:
-        if self.batch_size is None:
-            raise ValueError("no batch size configured on this problem")
-        return self.minibatch_gradient(theta, self.batch_size, rng)
+            return self.full_gradient(theta)[1]
+        idx = rng.choice_without_replacement(self.dataset_size, batch_size)
+        return self.batch_loss_gradient(theta, idx)[1]
 
 
 class LinearRegressionProblem(DatasetProblem):
@@ -375,10 +346,8 @@ class LinearRegressionProblem(DatasetProblem):
     The Hessian of the mean loss is X^T X / N, independent of theta.
     """
 
-    has_hessian = True
-
-    def __init__(self, dataset: FiniteDataset, batch_size: Optional[int] = None):
-        super().__init__(dataset, batch_size)
+    def __init__(self, dataset: FiniteDataset):
+        super().__init__(dataset)
         self.dim = dataset.n_features
         self._H = dataset.features.T @ dataset.features / dataset.n_samples
 
@@ -398,12 +367,12 @@ class LinearRegressionProblem(DatasetProblem):
 class LogisticRegressionProblem(DatasetProblem):
     """Binary cross-entropy with sigmoid link; labels in {0, 1}."""
 
-    def __init__(self, dataset: FiniteDataset, batch_size: Optional[int] = None):
+    def __init__(self, dataset: FiniteDataset):
         labels = np.asarray(dataset.labels)
         uniq = np.unique(labels)
         if not np.all(np.isin(uniq, [0, 1])):
             raise ValueError("logistic regression requires labels in {0, 1}")
-        super().__init__(dataset, batch_size)
+        super().__init__(dataset)
         self.dim = dataset.n_features
 
     def batch_loss_gradient(self, theta, idx):
@@ -433,12 +402,11 @@ class TinyMlpProblem(DatasetProblem):
         dataset: FiniteDataset,
         hidden: int = 16,
         n_classes: Optional[int] = None,
-        batch_size: Optional[int] = None,
     ):
         labels = np.asarray(dataset.labels)
         if labels.dtype.kind not in "iu":
             raise ValueError("MLP requires integer class labels")
-        super().__init__(dataset, batch_size)
+        super().__init__(dataset)
         self.hidden = int(hidden)
         self.n_classes = int(n_classes if n_classes is not None else labels.max() + 1)
         if self.n_classes < 2:
@@ -525,8 +493,6 @@ def fd_gradient_check(oracle: GradientOracle, theta, h: float = 1e-5) -> float:
     The denominator is guarded by the overall gradient scale so zero
     coordinates do not blow the ratio up.
     """
-    if not oracle.has_full_gradient:
-        raise ValueError("oracle exposes no full gradient to check")
     if h <= 0:
         raise ValueError("step h must be > 0")
     theta = np.asarray(theta, dtype=np.float64)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from pnmkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
+from pnmkit import posterior
+from pnmkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, build_parser, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -20,6 +21,13 @@ def run_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+PACBAYES = {
+    "eta": 0.001, "batch_size": 128, "dataset_size": 50000,
+    "lam": 1e-4, "dim": 100, "delta": 0.05, "theta_norm_sq": 25.0,
+    "gammas": [1.0, 5.0, 25.6],
+}
 
 
 class TestExitCodes:
@@ -81,6 +89,65 @@ class TestExitCodes:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta0", [1.0, [1.0, 2.0, 3.0]], ids=["scalar", "length3"])
+    def test_bad_theta0_is_config_error(self, tmp_path, capsys, theta0):
+        cfg = write_config(tmp_path, run_config(
+            problem={"name": "quadratic", "eigenvalues": [1.0, 4.0], "theta0": theta0}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "theta0" in capsys.readouterr().err
+
+    def test_posterior_without_closed_form_fails_before_simulating(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(posterior, "simulate_stationary",
+                            lambda *a, **k: pytest.fail("simulated before failing"))
+        cfg = write_config(tmp_path, {
+            "kind": "pnm_momentum", "eigenvalues": [1.0], "eta": 0.01,
+            "burn_in": 100, "samples": 1000, "chains": 4, "batch_size": 10,
+        })
+        out = tmp_path / "out"
+        assert main(["posterior", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "pnm_momentum" in capsys.readouterr().err
+        assert not (out / "posterior.json").exists()
+
+
+class TestUsage:
+    SEEDED = {"run", "sweep-beta0", "label-noise", "grid", "posterior", "noise",
+              "convergence"}
+    THREADED = {"run", "sweep-beta0", "label-noise", "grid"}
+
+    def test_flags_registered_only_where_read(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if a.choices and "run" in a.choices]
+        assert len(sub.choices) == 8
+        for name, command in sub.choices.items():
+            flags = {opt for a in command._actions for opt in a.option_strings}
+            assert ("--seed" in flags) == (name in self.SEEDED), name
+            assert ("--threads" in flags) == (name in self.THREADED), name
+            assert {"--config", "--out"} <= flags
+            assert "--snapshots" not in flags
+
+    # Each config runs with exit 0 without the flag.
+    REMOVED = [
+        ("run", run_config(), ["--snapshots"]),
+        ("noise", {"beta0_values": [1.0], "steps": 1000}, ["--threads", "2"]),
+        ("pacbayes", PACBAYES, ["--seed", "1"]),
+    ]
+
+    @pytest.mark.parametrize("command,payload,flags", REMOVED,
+                             ids=[f"{c} {f[0]}" for c, _, f in REMOVED])
+    def test_removed_flags_are_usage_errors(self, tmp_path, command, payload, flags):
+        cfg = write_config(tmp_path, payload)
+        out = str(tmp_path / "out")
+        assert main([command, "--config", cfg, "--out", out]) == EXIT_OK
+        assert main([command, "--config", cfg, "--out", out, *flags]) == EXIT_CONFIG
+
+    def test_missing_config_is_usage_error(self):
+        assert main(["run"]) == EXIT_CONFIG
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["run", "--help"]) == EXIT_OK
+        assert "--config" in capsys.readouterr().out
+
 
 class TestOutputs:
     def test_run_writes_summary_and_trajectories(self, tmp_path):
@@ -97,12 +164,17 @@ class TestOutputs:
         summary = json.loads(next(out.glob("summary_*.json")).read_text())
         assert [r["seed"] for r in summary["results"]] == [9]
 
+    def test_linear_regression_without_noise(self, tmp_path):
+        cfg = write_config(tmp_path, run_config(
+            problem={"name": "linear_regression", "dim": 4, "n": 50},
+            optimizer={"name": "sgd", "lr": 0.05}, batch_size=10))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        summary = json.loads(next(out.glob("summary_*.json")).read_text())
+        assert [r["seed"] for r in summary["results"]] == [1, 2]
+
     def test_pacbayes_table(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "eta": 0.001, "batch_size": 128, "dataset_size": 50000,
-            "lam": 1e-4, "dim": 100, "delta": 0.05, "theta_norm_sq": 25.0,
-            "gammas": [1.0, 5.0, 25.6],
-        })
+        cfg = write_config(tmp_path, PACBAYES)
         out = tmp_path / "out"
         assert main(["pacbayes", "--config", cfg, "--out", str(out)]) == EXIT_OK
         lines = (out / "pacbayes_table.csv").read_text().splitlines()

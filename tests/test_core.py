@@ -71,16 +71,6 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             t.append(1, 0.4, 0.9)
 
-    def test_snapshots_opt_in(self):
-        t = Trajectory(seed=0, keep_snapshots=False)
-        t.append(0, 1.0, 2.0, snapshot=np.ones(3))
-        assert t.records[0].snapshot is None
-        t2 = Trajectory(seed=0, keep_snapshots=True)
-        theta = np.ones(3)
-        t2.append(0, 1.0, 2.0, snapshot=theta)
-        theta[0] = 5.0  # record must hold a copy
-        assert t2.records[0].snapshot[0] == 1.0
-
     def test_column_arrays(self):
         t = Trajectory(seed=0)
         t.append(0, 1.0, 2.0)

@@ -125,6 +125,20 @@ class TestRun:
         with pytest.raises(DivergenceError, match=r"step \d+"):
             harness.run(cfg)
 
+    def test_linear_regression_minibatched_by_batch_size(self):
+        # batch_size = n is full-batch gradient descent; a smaller batch
+        # samples minibatches.
+        problem = {"name": "linear_regression", "dim": 3, "n": 40}
+        cfg = analytic_config(problem=problem, optimizer={"name": "sgd", "lr": 0.1},
+                              steps=30, seeds=[4])
+        oracle, theta = harness.build_analytic_oracle(problem, 4)
+        for _ in range(30):
+            theta = theta - 0.1 * oracle.full_gradient(theta)[1]
+        full = harness.run_seed({**cfg, "batch_size": 40}, 4, "")
+        assert full.final_loss == oracle.full_gradient(theta)[0]
+        mini = harness.run_seed({**cfg, "batch_size": 8}, 4, "")
+        assert mini.final_loss != full.final_loss
+
     def test_lr_decay_applies(self):
         # a 10x decay at step 1 must change the trajectory
         base = harness.run(analytic_config(seeds=[1]))

@@ -51,9 +51,9 @@ class TestBufferSimulation:
         theta = np.zeros(2)
         rng = RngStream(11)
         for t in range(300):
-            sample = oracle.stochastic_gradient(theta, rng)
+            grad = oracle.stochastic_gradient(theta, rng)
             prev_before = opt.m.copy()
-            theta = opt.step(theta, sample)
+            theta = opt.step(theta, grad)
             np.testing.assert_allclose(opt.m, m_sim[t], atol=1e-14)
             np.testing.assert_allclose(prev_before, m_prev_sim[t], atol=1e-14)
 

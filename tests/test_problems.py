@@ -185,8 +185,8 @@ class TestMinibatch:
     def test_full_batch_reproduces_full_gradient(self, problem):
         theta = RngStream(21).standard_normal(5)
         _, full = problem.full_gradient(theta)
-        sample = problem.minibatch_gradient(theta, 100, RngStream(22))
-        np.testing.assert_array_equal(sample.gradient, full)
+        grad = problem.minibatch_gradient(theta, 100, RngStream(22))
+        np.testing.assert_array_equal(grad, full)
 
     def test_unbiasedness(self, problem):
         # Mean of many minibatch gradients must sit within 5 standard
@@ -197,14 +197,14 @@ class TestMinibatch:
         n_draws = 100_000
         grads = np.empty((n_draws, 5))
         for i in range(n_draws):
-            grads[i] = problem.minibatch_gradient(theta, 10, rng).gradient
+            grads[i] = problem.minibatch_gradient(theta, 10, rng)
         se = grads.std(axis=0, ddof=1) / np.sqrt(n_draws)
         assert np.all(np.abs(grads.mean(axis=0) - full) < 5 * se)
 
     def test_fixed_seed_reproduces_batches(self, problem):
         theta = np.zeros(5)
-        g1 = problem.minibatch_gradient(theta, 7, RngStream(30)).gradient
-        g2 = problem.minibatch_gradient(theta, 7, RngStream(30)).gradient
+        g1 = problem.minibatch_gradient(theta, 7, RngStream(30))
+        g2 = problem.minibatch_gradient(theta, 7, RngStream(30))
         np.testing.assert_array_equal(g1, g2)
 
     def test_mlp_minibatch_unbiasedness(self):
@@ -216,7 +216,7 @@ class TestMinibatch:
         n_draws = 20_000
         grads = np.empty((n_draws, mlp.dim))
         for i in range(n_draws):
-            grads[i] = mlp.minibatch_gradient(theta, 8, rng).gradient
+            grads[i] = mlp.minibatch_gradient(theta, 8, rng)
         se = grads.std(axis=0, ddof=1) / np.sqrt(n_draws)
         assert np.all(np.abs(grads.mean(axis=0) - full) <= 5 * se + 1e-12)
 
@@ -237,7 +237,7 @@ class TestNoiseOracles:
         theta = np.array([1.0, -1.0])
         _, full = base.full_gradient(theta)
         draws = np.array([
-            oracle.stochastic_gradient(theta, rng).gradient - full
+            oracle.stochastic_gradient(theta, rng) - full
             for _ in range(20_000)
         ])
         np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.05)
@@ -247,8 +247,36 @@ class TestNoiseOracles:
         oracle = PureNoiseOracle(3, 2.0)
         _, full = oracle.full_gradient(np.zeros(3))
         np.testing.assert_array_equal(full, 0.0)
-        g = oracle.stochastic_gradient(np.zeros(3), RngStream(1)).gradient
+        g = oracle.stochastic_gradient(np.zeros(3), RngStream(1))
         assert g.shape == (3,)
+
+
+class TestGradientArrays:
+    """Every stochastic gradient is a plain float64 array of shape (dim,)."""
+
+    ORACLES = {
+        "quadratic": lambda: QuadraticModel([0.0, 0.0], np.diag([1.0, 4.0])),
+        "rosenbrock": RosenbrockProblem,
+        "additive_noise": lambda: AdditiveNoiseOracle(
+            QuadraticModel([0.0, 0.0], np.eye(2)), 0.5),
+        "pure_noise": lambda: PureNoiseOracle(2, 1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_stochastic_gradient_is_array(self, name):
+        oracle = self.ORACLES[name]()
+        g = oracle.stochastic_gradient(np.array([0.5, -0.5]), RngStream(3))
+        assert type(g) is np.ndarray
+        assert g.dtype == np.float64 and g.shape == (oracle.dim,)
+
+    @pytest.mark.parametrize("batch", [5, 40])
+    def test_minibatch_gradient_is_array(self, batch):
+        rng = RngStream(4)
+        X = rng.standard_normal((40, 3))
+        problem = LinearRegressionProblem(FiniteDataset(X, X @ np.ones(3)))
+        g = problem.minibatch_gradient(np.zeros(3), batch, RngStream(5))
+        assert type(g) is np.ndarray
+        assert g.dtype == np.float64 and g.shape == (3,)
 
 
 class TestTwoMoons:

@@ -190,8 +190,9 @@ def build_analytic_oracle(cfg: dict, seed: int):
         start = np.asarray(theta0, dtype=np.float64)
     except (TypeError, ValueError):
         start = None
-    if start is None or start.shape != (base.dim,):
-        raise ConfigError(f"'theta0' must be a list of {base.dim} numbers, got {theta0!r}")
+    if start is None or start.shape != (base.dim,) or not np.all(np.isfinite(start)):
+        raise ConfigError(
+            f"'theta0' must be a list of {base.dim} finite numbers, got {theta0!r}")
     sigma2 = float(cfg.get("noise_sigma2", 0.0))
     oracle = AdditiveNoiseOracle(base, sigma2) if sigma2 > 0 else base
     return oracle, start
@@ -292,8 +293,8 @@ def run_seed(cfg: dict, seed: int, digest: str) -> RunResult:
     defaults, final train errors) are chosen up front: every
     :class:`DatasetProblem` is minibatched with the config's
     ``batch_size`` (default ``min(128, N)``), any other oracle supplies its
-    own ``stochastic_gradient``. One loop then steps every problem the
-    same way. Parameters that turn non-finite or exceed 1e10 in magnitude
+    own ``stochastic_gradient`` and rejects a ``batch_size``. One loop then
+    steps every problem the same way. Parameters that turn non-finite or exceed 1e10 in magnitude
     raise :class:`DivergenceError` naming the step.
     """
     t0 = time.perf_counter()
@@ -317,6 +318,10 @@ def run_seed(cfg: dict, seed: int, digest: str) -> RunResult:
         def sample(theta, rng):
             return oracle.minibatch_gradient(theta, batch_size, rng)
     else:
+        if "batch_size" in cfg:
+            raise ConfigError(
+                f"'batch_size' is not read by problem {cfg['problem']['name']!r}: "
+                "its stochastic gradient is the full gradient (plus noise_sigma2 noise)")
         sample = oracle.stochastic_gradient
     opt = build_optimizer(cfg["optimizer"], theta.shape[0])
     rng = RngStream(seed).spawn(3)

@@ -395,6 +395,13 @@ class TinyMlpProblem(DatasetProblem):
     ``[W1 (d*h), b1 (h), W2 (h*k), b2 (k)]``. The backward pass is written
     out by hand so the gradients stay independently checkable against
     finite differences.
+
+    The forward and backward passes run in scratch arrays that the
+    instance owns, grown to the largest row count seen and used as
+    ``[:n]`` views. A problem is therefore single-owner, like
+    :class:`RngStream`: concurrent calls on one instance must not happen;
+    give each task its own problem. Every returned gradient and
+    prediction is a fresh array that later calls leave alone.
     """
 
     def __init__(
@@ -414,6 +421,16 @@ class TinyMlpProblem(DatasetProblem):
         self.in_dim = dataset.n_features
         d, h, k = self.in_dim, self.hidden, self.n_classes
         self.dim = d * h + h + h * k + k
+        self._labels = labels.astype(np.int64)
+        self._scratch: dict[str, np.ndarray] = {}
+
+    def _rows(self, name: str, n: int, cols: int) -> np.ndarray:
+        """The first ``n`` rows of scratch array ``name``, regrown when
+        a larger ``n`` arrives."""
+        buf = self._scratch.get(name)
+        if buf is None or buf.shape[0] < n:
+            buf = self._scratch[name] = np.empty((n, cols))
+        return buf[:n]
 
     def _unpack(self, theta):
         d, h, k = self.in_dim, self.hidden, self.n_classes
@@ -431,39 +448,54 @@ class TinyMlpProblem(DatasetProblem):
         W2 = scale / np.sqrt(h) * rng.standard_normal((h, k))
         return np.concatenate([W1.ravel(), np.zeros(h), W2.ravel(), np.zeros(k)])
 
-    def _forward(self, theta, X):
-        W1, b1, W2, b2 = self._unpack(theta)
-        A1 = np.tanh(X @ W1 + b1)
-        Z2 = A1 @ W2 + b2
-        Z2 -= Z2.max(axis=1, keepdims=True)
-        expz = np.exp(Z2)
-        P = expz / expz.sum(axis=1, keepdims=True)
-        return A1, Z2, P
+    def _forward(self, weights, X):
+        """Hidden activations ``A1``, max-shifted logits ``Z2``, softmax
+        ``P`` and its exp row sums ``s``, all scratch views. ``weights``
+        is ``_unpack(theta)``. Reductions call ``ufunc.reduce`` directly,
+        as ``np.sum``/``np.max``/``mean`` do after their Python wrappers."""
+        W1, b1, W2, b2 = weights
+        n, h, k = X.shape[0], self.hidden, self.n_classes
+        A1 = np.matmul(X, W1, out=self._rows("A1", n, h))
+        np.add(A1, b1, out=A1)
+        np.tanh(A1, out=A1)
+        Z2 = np.matmul(A1, W2, out=self._rows("Z2", n, k))
+        np.add(Z2, b2, out=Z2)
+        s = self._rows("s", n, 1)
+        np.subtract(Z2, np.maximum.reduce(Z2, axis=1, keepdims=True, out=s), out=Z2)
+        P = np.exp(Z2, out=self._rows("P", n, k))
+        np.add.reduce(P, axis=1, keepdims=True, out=s)
+        np.divide(P, s, out=P)
+        return A1, Z2, P, s
 
     def batch_loss_gradient(self, theta, idx):
         theta = self._check_dim(theta)
-        X = self.dataset.features[idx]
-        y = np.asarray(self.dataset.labels, dtype=np.int64)[idx]
+        y = self._labels[idx]
         n = len(y)
-        W1, b1, W2, b2 = self._unpack(theta)
-        A1, Z2, P = self._forward(theta, X)
-        logp = Z2 - np.log(np.exp(Z2).sum(axis=1, keepdims=True))
-        loss = -float(logp[np.arange(n), y].mean())
+        X = np.take(self.dataset.features, idx, axis=0,
+                    out=self._rows("X", n, self.in_dim))
+        weights = self._unpack(theta)
+        A1, Z2, P, s = self._forward(weights, X)
+        rows = np.arange(n)
+        loss = -float(np.add.reduce(Z2[rows, y] - np.log(s[:, 0])) / n)
 
-        dZ2 = P.copy()
-        dZ2[np.arange(n), y] -= 1.0
+        grad = np.empty(self.dim)
+        dW1, db1, dW2, db2 = self._unpack(grad)
+        dZ2 = P
+        dZ2[rows, y] -= 1.0
         dZ2 /= n
-        dW2 = A1.T @ dZ2
-        db2 = dZ2.sum(axis=0)
-        dA1 = dZ2 @ W2.T
-        dZ1 = dA1 * (1.0 - A1 * A1)
-        dW1 = X.T @ dZ1
-        db1 = dZ1.sum(axis=0)
-        grad = np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
+        np.matmul(A1.T, dZ2, out=dW2)
+        np.add.reduce(dZ2, axis=0, out=db2)
+        dZ1 = np.matmul(dZ2, weights[2].T, out=self._rows("dZ1", n, self.hidden))
+        # A1 is spent after dW2: it becomes tanh' = 1 - A1^2 in place.
+        np.multiply(A1, A1, out=A1)
+        np.subtract(1.0, A1, out=A1)
+        np.multiply(dZ1, A1, out=dZ1)
+        np.matmul(X.T, dZ1, out=dW1)
+        np.add.reduce(dZ1, axis=0, out=db1)
         return loss, grad
 
     def predict(self, theta, X) -> np.ndarray:
-        _, _, P = self._forward(np.asarray(theta, dtype=np.float64), X)
+        P = self._forward(self._unpack(np.asarray(theta, dtype=np.float64)), X)[2]
         return P.argmax(axis=1)
 
     def error_rate(self, theta, dataset: FiniteDataset) -> float:

@@ -89,12 +89,30 @@ class TestExitCodes:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("theta0", [1.0, [1.0, 2.0, 3.0]], ids=["scalar", "length3"])
+    @pytest.mark.parametrize("theta0", [1.0, [1.0, 2.0, 3.0], [float("nan"), 1.0],
+                                        [1.0, float("inf")]],
+                             ids=["scalar", "length3", "nan", "inf"])
     def test_bad_theta0_is_config_error(self, tmp_path, capsys, theta0):
         cfg = write_config(tmp_path, run_config(
             problem={"name": "quadratic", "eigenvalues": [1.0, 4.0], "theta0": theta0}))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "theta0" in capsys.readouterr().err
+
+    # Problems whose stochastic gradient is the full gradient (plus noise).
+    UNBATCHED = [
+        {"name": "quadratic", "eigenvalues": [1.0, 4.0], "noise_sigma2": 1.0},
+        {"name": "quadratic", "eigenvalues": [1.0, 4.0]},
+        {"name": "rosenbrock"},
+        {"name": "linear_regression", "dim": 4, "n": 50, "noise_sigma2": 0.5},
+    ]
+
+    @pytest.mark.parametrize("problem", UNBATCHED,
+                             ids=["noisy_quadratic", "quadratic", "rosenbrock",
+                                  "noisy_linear_regression"])
+    def test_unread_batch_size_is_config_error(self, tmp_path, capsys, problem):
+        cfg = write_config(tmp_path, run_config(problem=problem, batch_size=10))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "batch_size" in capsys.readouterr().err
 
     def test_posterior_without_closed_form_fails_before_simulating(
             self, tmp_path, capsys, monkeypatch):

@@ -141,6 +141,93 @@ class TestTinyMlp:
         assert 0.0 <= err <= 1.0
 
 
+def _reference_forward(problem, theta, X):
+    """The allocating forward pass the buffered kernel replaced."""
+    d, h, k = problem.in_dim, problem.hidden, problem.n_classes
+    W1 = theta[: d * h].reshape(d, h)
+    b1 = theta[d * h : d * h + h]
+    W2 = theta[d * h + h : d * h + h + h * k].reshape(h, k)
+    b2 = theta[d * h + h + h * k :]
+    A1 = np.tanh(X @ W1 + b1)
+    Z2 = A1 @ W2 + b2
+    Z2 -= Z2.max(axis=1, keepdims=True)
+    expz = np.exp(Z2)
+    P = expz / expz.sum(axis=1, keepdims=True)
+    return W2, A1, Z2, P
+
+
+def _reference_loss_gradient(problem, theta, idx):
+    """The allocating batch loss and gradient the buffered kernel replaced."""
+    X = problem.dataset.features[idx]
+    y = np.asarray(problem.dataset.labels, dtype=np.int64)[idx]
+    n = len(y)
+    W2, A1, Z2, P = _reference_forward(problem, theta, X)
+    logp = Z2 - np.log(np.exp(Z2).sum(axis=1, keepdims=True))
+    loss = -float(logp[np.arange(n), y].mean())
+    dZ2 = P.copy()
+    dZ2[np.arange(n), y] -= 1.0
+    dZ2 /= n
+    dW2 = A1.T @ dZ2
+    db2 = dZ2.sum(axis=0)
+    dA1 = dZ2 @ W2.T
+    dZ1 = dA1 * (1.0 - A1 * A1)
+    dW1 = X.T @ dZ1
+    db1 = dZ1.sum(axis=0)
+    return loss, np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
+
+
+class TestMlpKernel:
+    """The buffered kernel reproduces the allocating one bit for bit while
+    its scratch arrays grow (a predict on more rows than the dataset) and
+    are reused at smaller row counts."""
+
+    N = 90
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        train = make_two_moons(self.N, 0.2, RngStream(70))
+        big = make_two_moons(250, 0.2, RngStream(71))
+        return train, big
+
+    @pytest.mark.parametrize("hidden", [7, 16, 256])
+    def test_matches_reference_bit_for_bit(self, data, hidden):
+        train, big = data
+        problem = TinyMlpProblem(train, hidden=hidden)
+        rng = RngStream(72 + hidden)
+        for scale in (0.5, 4.0):
+            theta = scale * rng.standard_normal(problem.dim)
+            for batch in (1, 17, 64, self.N, 17, 1):
+                idx = rng.choice_without_replacement(self.N, batch)
+                loss, grad = problem.batch_loss_gradient(theta, idx)
+                ref_loss, ref_grad = _reference_loss_gradient(problem, theta, idx)
+                assert loss == ref_loss
+                assert grad.tobytes() == ref_grad.tobytes()
+                for X in (big.features, big.features[:batch]):
+                    np.testing.assert_array_equal(
+                        problem.predict(theta, X),
+                        _reference_forward(problem, theta, X)[3].argmax(axis=1))
+            loss, grad = problem.full_gradient(theta)
+            ref_loss, ref_grad = _reference_loss_gradient(problem, theta, np.arange(self.N))
+            assert loss == ref_loss
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_results_survive_later_calls(self, data):
+        train, big = data
+        problem = TinyMlpProblem(train, hidden=16)
+        rng = RngStream(80)
+        theta = rng.standard_normal(problem.dim)
+        _, grad = problem.batch_loss_gradient(theta, np.arange(17))
+        pred = problem.predict(theta, big.features[:40])
+        kept_grad, kept_pred = grad.copy(), pred.copy()
+        other = rng.standard_normal(problem.dim)
+        for batch in (1, 64, self.N):
+            problem.batch_loss_gradient(other, np.arange(batch))
+            problem.predict(other, big.features[:batch])
+        problem.predict(other, big.features)
+        np.testing.assert_array_equal(grad, kept_grad)
+        np.testing.assert_array_equal(pred, kept_pred)
+
+
 class TestLogisticRegression:
     def test_fd_agreement(self):
         rng = RngStream(8)

@@ -19,7 +19,9 @@ import numpy as np
 from . import convergence as conv
 from . import harness, noise, pacbayes, posterior
 from .core import RNG_ALGORITHM, DivergenceError, NonFiniteError, RngStream, config_digest
-from .harness import ConfigError, check_config_keys, build_analytic_oracle, write_report
+from .harness import (
+    ConfigError, build_analytic_oracle, check_config_keys, int_value, write_report,
+)
 from .problems import AdditiveNoiseOracle, QuadraticModel
 
 EXIT_OK = 0
@@ -214,8 +216,18 @@ def _cmd_convergence(args) -> None:
         "problem", "horizons", "seeds", "step_constant", "beta0", "beta1",
     }, "convergence config")
     seeds = cfg.get("seeds", 20)
-    if isinstance(seeds, int):
-        seeds = list(range(seeds))
+    if not isinstance(seeds, list):
+        seeds = list(range(int_value(seeds, "seeds", 1)))
+    elif not seeds:
+        raise ConfigError("'seeds' must be a count >= 1 or a nonempty list of integers")
+    for seed in seeds:
+        int_value(seed, "seeds", 0)
+    horizons = cfg.get("horizons", [100, 1000, 10000])
+    if not isinstance(horizons, list) or len(horizons) < 2:
+        raise ConfigError(
+            f"'horizons' must be a list of at least two integers, got {horizons!r}")
+    for T in horizons:
+        int_value(T, "horizons", 1)
     if args.seed is not None:
         seeds = [int(args.seed)]
     oracle, theta0 = build_analytic_oracle(cfg["problem"], seed=0)
@@ -225,7 +237,7 @@ def _cmd_convergence(args) -> None:
     smoothness = base.lambda_max
     sigma2 = float(cfg["problem"].get("noise_sigma2", 0.0))
     est = conv.empirical_rate(
-        oracle, theta0, cfg.get("horizons", [100, 1000, 10000]), seeds,
+        oracle, theta0, horizons, seeds,
         smoothness=smoothness,
         step_constant=float(cfg.get("step_constant", 1.0)),
         beta0=float(cfg.get("beta0", 1.0)),

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -101,30 +102,36 @@ class RateEstimate:
         return np.array([theorem1_bound(inputs, T - 1) for T in self.horizons])
 
 
-def _run_grad_sq_curve(
+def _grad_sq_curves(
     oracle: GradientOracle,
     theta0: np.ndarray,
     horizon: int,
     eta0: float,
     beta0: float,
     beta1: float,
-    rng: RngStream,
-) -> tuple[np.ndarray, float]:
-    """One PNM run; returns ||grad f(theta_k)||^2 for k = 0..horizon-1 and
-    the largest gradient norm seen."""
+    seeds: list,
+    key: int,
+) -> np.ndarray:
+    """One PNM run per seed, all stepped together as one ``(seeds, dim)``
+    state; seed s draws its noise from ``RngStream(s).spawn(key)``.
+    Returns ||grad f(theta_k)||^2 for k = 0..horizon-1, one row per seed."""
+    streams = [RngStream(seed).spawn(key) for seed in seeds]
     lr = eta0 * pn_normalization(beta0)
     opt = Pnm(dim=theta0.shape[0], lr=lr, beta0=beta0, beta1=beta1)
-    theta = theta0.copy()
-    curve = np.empty(horizon)
+    theta = np.tile(theta0, (len(seeds), 1))
+    curves = np.empty((len(seeds), horizon))
     for k in range(horizon):
         _, full = oracle.full_gradient(theta)
-        curve[k] = full @ full
-        theta = opt.step(theta, oracle.stochastic_gradient(theta, rng))
-        if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > 1e8:
+        curves[:, k] = np.vecdot(full, full)
+        theta = opt.step(theta, oracle.stochastic_gradient(theta, streams))
+        # NaN fails ``<=`` too, so one comparison catches every divergence.
+        if not np.abs(theta).max() <= 1e8:
+            first = int(np.argmin(np.abs(theta).max(axis=1) <= 1e8))
             raise DivergenceError(
-                f"PNM diverged at step {k} (horizon {horizon}, eta0 {eta0:g})"
+                f"PNM diverged at step {k} for seed {seeds[first]} "
+                f"(horizon {horizon}, eta0 {eta0:g})"
             )
-    return curve, math.sqrt(float(curve.max()))
+    return curves
 
 
 def empirical_rate(
@@ -141,24 +148,30 @@ def empirical_rate(
     the slope of its log-log fit against the horizon.
 
     Each (horizon, seed) pair restarts from ``theta0`` with the constant
-    step the rule assigns to that horizon and an independent noise stream.
+    step the rule assigns to that horizon and an independent noise stream;
+    the seeds of one horizon run together on a stacked state, so the
+    oracle must take a ``(len(seeds), dim)`` theta.
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
-    horizons = [int(T) for T in horizons]
     if len(horizons) < 2:
         raise ValueError("need at least two horizons to fit a slope")
+    if any(isinstance(T, bool) or not isinstance(T, Integral) or T < 1 for T in horizons):
+        raise ValueError(f"horizons must be integers >= 1, got {list(horizons)}")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    horizons = [int(T) for T in horizons]
     mins = np.empty(len(horizons))
     g_max = 0.0
     steps = []
     for i, T in enumerate(horizons):
         eta0 = theorem_step_size(smoothness, step_constant, T)
         steps.append(eta0)
+        curves = _grad_sq_curves(oracle, theta0, T, eta0, beta0, beta1, seeds, i)
         acc = np.zeros(T)
-        for seed in seeds:
-            stream = RngStream(seed).spawn(i)
-            curve, g = _run_grad_sq_curve(oracle, theta0, T, eta0, beta0, beta1, stream)
+        for curve in curves:
             acc += curve
-            g_max = max(g_max, g)
         mins[i] = acc.min() / len(seeds)
+        g_max = max(g_max, math.sqrt(float(curves.max())))
     slope = float(np.polyfit(np.log(horizons), np.log(mins), 1)[0])
     return RateEstimate(horizons, mins, slope, g_max, steps)

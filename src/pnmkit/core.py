@@ -68,8 +68,10 @@ class RngStream:
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, algorithm={self.algorithm!r})"
 
-    def standard_normal(self, size=None) -> np.ndarray:
-        return self._gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None) -> np.ndarray:
+        """Standard normals of shape ``size``; with ``out``, written into it
+        (the same draws that ``size=out.shape`` returns)."""
+        return self._gen.standard_normal(size, out=out)
 
     def standard_gaussian_vector(self, dim: int) -> np.ndarray:
         """I.i.d. standard-normal vector of the given dimension."""
@@ -108,6 +110,13 @@ class GradientOracle(ABC):
     Oracles that sample without a batch size also define
     ``stochastic_gradient(theta, rng)``, an unbiased gradient sample;
     dataset problems draw minibatches with ``minibatch_gradient`` instead.
+
+    The analytic oracles (quadratic, Rosenbrock and the noise oracles)
+    also take a stacked ``(k, dim)`` theta, checked by
+    :meth:`_check_stack`: the loss is then a ``(k,)`` array, the gradient
+    ``(k, dim)``, and ``rng`` a sequence of k streams, row i's noise
+    drawn from stream i, so a stacked call equals k row-by-row calls bit
+    for bit.
     """
 
     dim: int
@@ -121,6 +130,15 @@ class GradientOracle(ABC):
         if theta.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"theta has shape {theta.shape}, oracle dimension is {self.dim}"
+            )
+        return theta
+
+    def _check_stack(self, theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.dim:
+            raise DimensionMismatchError(
+                f"theta has shape {theta.shape}, oracle takes ({self.dim},) "
+                f"or (k, {self.dim})"
             )
         return theta
 

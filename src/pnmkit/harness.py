@@ -241,7 +241,7 @@ _RUN_KEYS = {
 _DIVERGENCE_BOUND = 1e10
 
 
-def _int_value(value, key: str, minimum: int) -> int:
+def int_value(value, key: str, minimum: int) -> int:
     """``value`` if it is an integer (JSON bools excluded) >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"'{key}' must be an integer >= {minimum}, got {value!r}")
@@ -262,7 +262,7 @@ def _decay_schedule(cfg: dict) -> tuple[set[int], float]:
     factor = decay.get("factor", 0.1)
     if isinstance(factor, bool) or not isinstance(factor, (int, float)) or not factor > 0:
         raise ConfigError(f"'lr_decay.factor' must be a number > 0, got {factor!r}")
-    return {_int_value(m, "lr_decay.milestones", 1) for m in milestones}, float(factor)
+    return {int_value(m, "lr_decay.milestones", 1) for m in milestones}, float(factor)
 
 
 _CLASSIFICATION_PROBLEMS = ("two_moons_mlp", "csv_mlp")
@@ -276,11 +276,11 @@ def validate_run_config(cfg: dict) -> None:
     if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
         raise ConfigError("'seeds' must be a nonempty list of integers")
     for seed in cfg["seeds"]:
-        _int_value(seed, "seeds", 0)
-    _int_value(cfg["steps"], "steps", 1)
+        int_value(seed, "seeds", 0)
+    int_value(cfg["steps"], "steps", 1)
     for key in ("batch_size", "eval_every"):
         if key in cfg:
-            _int_value(cfg[key], key, 1)
+            int_value(cfg[key], key, 1)
     _decay_schedule(cfg)
     if "name" not in cfg["problem"]:
         raise ConfigError("problem config needs 'name'")

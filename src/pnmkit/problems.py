@@ -27,6 +27,30 @@ from .core import (
 # Analytic problems
 # ---------------------------------------------------------------------------
 
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for each row of a ``(dim,)`` or ``(k, dim)`` ``x``. The
+    stacked form, matmul over a trailing unit axis, equals row-by-row
+    ``A @ x`` bit for bit; ``x @ A.T`` and ``einsum`` do not."""
+    if x.ndim == 1:
+        return A @ x
+    return np.matmul(A, x[..., None])[..., 0]
+
+
+def _standard_normal_like(x: np.ndarray, rng) -> np.ndarray:
+    """Standard-normal noise shaped like ``x``: one draw from the stream
+    ``rng`` for a ``(dim,)`` ``x``; for ``(k, dim)``, ``rng`` is a
+    sequence of k streams and row i is drawn from ``rng[i]``."""
+    if x.ndim == 1:
+        return rng.standard_gaussian_vector(x.shape[0])
+    k, dim = x.shape
+    if isinstance(rng, RngStream) or len(rng) != k:
+        raise ValueError(f"a stack of {k} rows needs a sequence of {k} RngStreams")
+    z = np.empty((k, dim))
+    for i, r in enumerate(rng):
+        r.standard_normal(out=z[i])
+    return z
+
+
 class QuadraticModel(GradientOracle):
     """f(theta) = f0 + 0.5 (theta - theta*)^T H (theta - theta*).
 
@@ -60,11 +84,13 @@ class QuadraticModel(GradientOracle):
     def lambda_min(self) -> float:
         return float(self._eigvals[0])
 
-    def loss_and_gradient(self, theta) -> tuple[float, np.ndarray]:
-        theta = self._check_dim(theta)
+    def loss_and_gradient(self, theta):
+        theta = self._check_stack(theta)
         d = theta - self.theta_star
-        Hd = self.H @ d
-        return self.f0 + 0.5 * float(d @ Hd), Hd
+        Hd = _matvec(self.H, d)
+        if d.ndim == 1:
+            return self.f0 + 0.5 * float(d @ Hd), Hd
+        return self.f0 + 0.5 * np.vecdot(d, Hd), Hd
 
     def full_gradient(self, theta):
         return self.loss_and_gradient(theta)
@@ -72,7 +98,7 @@ class QuadraticModel(GradientOracle):
     def hessian(self, theta=None) -> np.ndarray:
         return self.H
 
-    def stochastic_gradient(self, theta, rng: RngStream) -> np.ndarray:
+    def stochastic_gradient(self, theta, rng) -> np.ndarray:
         return self.loss_and_gradient(theta)[1]
 
 
@@ -94,10 +120,19 @@ class RosenbrockProblem(GradientOracle):
     dim = 2
 
     def full_gradient(self, theta):
-        return rosenbrock_eval(theta)
+        theta = self._check_stack(theta)
+        if theta.ndim == 1:
+            return rosenbrock_eval(theta)
+        # float_power calls libm pow, as the scalar ``** 2`` in
+        # rosenbrock_eval does; an array ``** 2`` squares instead, which
+        # differs in the last bit on some inputs.
+        x, y = theta[:, 0], theta[:, 1]
+        r = y - x * x
+        loss = np.float_power(1.0 - x, 2.0) + 100.0 * np.float_power(r, 2.0)
+        return loss, np.stack([-2.0 * (1.0 - x) - 400.0 * x * r, 200.0 * r], axis=1)
 
-    def stochastic_gradient(self, theta, rng: RngStream) -> np.ndarray:
-        return rosenbrock_eval(theta)[1]
+    def stochastic_gradient(self, theta, rng) -> np.ndarray:
+        return self.full_gradient(theta)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +143,9 @@ class AdditiveNoiseOracle(GradientOracle):
     """Deterministic base oracle plus zero-mean Gaussian gradient noise.
 
     ``covariance`` is either a scalar sigma^2 (isotropic) or a full PSD
-    matrix. Noise is drawn from the RngStream passed at call time.
+    matrix. Noise is drawn from the RngStream passed at call time (one
+    stream per row for a stacked theta); the base oracle must take the
+    same theta shape.
     """
 
     def __init__(self, base: GradientOracle, covariance):
@@ -136,14 +173,12 @@ class AdditiveNoiseOracle(GradientOracle):
     def full_gradient(self, theta):
         return self.base.full_gradient(theta)
 
-    def draw_noise(self, rng: RngStream) -> np.ndarray:
-        z = rng.standard_gaussian_vector(self.dim)
+    def stochastic_gradient(self, theta, rng) -> np.ndarray:
+        grad = self.base.full_gradient(theta)[1]
+        z = _standard_normal_like(grad, rng)
         if self._factor is None:
-            return self.sigma * z
-        return self._factor @ z
-
-    def stochastic_gradient(self, theta, rng: RngStream) -> np.ndarray:
-        return self.base.full_gradient(theta)[1] + self.draw_noise(rng)
+            return grad + self.sigma * z
+        return grad + _matvec(self._factor, z)
 
 
 class PureNoiseOracle(GradientOracle):
@@ -163,12 +198,13 @@ class PureNoiseOracle(GradientOracle):
         self.sigma = float(np.sqrt(sigma2))
 
     def full_gradient(self, theta):
-        theta = self._check_dim(theta)
-        return 0.0, np.zeros(self.dim)
+        theta = self._check_stack(theta)
+        if theta.ndim == 1:
+            return 0.0, np.zeros(self.dim)
+        return np.zeros(theta.shape[0]), np.zeros(theta.shape)
 
-    def stochastic_gradient(self, theta, rng: RngStream) -> np.ndarray:
-        self._check_dim(theta)
-        return self.sigma * rng.standard_gaussian_vector(self.dim)
+    def stochastic_gradient(self, theta, rng) -> np.ndarray:
+        return self.sigma * _standard_normal_like(self._check_stack(theta), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +531,7 @@ class TinyMlpProblem(DatasetProblem):
         return loss, grad
 
     def predict(self, theta, X) -> np.ndarray:
-        P = self._forward(self._unpack(np.asarray(theta, dtype=np.float64)), X)[2]
+        P = self._forward(self._unpack(self._check_dim(theta)), X)[2]
         return P.argmax(axis=1)
 
     def error_rate(self, theta, dataset: FiniteDataset) -> float:

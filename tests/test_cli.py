@@ -29,6 +29,12 @@ PACBAYES = {
     "gammas": [1.0, 5.0, 25.6],
 }
 
+CONVERGENCE = {
+    "problem": {"name": "quadratic", "eigenvalues": [1.0, 4.0],
+                "theta0": [3.0, -2.0], "noise_sigma2": 1.0},
+    "horizons": [50, 200], "seeds": 2,
+}
+
 
 class TestExitCodes:
     def test_success(self, tmp_path):
@@ -113,6 +119,28 @@ class TestExitCodes:
         cfg = write_config(tmp_path, run_config(problem=problem, batch_size=10))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "batch_size" in capsys.readouterr().err
+
+    # Each of these used to run on a coerced value (or die in a raw
+    # traceback for a zero or string horizon list).
+    MALFORMED_CONVERGENCE = [
+        ("seeds", [1.5]),
+        ("seeds", True),
+        ("seeds", [True]),
+        ("seeds", []),
+        ("seeds", 0),
+        ("horizons", [10.7, 100]),
+        ("horizons", [0, 100]),
+        ("horizons", "10"),
+    ]
+
+    @pytest.mark.parametrize("key,value", MALFORMED_CONVERGENCE,
+                             ids=[f"{k}={v!r}" for k, v in MALFORMED_CONVERGENCE])
+    def test_malformed_convergence_value_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {**CONVERGENCE, key: value})
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (out / "convergence_summary.json").exists()
 
     def test_posterior_without_closed_form_fails_before_simulating(
             self, tmp_path, capsys, monkeypatch):

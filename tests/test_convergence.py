@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from pnmkit.convergence import (
     theorem1_bound,
     theorem_step_size,
 )
+from pnmkit.core import DivergenceError, RngStream
+from pnmkit.optim import Pnm, pn_normalization
 from pnmkit.problems import AdditiveNoiseOracle, QuadraticModel, RosenbrockProblem
 
 
@@ -118,3 +122,135 @@ class TestEmpiricalRate:
     def test_needs_two_horizons(self, oracle):
         with pytest.raises(ValueError):
             empirical_rate(oracle, [1.0, 1.0], [100], [0], smoothness=4.0)
+
+    @pytest.mark.parametrize("horizons,seeds", [
+        ([100, 0], [0]),
+        ([10.7, 100], [0]),
+        ([True, 100], [0]),
+        ([50, 100], []),
+    ], ids=["zero_horizon", "float_horizon", "bool_horizon", "no_seeds"])
+    def test_rejects_malformed_horizons_and_seeds(self, oracle, horizons, seeds):
+        with pytest.raises(ValueError):
+            empirical_rate(oracle, [1.0, 1.0], horizons, seeds, smoothness=4.0)
+
+
+def _reference_rate(oracle, theta0, horizons, seeds, smoothness, step_constant=1.0,
+                    beta0=1.0, beta1=0.9):
+    """The per-seed loop that ``empirical_rate`` ran before it stacked the
+    seeds: one ``(dim,)`` PNM run per (horizon, seed)."""
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    mins = np.empty(len(horizons))
+    g_max = 0.0
+    steps = []
+    for i, T in enumerate(horizons):
+        eta0 = theorem_step_size(smoothness, step_constant, T)
+        steps.append(eta0)
+        acc = np.zeros(T)
+        for seed in seeds:
+            rng = RngStream(seed).spawn(i)
+            opt = Pnm(dim=theta0.shape[0], lr=eta0 * pn_normalization(beta0),
+                      beta0=beta0, beta1=beta1)
+            theta = theta0.copy()
+            curve = np.empty(T)
+            for k in range(T):
+                _, full = oracle.full_gradient(theta)
+                curve[k] = full @ full
+                theta = opt.step(theta, oracle.stochastic_gradient(theta, rng))
+            acc += curve
+            g_max = max(g_max, math.sqrt(float(curve.max())))
+        mins[i] = acc.min() / len(seeds)
+    slope = float(np.polyfit(np.log(horizons), np.log(mins), 1)[0])
+    return mins, slope, g_max, steps
+
+
+class _ShapeSpy:
+    """Passes every call on to ``oracle`` and records theta's shape."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.shapes = []
+
+    def full_gradient(self, theta):
+        self.shapes.append(theta.shape)
+        return self.oracle.full_gradient(theta)
+
+    def stochastic_gradient(self, theta, rng):
+        self.shapes.append(theta.shape)
+        return self.oracle.stochastic_gradient(theta, rng)
+
+
+def _nondiagonal_setting():
+    rng = RngStream(90)
+    A = rng.standard_normal((5, 5))
+    base = QuadraticModel(rng.standard_normal(5), A @ A.T + np.eye(5), f0=0.4)
+    B = rng.standard_normal((5, 5))
+    oracle = AdditiveNoiseOracle(base, B @ B.T)
+    return oracle, rng.standard_normal(5), base.lambda_max
+
+
+SETTINGS = {
+    "isotropic_quadratic": lambda: (
+        AdditiveNoiseOracle(QuadraticModel([0.0, 0.0], np.diag([1.0, 4.0])), 1.0),
+        [3.0, -2.0], 4.0),
+    # started next to the minimum, the largest gradient is the noise's,
+    # late in the run and different per seed
+    "noise_near_minimum": lambda: (
+        AdditiveNoiseOracle(QuadraticModel([0.0, 0.0], np.diag([1.0, 4.0])), 1.0),
+        [0.01, -0.01], 4.0),
+    "zero_noise_quadratic": lambda: (
+        QuadraticModel([0.0, 0.0], np.diag([1.0, 4.0])), [3.0, -2.0], 4.0),
+    "nondiagonal_5d_full_covariance": _nondiagonal_setting,
+    "rosenbrock": lambda: (
+        AdditiveNoiseOracle(RosenbrockProblem(), 0.25), [-1.2, 1.0], 1500.0),
+}
+
+
+class TestSeedStacking:
+    """``empirical_rate`` steps all seeds of a horizon as one stacked state
+    and still reproduces the per-seed loop bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_matches_per_seed_loop(self, name):
+        oracle, theta0, L = SETTINGS[name]()
+        horizons, seeds = [60, 250, 400], [0, 3, 11, 5]
+        spy = _ShapeSpy(oracle)
+        est = empirical_rate(spy, theta0, horizons, seeds, smoothness=L,
+                             step_constant=0.8, beta0=0.7, beta1=0.85)
+        mins, slope, g_max, steps = _reference_rate(
+            oracle, theta0, horizons, seeds, L, step_constant=0.8, beta0=0.7, beta1=0.85)
+        assert est.mean_min_grad_sq.tobytes() == mins.tobytes()
+        assert est.slope == slope
+        assert est.measured_grad_bound == g_max
+        assert est.step_sizes == steps
+        # one full and one stochastic gradient per step, each on every seed
+        assert spy.shapes == [(len(seeds), len(theta0))] * (2 * sum(horizons))
+
+    def test_divergence_names_first_diverging_seed(self):
+        # Unstable quadratic started at its minimum: only the noise pushes
+        # the iterates out, so the seeds leave the 1e8 box at different
+        # steps; seed 0, listed first, is not among the earliest.
+        oracle = AdditiveNoiseOracle(QuadraticModel([0.0], [[4.0]]), 1.0)
+        seeds = [0, 2, 1, 4]
+        eta0 = theorem_step_size(0.01, 20.0, 60)
+        first = [_divergence_step(oracle, eta0, 60, seed) for seed in seeds]
+        step = min(first)
+        culprit = seeds[first.index(step)]
+        assert culprit != seeds[0]
+        with pytest.raises(DivergenceError) as info:
+            empirical_rate(oracle, [0.0], [60, 61], seeds, smoothness=0.01,
+                           step_constant=20.0)
+        assert str(info.value) == (
+            f"PNM diverged at step {step} for seed {culprit} (horizon 60, eta0 {eta0:g})")
+
+
+def _divergence_step(oracle, eta0, horizon, seed):
+    """First step at which a lone ``(1,)`` PNM run from 0 on the first
+    horizon's stream leaves the 1e8 box."""
+    rng = RngStream(seed).spawn(0)
+    opt = Pnm(dim=1, lr=eta0 * pn_normalization(1.0), beta0=1.0, beta1=0.9)
+    theta = np.zeros(1)
+    for k in range(horizon):
+        theta = opt.step(theta, oracle.stochastic_gradient(theta, rng))
+        if not np.abs(theta).max() <= 1e8:
+            return k
+    raise AssertionError(f"seed {seed} stays bounded for {horizon} steps")

@@ -140,6 +140,14 @@ class TestTinyMlp:
         err = problem.error_rate(theta, problem.dataset)
         assert 0.0 <= err <= 1.0
 
+    @pytest.mark.parametrize("extra", [7, -1])
+    def test_predict_checks_theta_length(self, problem, extra):
+        theta = np.zeros(problem.dim + extra)
+        with pytest.raises(DimensionMismatchError):
+            problem.predict(theta, problem.dataset.features)
+        with pytest.raises(DimensionMismatchError):
+            problem.error_rate(theta, problem.dataset)
+
 
 def _reference_forward(problem, theta, X):
     """The allocating forward pass the buffered kernel replaced."""
@@ -364,6 +372,91 @@ class TestGradientArrays:
         g = problem.minibatch_gradient(np.zeros(3), batch, RngStream(5))
         assert type(g) is np.ndarray
         assert g.dtype == np.float64 and g.shape == (3,)
+
+
+def _nondiagonal_covariance(dim):
+    B = RngStream(40).standard_normal((dim, dim))
+    return B @ B.T + 0.1 * np.eye(dim)
+
+
+class TestStackedOracles:
+    """A ``(k, dim)`` theta with one stream per row equals k row-by-row
+    ``(dim,)`` calls bit for bit."""
+
+    ORACLES = {
+        "quadratic_5d": lambda: _random_quadratic(RngStream(41), 5),
+        "rosenbrock": RosenbrockProblem,
+        "isotropic_noise": lambda: AdditiveNoiseOracle(
+            QuadraticModel([0.5, -1.0], np.diag([1.0, 4.0]), f0=0.2), 0.7),
+        "full_covariance_noise": lambda: AdditiveNoiseOracle(
+            _random_quadratic(RngStream(42), 5), _nondiagonal_covariance(5)),
+        "noisy_rosenbrock": lambda: AdditiveNoiseOracle(RosenbrockProblem(), 0.25),
+        "pure_noise": lambda: PureNoiseOracle(3, 2.0),
+    }
+
+    # Rosenbrock's scalar ``** 2`` and an array's square disagree in the
+    # last bit on roughly one input in a thousand, so the stack is large
+    # and spans many magnitudes.
+    ROWS = 3000
+
+    def _stack(self, dim):
+        rng = RngStream(43)
+        return rng.standard_normal((self.ROWS, dim)) * 10.0 ** rng.uniform(-2, 4, (self.ROWS, 1))
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_stacked_call_equals_rows(self, name):
+        oracle = self.ORACLES[name]()
+        theta = self._stack(oracle.dim)
+        loss, grad = oracle.full_gradient(theta)
+        assert loss.shape == (self.ROWS,) and grad.shape == theta.shape
+        rows = [oracle.full_gradient(row) for row in theta]
+        assert loss.tobytes() == np.array([l for l, _ in rows]).tobytes()
+        assert grad.tobytes() == np.array([g for _, g in rows]).tobytes()
+
+        stacked = oracle.stochastic_gradient(theta, [RngStream(i) for i in range(self.ROWS)])
+        rows = [oracle.stochastic_gradient(row, RngStream(i)) for i, row in enumerate(theta)]
+        assert type(stacked) is np.ndarray and stacked.shape == theta.shape
+        assert stacked.tobytes() == np.array(rows).tobytes()
+
+    @pytest.mark.parametrize("name", ["isotropic_noise", "pure_noise"])
+    def test_stacked_call_needs_one_stream_per_row(self, name):
+        oracle = self.ORACLES[name]()
+        theta = np.zeros((3, oracle.dim))
+        with pytest.raises(ValueError, match="3 RngStreams"):
+            oracle.stochastic_gradient(theta, RngStream(0))
+        with pytest.raises(ValueError, match="3 RngStreams"):
+            oracle.stochastic_gradient(theta, [RngStream(0), RngStream(1)])
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 2)])
+    def test_bad_stack_shapes_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            self.ORACLES["rosenbrock"]().full_gradient(np.zeros(shape))
+
+    def test_dataset_problems_reject_stacked_theta(self):
+        rng = RngStream(44)
+        X = rng.standard_normal((30, 2))
+        classes = (X[:, 0] > 0).astype(np.int64)
+        problems = [
+            LinearRegressionProblem(FiniteDataset(X, X @ np.ones(2))),
+            LogisticRegressionProblem(FiniteDataset(X, classes)),
+            TinyMlpProblem(FiniteDataset(X, classes), hidden=4),
+        ]
+        for problem in problems:
+            theta = np.zeros((3, problem.dim))
+            calls = [
+                lambda: problem.full_gradient(theta),
+                lambda: problem.batch_loss_gradient(theta, np.arange(5)),
+                lambda: problem.minibatch_gradient(theta, 5, RngStream(0)),
+            ]
+            if isinstance(problem, TinyMlpProblem):
+                calls += [lambda: problem.predict(theta, X),
+                          lambda: problem.error_rate(theta, problem.dataset)]
+            for call in calls:
+                with pytest.raises(DimensionMismatchError):
+                    call()
+        noisy = AdditiveNoiseOracle(problems[0], 0.5)
+        with pytest.raises(DimensionMismatchError):
+            noisy.stochastic_gradient(np.zeros((3, 2)), [RngStream(i) for i in range(3)])
 
 
 class TestTwoMoons:

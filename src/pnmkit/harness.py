@@ -1,7 +1,8 @@
 """Experiment configuration, seed orchestration, and persistence.
 
-Configs are JSON dicts with strict unknown-key rejection (a typo in a
-hyperparameter name is an error, never a silent default). Every output
+Configs are JSON dicts read by :func:`read_config`, one key table per
+section: an unknown key or a value of the wrong type is an error naming
+the key, never a silent default or coercion. Every output
 embeds the config digest, the seed, and the PRNG identifier; re-running a
 config produces byte-identical summaries. Trajectory CSVs use the fixed
 column order ``step,loss,grad_norm_sq[,test_error]``.
@@ -52,36 +53,114 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-def check_config_keys(d: dict, allowed: set[str], context: str) -> None:
-    unknown = set(d) - allowed
+# ---------------------------------------------------------------------------
+# Config reader
+# ---------------------------------------------------------------------------
+
+#: The default of a key that must be given.
+REQUIRED = object()
+
+
+def _kind(types, what: str, accept=lambda value: True, convert=lambda value: value):
+    """A kind ``check(value, name)``: ``value`` if it has JSON type ``types``
+    (a bool is never a number) and passes ``accept``; else an error naming the key."""
+    def check(value, name):
+        if (not isinstance(value, types) or (isinstance(value, bool) and types is not bool)
+                or not accept(value)):
+            raise ConfigError(f"'{name}' must be {what}, got {value!r}")
+        return convert(value)
+    return check
+
+
+number = _kind((int, float), "a number", convert=float)
+string = _kind(str, "a string")
+boolean = _kind(bool, "true or false")
+section = _kind(dict, "an object")
+
+
+def integer(minimum: int):
+    """Kind: an integer >= ``minimum``; a float such as 100.0 is not one."""
+    return _kind(int, f"an integer >= {minimum}", lambda value: value >= minimum)
+
+
+def list_of(kind, min_length: int = 1):
+    """Kind: a list of at least ``min_length`` values of ``kind``."""
+    def check(value, name):
+        if not isinstance(value, list) or len(value) < min_length:
+            raise ConfigError(
+                f"'{name}' must be a list of at least {min_length} value(s), got {value!r}")
+        return [kind(item, name) for item in value]
+    return check
+
+
+def read_config(cfg: dict, spec: dict, context: str = "") -> dict:
+    """Check one config section against its key table; return it with
+    every default filled in.
+
+    ``spec`` maps each allowed key to ``(kind, default)``, where the
+    default is :data:`REQUIRED` or what an absent or ``null`` key reads
+    as. ``context`` is the section's dotted path ('' at the root), so an
+    error names the dotted key, such as ``'optimizer.lr'``.
+    """
+    where = context or "config"
+    unknown = set(section(cfg, where)) - set(spec)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {context}: {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    out = {}
+    for key, (kind, default) in spec.items():
+        name = f"{context}.{key}" if context else key
+        if cfg.get(key) is not None:
+            out[key] = kind(cfg[key], name)
+        elif default is REQUIRED:
+            raise ConfigError(f"config needs '{name}'")
+        else:
+            out[key] = default
+    return out
 
 
-def _weight_decay_from(cfg: Optional[dict]) -> WeightDecay:
-    if cfg is None:
-        return WeightDecay()
-    check_config_keys(cfg, {"mode", "lam"}, "weight_decay")
-    try:
-        return WeightDecay(cfg.get("mode", "none"), float(cfg.get("lam", 0.0)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+SEEDS = list_of(integer(0))
 
+# Defaults of None are worked out from the rest of the config where read.
+RUN = {
+    "problem": (section, REQUIRED), "optimizer": (section, REQUIRED),
+    "steps": (integer(1), REQUIRED), "seeds": (SEEDS, REQUIRED),
+    "batch_size": (integer(1), None), "eval_every": (integer(1), None),
+    "lr_decay": (section, None),
+}
 
-_OPTIMIZER_KEYS = {
-    "name", "lr", "beta0", "beta1", "beta2", "beta3", "eps", "amsgrad",
-    "weight_decay",
+# An absent hyperparameter takes the named optimizer's own default.
+OPTIMIZER = {
+    "name": (string, REQUIRED), "lr": (number, REQUIRED),
+    "beta0": (number, None), "beta1": (number, None), "beta2": (number, None),
+    "beta3": (number, None), "eps": (number, None), "amsgrad": (boolean, None),
+    "weight_decay": (section, None),
+}
+
+WEIGHT_DECAY = {"mode": (string, "none"), "lam": (number, 0.0)}
+
+LR_DECAY = {"milestones": (list_of(integer(1), min_length=0), []), "factor": (number, 0.1)}
+
+CLASSIFICATION_PROBLEM = {
+    "name": (string, REQUIRED), "n": (integer(1), 2000), "noise": (number, 0.2),
+    "hidden": (integer(1), 16), "test_fraction": (number, 0.5), "init_scale": (number, 0.5),
+    "label_noise": (section, None), "csv_path": (string, None),
+}
+
+LABEL_NOISE = {"kind": (string, "symmetric"), "rate": (number, 0.0)}
+
+ANALYTIC_PROBLEM = {
+    "name": (string, REQUIRED), "dim": (integer(1), None), "n": (integer(1), 200),
+    "eigenvalues": (list_of(number), None), "theta_star": (list_of(number), None),
+    "f0": (number, 0.0), "noise_sigma2": (number, 0.0), "theta0": (list_of(number), None),
 }
 
 
 def build_optimizer(cfg: dict, dim: int) -> Optimizer:
-    check_config_keys(cfg, _OPTIMIZER_KEYS, "optimizer")
-    if "name" not in cfg or "lr" not in cfg:
-        raise ConfigError("optimizer config needs 'name' and 'lr'")
-    kwargs = {k: v for k, v in cfg.items() if k not in ("name", "weight_decay")}
-    kwargs["weight_decay"] = _weight_decay_from(cfg.get("weight_decay"))
+    opt = read_config(cfg, OPTIMIZER, "optimizer")
+    wd = read_config(opt.pop("weight_decay") or {}, WEIGHT_DECAY, "optimizer.weight_decay")
+    hparams = {k: v for k, v in opt.items() if v is not None and k != "name"}
     try:
-        return make_optimizer(cfg["name"], dim=dim, **kwargs)
+        return make_optimizer(opt["name"], dim=dim, weight_decay=WeightDecay(**wd), **hparams)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad optimizer config: {exc}") from exc
 
@@ -129,71 +208,57 @@ def build_classification_task(cfg: dict, seed: int) -> ClassificationTask:
     The training loop owns spawn(3); distinct keys keep every source of
     randomness independent.
     """
-    check_config_keys(cfg, {
-        "name", "n", "noise", "hidden", "test_fraction", "label_noise",
-        "init_scale", "csv_path",
-    }, "problem")
+    p = read_config(cfg, CLASSIFICATION_PROBLEM, "problem")
     root = RngStream(seed)
-    name = cfg["name"]
-    if name == "two_moons_mlp":
-        data = make_two_moons(int(cfg.get("n", 2000)), float(cfg.get("noise", 0.2)),
-                              root.spawn(0))
-    elif name == "csv_mlp":
-        if "csv_path" not in cfg:
-            raise ConfigError("csv_mlp needs 'csv_path'")
-        data = load_csv_dataset(cfg["csv_path"], classification=True)
+    if p["name"] == "two_moons_mlp":
+        data = make_two_moons(p["n"], p["noise"], root.spawn(0))
+    elif p["name"] == "csv_mlp":
+        if p["csv_path"] is None:
+            raise ConfigError("csv_mlp needs 'problem.csv_path'")
+        data = load_csv_dataset(p["csv_path"], classification=True)
         data = data.subset(root.spawn(0).permutation(data.n_samples))
     else:
-        raise ConfigError(f"not a classification problem: {name!r}")
-    train, test = _split(data, float(cfg.get("test_fraction", 0.5)), root.spawn(4))
+        raise ConfigError(f"not a classification problem: {p['name']!r}")
+    train, test = _split(data, p["test_fraction"], root.spawn(4))
     clean_train = train
     mask = np.zeros(train.n_samples, dtype=bool)
-    ln = cfg.get("label_noise")
-    if ln is not None:
-        check_config_keys(ln, {"kind", "rate"}, "label_noise")
-        spec = LabelNoiseSpec(ln.get("kind", "symmetric"), float(ln.get("rate", 0.0)))
+    if p["label_noise"] is not None:
+        spec = LabelNoiseSpec(**read_config(p["label_noise"], LABEL_NOISE, "problem.label_noise"))
         train, mask = apply_label_noise(train, spec, root.spawn(1))
-    problem = TinyMlpProblem(train, hidden=int(cfg.get("hidden", 16)))
-    theta0 = problem.init_params(root.spawn(2), scale=float(cfg.get("init_scale", 0.5)))
+    problem = TinyMlpProblem(train, hidden=p["hidden"])
+    theta0 = problem.init_params(root.spawn(2), scale=p["init_scale"])
     return ClassificationTask(problem, train, test, clean_train, mask, theta0)
 
 
 def build_analytic_oracle(cfg: dict, seed: int):
     """Quadratic / Rosenbrock / linear-regression oracles with optional
     additive noise, and the starting point ``theta0``."""
-    check_config_keys(cfg, {
-        "name", "dim", "n", "eigenvalues", "theta_star", "f0", "noise_sigma2", "theta0",
-    }, "problem")
-    name = cfg["name"]
-    if name == "quadratic":
-        eigs = cfg.get("eigenvalues")
-        dim = int(cfg.get("dim", len(eigs) if eigs else 2))
+    p = read_config(cfg, ANALYTIC_PROBLEM, "problem")
+    if p["name"] == "quadratic":
+        eigs = p["eigenvalues"]
+        dim = p["dim"] or (len(eigs) if eigs else 2)
         eigs = np.asarray(eigs if eigs is not None else np.ones(dim), dtype=np.float64)
-        theta_star = np.asarray(cfg.get("theta_star", np.zeros(dim)), dtype=np.float64)
-        base = QuadraticModel(theta_star, np.diag(eigs), float(cfg.get("f0", 0.0)))
-        theta0 = cfg.get("theta0", np.ones(dim))
-    elif name == "rosenbrock":
+        theta_star = np.asarray(p["theta_star"] or np.zeros(dim), dtype=np.float64)
+        base = QuadraticModel(theta_star, np.diag(eigs), p["f0"])
+        theta0 = np.ones(dim)
+    elif p["name"] == "rosenbrock":
         base = RosenbrockProblem()
-        theta0 = cfg.get("theta0", [-1.2, 1.0])
-    elif name == "linear_regression":
+        theta0 = [-1.2, 1.0]
+    elif p["name"] == "linear_regression":
         root = RngStream(seed).spawn(0)
-        dim = int(cfg.get("dim", 5))
-        n = int(cfg.get("n", 200))
+        dim, n = p["dim"] or 5, p["n"]
         X = root.standard_normal((n, dim))
         w = root.standard_normal(dim)
         y = X @ w + 0.1 * root.standard_normal(n)
         base = LinearRegressionProblem(FiniteDataset(X, y))
-        theta0 = cfg.get("theta0", np.zeros(dim))
+        theta0 = np.zeros(dim)
     else:
-        raise ConfigError(f"unknown problem {name!r}")
-    try:
-        start = np.asarray(theta0, dtype=np.float64)
-    except (TypeError, ValueError):
-        start = None
-    if start is None or start.shape != (base.dim,) or not np.all(np.isfinite(start)):
-        raise ConfigError(
-            f"'theta0' must be a list of {base.dim} finite numbers, got {theta0!r}")
-    sigma2 = float(cfg.get("noise_sigma2", 0.0))
+        raise ConfigError(f"unknown problem {p['name']!r}")
+    start = np.asarray(theta0 if p["theta0"] is None else p["theta0"], dtype=np.float64)
+    if start.shape != (base.dim,) or not np.all(np.isfinite(start)):
+        raise ConfigError(f"'problem.theta0' must be a list of {base.dim} finite numbers, "
+                          f"got {p['theta0']!r}")
+    sigma2 = p["noise_sigma2"]
     oracle = AdditiveNoiseOracle(base, sigma2) if sigma2 > 0 else base
     return oracle, start
 
@@ -233,61 +298,25 @@ class RunResult:
         return out
 
 
-_RUN_KEYS = {
-    "problem", "optimizer", "steps", "batch_size", "seeds", "eval_every", "lr_decay",
-}
-
 #: Parameters beyond this magnitude (or non-finite) end a run as diverged.
 _DIVERGENCE_BOUND = 1e10
-
-
-def int_value(value, key: str, minimum: int) -> int:
-    """``value`` if it is an integer (JSON bools excluded) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"'{key}' must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _decay_schedule(cfg: dict) -> tuple[set[int], float]:
-    """Piecewise-constant decay: multiply lr by ``factor`` at each milestone."""
-    decay = cfg.get("lr_decay")
-    if decay is None:
-        return set(), 1.0
-    if not isinstance(decay, dict):
-        raise ConfigError("'lr_decay' must be an object")
-    check_config_keys(decay, {"milestones", "factor"}, "lr_decay")
-    milestones = decay.get("milestones", [])
-    if not isinstance(milestones, list):
-        raise ConfigError(f"'lr_decay.milestones' must be a list, got {milestones!r}")
-    factor = decay.get("factor", 0.1)
-    if isinstance(factor, bool) or not isinstance(factor, (int, float)) or not factor > 0:
-        raise ConfigError(f"'lr_decay.factor' must be a number > 0, got {factor!r}")
-    return {int_value(m, "lr_decay.milestones", 1) for m in milestones}, float(factor)
 
 
 _CLASSIFICATION_PROBLEMS = ("two_moons_mlp", "csv_mlp")
 
 
-def validate_run_config(cfg: dict) -> None:
-    check_config_keys(cfg, _RUN_KEYS, "config")
-    for key in ("problem", "optimizer", "steps", "seeds"):
-        if key not in cfg:
-            raise ConfigError(f"config needs '{key}'")
-    if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
-        raise ConfigError("'seeds' must be a nonempty list of integers")
-    for seed in cfg["seeds"]:
-        int_value(seed, "seeds", 0)
-    int_value(cfg["steps"], "steps", 1)
-    for key in ("batch_size", "eval_every"):
-        if key in cfg:
-            int_value(cfg[key], key, 1)
-    _decay_schedule(cfg)
-    if "name" not in cfg["problem"]:
-        raise ConfigError("problem config needs 'name'")
+def _require_test_error(cfg: dict) -> None:
+    """Fail before any training when a protocol that compares test errors
+    is given a problem that has none."""
+    name = read_config(cfg, RUN)["problem"].get("name")
+    if name not in _CLASSIFICATION_PROBLEMS:
+        raise ConfigError(
+            f"'problem.name' must be one of {list(_CLASSIFICATION_PROBLEMS)} to report "
+            f"a test error, got {name!r}")
 
 
 def run_seed(cfg: dict, seed: int, digest: str) -> RunResult:
-    """Train one seed of a validated run config.
+    """Train one seed of a run config.
 
     The per-problem parts (gradient sampler, test-error evaluation,
     defaults, final train errors) are chosen up front: every
@@ -298,34 +327,40 @@ def run_seed(cfg: dict, seed: int, digest: str) -> RunResult:
     raise :class:`DivergenceError` naming the step.
     """
     t0 = time.perf_counter()
-    steps = cfg["steps"]
-    if cfg["problem"]["name"] in _CLASSIFICATION_PROBLEMS:
-        task = build_classification_task(cfg["problem"], seed)
+    run_cfg = read_config(cfg, RUN)
+    steps = run_cfg["steps"]
+    if run_cfg["problem"].get("name") in _CLASSIFICATION_PROBLEMS:
+        task = build_classification_task(run_cfg["problem"], seed)
         oracle, theta = task.problem, task.theta0
 
         def test_error(theta):
             return oracle.error_rate(theta, task.test)
 
         train_errors = task.train_errors
-        eval_every = cfg.get("eval_every", max(1, steps // 50))
+        eval_every = run_cfg["eval_every"] or max(1, steps // 50)
     else:
-        oracle, theta = build_analytic_oracle(cfg["problem"], seed)
+        oracle, theta = build_analytic_oracle(run_cfg["problem"], seed)
         test_error = train_errors = None
-        eval_every = cfg.get("eval_every", max(1, steps // 100))
+        eval_every = run_cfg["eval_every"] or max(1, steps // 100)
+    batch_size = run_cfg["batch_size"]
     if isinstance(oracle, DatasetProblem):
-        batch_size = cfg.get("batch_size", min(128, oracle.dataset_size))
+        batch_size = batch_size or min(128, oracle.dataset_size)
 
         def sample(theta, rng):
             return oracle.minibatch_gradient(theta, batch_size, rng)
     else:
-        if "batch_size" in cfg:
+        if batch_size is not None:
             raise ConfigError(
-                f"'batch_size' is not read by problem {cfg['problem']['name']!r}: "
+                f"'batch_size' is not read by problem {run_cfg['problem']['name']!r}: "
                 "its stochastic gradient is the full gradient (plus noise_sigma2 noise)")
         sample = oracle.stochastic_gradient
-    opt = build_optimizer(cfg["optimizer"], theta.shape[0])
+    opt = build_optimizer(run_cfg["optimizer"], theta.shape[0])
     rng = RngStream(seed).spawn(3)
-    milestones, factor = _decay_schedule(cfg)
+    # Piecewise-constant decay: lr is multiplied by the factor at each milestone.
+    decay = read_config(run_cfg["lr_decay"] or {}, LR_DECAY, "lr_decay")
+    if not decay["factor"] > 0:
+        raise ConfigError(f"'lr_decay.factor' must be a number > 0, got {decay['factor']!r}")
+    milestones = set(decay["milestones"])
     traj = Trajectory(seed=seed, config_digest=digest)
 
     def evaluate(step: int) -> None:
@@ -336,7 +371,7 @@ def run_seed(cfg: dict, seed: int, digest: str) -> RunResult:
     evaluate(0)
     for step in range(1, steps + 1):
         if step in milestones:
-            opt.lr *= factor
+            opt.lr *= decay["factor"]
         theta = opt.step(theta, sample(theta, rng))
         if not np.max(np.abs(theta)) <= _DIVERGENCE_BOUND:
             raise DivergenceError(
@@ -378,9 +413,8 @@ def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1) -> dict:
     the seed list before any output is written, so parallelism never
     changes a byte of output.
     """
-    validate_run_config(cfg)
+    seeds = read_config(cfg, RUN)["seeds"]
     digest = config_digest(cfg)
-    seeds = cfg["seeds"]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda s: run_seed(cfg, s, digest), seeds))
@@ -461,12 +495,6 @@ def seed_majority_wins(errors_a, errors_b) -> dict:
             "majority": wins > losses}
 
 
-def _with_optimizer(cfg: dict, opt_cfg: dict) -> dict:
-    new = dict(cfg)
-    new["optimizer"] = opt_cfg
-    return new
-
-
 def label_noise_experiment(cfg: dict, optimizer_a: dict, optimizer_b: dict,
                            out_dir: Optional[Path] = None, threads: int = 1) -> dict:
     """Paired comparison of two optimizers on a label-corrupted task.
@@ -476,16 +504,18 @@ def label_noise_experiment(cfg: dict, optimizer_a: dict, optimizer_b: dict,
     corrupted-train error, and clean-subset train error per seed, plus the
     seed-majority outcome for A beating B on clean test error.
     """
-    cfg_a = _with_optimizer(cfg, optimizer_a)
-    cfg_b = _with_optimizer(cfg, optimizer_b)
+    cfg_a = {**cfg, "optimizer": optimizer_a}
+    cfg_b = {**cfg, "optimizer": optimizer_b}
+    _require_test_error(cfg_a)
     summary_a = run(cfg_a, None, threads)
     summary_b = run(cfg_b, None, threads)
     errs_a = [r["final_test_error"] for r in summary_a["results"]]
     errs_b = [r["final_test_error"] for r in summary_b["results"]]
-    rate = (cfg["problem"].get("label_noise") or {}).get("rate", 0.0)
+    # The rate is reported as written, so an integer rate stays an integer.
+    rate = (cfg["problem"].get("label_noise") or {}).get("rate")
     report = {
-        "label_noise_rate": rate,
-        "no_corruption": rate == 0.0,
+        "label_noise_rate": 0.0 if rate is None else rate,
+        "no_corruption": not rate,
         "optimizer_a": optimizer_a,
         "optimizer_b": optimizer_b,
         "per_seed": {
@@ -513,17 +543,16 @@ def beta0_sweep(cfg: dict, beta0_grid, out_dir: Optional[Path] = None,
     whether some beta0 > 0 beats every beta0 <= 0 by seed majority on the
     paired per-seed errors.
     """
-    beta0_grid = [float(b) for b in beta0_grid]
-    if not beta0_grid:
-        raise ConfigError("beta0 grid must be nonempty")
-    if cfg["optimizer"].get("name", "").lower() not in ("pnm", "adapnm"):
+    beta0_grid = list_of(number)(beta0_grid, "beta0_grid")
+    _require_test_error(cfg)
+    name = read_config(cfg["optimizer"], OPTIMIZER, "optimizer")["name"]
+    if name.lower() not in ("pnm", "adapnm"):
         raise ConfigError("beta0 sweep requires a pnm or adapnm optimizer")
     rows = []
     per_seed = {}
     for b0 in beta0_grid:
-        opt_cfg = dict(cfg["optimizer"])
-        opt_cfg["beta0"] = b0
-        summary = run(_with_optimizer(cfg, opt_cfg), None, threads)
+        opt_cfg = {**cfg["optimizer"], "beta0": b0}
+        summary = run({**cfg, "optimizer": opt_cfg}, None, threads)
         errors = [r["final_test_error"] for r in summary["results"]]
         per_seed[b0] = errors
         rows.append({"beta0": b0, **aggregate(errors)})
@@ -557,21 +586,20 @@ def lr_wd_grid(cfg: dict, lrs, lams, out_dir: Optional[Path] = None,
 
     Diverging cells are marked, not reported as numbers.
     """
-    lrs = [float(x) for x in lrs]
-    lams = [float(x) for x in lams]
-    if not lrs or not lams:
-        raise ConfigError("grids must be nonempty")
+    lrs = list_of(number)(lrs, "lrs")
+    lams = list_of(number)(lams, "lams")
+    # The grid sets lr per cell, so the base optimizer may leave it out.
+    base = read_config(read_config(cfg, RUN)["optimizer"], {**OPTIMIZER, "lr": (number, None)},
+                       "optimizer")
+    wd = read_config(base["weight_decay"] or {"mode": "decoupled"}, WEIGHT_DECAY,
+                     "optimizer.weight_decay")
     matrix = []
     for lr in lrs:
         row = []
         for lam in lams:
-            opt_cfg = dict(cfg["optimizer"])
-            opt_cfg["lr"] = lr
-            wd = dict(opt_cfg.get("weight_decay") or {"mode": "decoupled"})
-            wd["lam"] = lam
-            opt_cfg["weight_decay"] = wd
+            opt_cfg = {**cfg["optimizer"], "lr": lr, "weight_decay": {**wd, "lam": lam}}
             try:
-                summary = run(_with_optimizer(cfg, opt_cfg), None, threads)
+                summary = run({**cfg, "optimizer": opt_cfg}, None, threads)
                 agg = summary["aggregate"]
                 metric = agg.get("final_test_error", agg["final_loss"])
                 row.append(metric["mean"])

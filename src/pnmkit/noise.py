@@ -164,6 +164,8 @@ def pair_amplification_ratio(
     pair and the buffer are measured on the same trajectory; returns the
     ratio and a batch-means standard error for it.
     """
+    if not 0.0 <= beta1 < 1.0:
+        raise ValueError("beta1 must lie in [0, 1)")
     if burn_in is None:
         burn_in = min(default_burn_in(beta1), steps // 2)
     m, m_prev = _simulate_buffers(beta1, steps, dim, rng)

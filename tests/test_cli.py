@@ -1,8 +1,12 @@
+import copy
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from pnmkit import posterior
+from pnmkit import harness, posterior
 from pnmkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, build_parser, main
 
 
@@ -34,6 +38,53 @@ CONVERGENCE = {
                 "theta0": [3.0, -2.0], "noise_sigma2": 1.0},
     "horizons": [50, 200], "seeds": 2,
 }
+
+TINY_MLP = {"name": "two_moons_mlp", "n": 40, "noise": 0.2, "hidden": 2,
+            "test_fraction": 0.5}
+
+# One tiny valid config per command; each runs in well under a second.
+TINY = {
+    "run": run_config(
+        problem={**TINY_MLP, "init_scale": 0.5,
+                 "label_noise": {"kind": "symmetric", "rate": 0.1}},
+        optimizer={"name": "pnm", "lr": 0.1, "beta0": 1.0, "beta1": 0.9,
+                   "weight_decay": {"mode": "decoupled", "lam": 0.0}},
+        steps=3, batch_size=8, seeds=[0], eval_every=1,
+        lr_decay={"milestones": [2], "factor": 0.5}),
+    "sweep-beta0": {
+        "base": run_config(problem=TINY_MLP, steps=3, batch_size=8, seeds=[0],
+                           optimizer={"name": "pnm", "lr": 0.1}),
+        "beta0_grid": [0.0, 1.0],
+    },
+    "label-noise": {
+        "base": {"problem": TINY_MLP, "steps": 3, "batch_size": 8, "seeds": [0]},
+        "optimizer_a": {"name": "pnm", "lr": 0.1, "beta0": 1.0},
+        "optimizer_b": {"name": "hb", "lr": 0.1, "beta1": 0.9},
+    },
+    "grid": {
+        "base": run_config(steps=3, seeds=[0], optimizer={
+            "name": "hb", "lr": 0.001, "weight_decay": {"mode": "l2", "lam": 0.0}}),
+        "lrs": [0.001], "lams": [0.0],
+    },
+    "posterior": {"kind": "sgd", "eigenvalues": [1.0], "eta": 0.01, "noise_sigma2": 1.0,
+                  "burn_in": 10, "samples": 64, "thin": 1, "chains": 2, "beta0": 1.0,
+                  "beta1": 0.9, "seed": 0, "batch_size": 10},
+    "pacbayes": PACBAYES,
+    "noise": {"beta1": 0.9, "beta0_values": [1.0], "steps": 200, "dim": 1, "seed": 0},
+    "convergence": {**CONVERGENCE, "horizons": [5, 10], "step_constant": 1.0, "beta0": 1.0,
+                    "beta1": 0.9},
+}
+
+
+def with_value(payload, path, value):
+    """A deep copy of ``payload`` with the dotted key ``path`` set to ``value``."""
+    payload = copy.deepcopy(payload)
+    *parents, leaf = path.split(".")
+    node = payload
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    return payload
 
 
 class TestExitCodes:
@@ -123,6 +174,8 @@ class TestExitCodes:
     # Each of these used to run on a coerced value (or die in a raw
     # traceback for a zero or string horizon list).
     MALFORMED_CONVERGENCE = [
+        ("beta0", True),
+        ("beta1", "0.9"),
         ("seeds", [1.5]),
         ("seeds", True),
         ("seeds", [True]),
@@ -142,6 +195,51 @@ class TestExitCodes:
         assert f"'{key}'" in capsys.readouterr().err
         assert not (out / "convergence_summary.json").exists()
 
+    # Each of these used to run on a value coerced by float() or int().
+    COERCED = [
+        ("run", TINY["run"], "optimizer.lr", True),
+        ("run", run_config(problem={"name": "quadratic", "dim": 2}), "problem.dim", True),
+        ("run", TINY["run"], "problem.hidden", 4.7),
+        ("pacbayes", PACBAYES, "batch_size", 128.9),
+        ("pacbayes", PACBAYES, "dim", True),
+        ("posterior", TINY["posterior"], "eta", "0.01"),
+        ("posterior", TINY["posterior"], "samples", "100"),
+        ("posterior", TINY["posterior"], "seed", 1.5),
+        ("noise", TINY["noise"], "beta0_values", [True]),
+        ("sweep-beta0", TINY["sweep-beta0"], "beta0_grid", [True, "2"]),
+    ]
+
+    @pytest.mark.parametrize("command,payload,key,value", COERCED,
+                             ids=[f"{c} {k}={v!r}" for c, _, k, v in COERCED])
+    def test_coerced_value_is_config_error(self, tmp_path, capsys, command, payload, key,
+                                           value):
+        cfg = write_config(tmp_path, with_value(payload, key, value))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["label-noise", "sweep-beta0"])
+    @pytest.mark.parametrize("problem", [{"name": "rosenbrock"},
+                                         {"name": "quadratic", "dim": 2}],
+                             ids=["rosenbrock", "quadratic"])
+    def test_protocol_without_test_error_fails_before_training(
+            self, tmp_path, capsys, monkeypatch, command, problem):
+        monkeypatch.setattr(harness, "run_seed",
+                            lambda *a, **k: pytest.fail("trained before failing"))
+        payload = copy.deepcopy(TINY[command])
+        payload["base"]["problem"] = problem
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "'problem.name'" in capsys.readouterr().err
+
+    def test_internal_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(harness, "run", broken)
+        cfg = write_config(tmp_path, run_config())
+        with pytest.raises(KeyError, match="internal"):
+            main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+
     def test_posterior_without_closed_form_fails_before_simulating(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(posterior, "simulate_stationary",
@@ -154,6 +252,57 @@ class TestExitCodes:
         assert main(["posterior", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert "pnm_momentum" in capsys.readouterr().err
         assert not (out / "posterior.json").exists()
+
+
+def leaf_paths(payload, prefix=""):
+    """Every dotted key of ``payload``, objects included."""
+    for key, value in payload.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from leaf_paths(value, prefix + key + ".")
+
+
+def lookup(payload, path):
+    for key in path.split("."):
+        payload = payload[key]
+    return payload
+
+
+FUZZ_BASES = [*TINY.items(), ("run", run_config(
+    problem={"name": "quadratic", "dim": 2, "eigenvalues": [1.0, 2.0], "theta_star": [0.0, 0.0],
+             "f0": 0.0, "noise_sigma2": 0.1, "theta0": [1.0, 1.0]},
+    optimizer={"name": "hb", "lr": 0.1, "beta1": 0.9, "beta3": 1.0}, steps=3, seeds=[0]))]
+FUZZ_CASES = [(command, payload, path) for command, payload in FUZZ_BASES
+              for path in leaf_paths(payload)]
+# null reads as the default, which for these keys is a full-size run.
+COSTLY_DEFAULTS = {"samples", "burn_in", "steps", "horizons"}
+# Moderate magnitudes: the closed forms are not guarded against float overflow.
+FLOATS = st.floats(-1e6, 1e6)
+SMALL = st.one_of(st.integers(-2, 3), FLOATS, st.booleans())
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), FLOATS,
+    st.text(max_size=3), st.lists(SMALL, max_size=3),
+    st.dictionaries(st.text(max_size=3), SMALL, max_size=2))
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.sampled_from(FUZZ_CASES), value=JSON_VALUES)
+    def test_any_value_exits_cleanly(self, tmp_path, capsys, case, value):
+        command, payload, path = case
+        leaf = path.split(".")[-1]
+        assume(value is not None or leaf not in COSTLY_DEFAULTS)
+        cfg = write_config(tmp_path, with_value(payload, path, value))
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
+        given_value = lookup(payload, path)
+        if (isinstance(given_value, (int, float)) and not isinstance(given_value, bool)
+                and isinstance(value, (bool, str))):
+            assert code == EXIT_CONFIG
+            # Keys inside a wrapped run config are named from that config's root.
+            assert re.search(rf"['.]{re.escape(leaf)}'", err)
 
 
 class TestUsage:
@@ -186,6 +335,14 @@ class TestUsage:
         out = str(tmp_path / "out")
         assert main([command, "--config", cfg, "--out", out]) == EXIT_OK
         assert main([command, "--config", cfg, "--out", out, *flags]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, TINY[command])
+        out = str(tmp_path / "out")
+        assert main([command, "--config", cfg, "--out", out, "--seed", "-1"]) == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+        assert main([command, "--config", cfg, "--out", out, "--seed", "0"]) == EXIT_OK
 
     def test_missing_config_is_usage_error(self):
         assert main(["run"]) == EXIT_CONFIG

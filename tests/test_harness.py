@@ -5,7 +5,7 @@ import pytest
 
 from pnmkit import harness
 from pnmkit.core import DivergenceError
-from pnmkit.harness import ConfigError
+from pnmkit.harness import REQUIRED, ConfigError
 from pnmkit.optim import momentum_recovery_beta0, pn_normalization
 
 
@@ -71,6 +71,50 @@ class TestConfigValidation:
         cfg["optimizer"]["name"] = "sgdm"
         with pytest.raises(ConfigError):
             harness.run(cfg)
+
+    def test_null_reads_as_default(self):
+        plain = mlp_config(seeds=[0])
+        nulls = mlp_config(seeds=[0], batch_size=None, eval_every=None, lr_decay=None)
+        nulls["problem"] = {**plain["problem"], "hidden": None, "label_noise": None}
+        nulls["optimizer"] = {**plain["optimizer"], "beta0": None, "weight_decay": None}
+        plain["problem"]["hidden"] = 16
+        del plain["batch_size"], plain["eval_every"]
+        assert harness.run(nulls)["results"] == harness.run(plain)["results"]
+
+
+SPEC = {
+    "count": (harness.integer(1), REQUIRED),
+    "rate": (harness.number, 0.5),
+    "tags": (harness.list_of(harness.string), None),
+    "flag": (harness.boolean, False),
+}
+
+
+class TestReadConfig:
+    def test_defaults_and_types(self):
+        out = harness.read_config({"count": 3, "rate": 1, "flag": None}, SPEC, "s")
+        assert out == {"count": 3, "rate": 1.0, "tags": None, "flag": False}
+        assert type(out["rate"]) is float
+
+    BAD = [
+        ({"count": 100.0}, "'s.count' must be an integer >= 1"),
+        ({"count": True}, "'s.count' must be an integer >= 1"),
+        ({"count": 0}, "'s.count' must be an integer >= 1"),
+        ({"count": 1, "rate": True}, "'s.rate' must be a number"),
+        ({"count": 1, "rate": "0.5"}, "'s.rate' must be a number"),
+        ({"count": 1, "tags": []}, "'s.tags' must be a list"),
+        ({"count": 1, "tags": ["a", 1]}, "'s.tags' must be a string"),
+        ({"count": 1, "flag": 1}, "'s.flag' must be true or false"),
+        ({"count": None}, "needs 's.count'"),
+        ({"count": 1, "extra": 2}, r"unknown key\(s\) in s: \['extra'\]"),
+        ([1], "'s' must be an object"),
+    ]
+
+    @pytest.mark.parametrize("cfg,message", BAD, ids=[m.split(" must")[0] + str(i)
+                                                       for i, (_, m) in enumerate(BAD)])
+    def test_rejects(self, cfg, message):
+        with pytest.raises(ConfigError, match=message):
+            harness.read_config(cfg, SPEC, "s")
 
 
 class TestRun:

@@ -108,6 +108,12 @@ class TestPairRatio:
         ratio, se = pair_amplification_ratio(0.9, 0.0, 200_000, RngStream(32))
         assert abs(ratio - 1.0) < 4 * se + 1e-9
 
+    @pytest.mark.parametrize("beta1", [1.0, -1.0, 1.5])
+    def test_beta1_outside_unit_interval_rejected(self, beta1):
+        # beta1 = +-1 used to end in a ZeroDivisionError traceback.
+        with pytest.raises(ValueError, match="beta1"):
+            pair_amplification_ratio(beta1, 1.0, 200, RngStream(0))
+
     def test_buffers_uncorrelated(self):
         assert abs(pnm_buffer_correlation(0.9, 1_000_000, RngStream(33))) < 0.01
 

@@ -239,11 +239,13 @@ def _cmd_convergence(args) -> None:
           f"bound satisfied at every horizon: {bool(np.all(est.mean_min_grad_sq <= bounds))}")
 
 
-def _seed(text: str) -> int:
-    """``--seed``: an integer >= 0."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+def _flag_integer(minimum: int):
+    """The ``type=`` of an integer flag: an integer >= ``minimum``."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,11 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         if name != "pacbayes":
-            p.add_argument("--seed", type=_seed, default=None,
+            p.add_argument("--seed", type=_flag_integer(0), default=None,
                            help="override the config's seed list with one seed")
         p.add_argument("--out", default="results", help="output directory")
         if name in ("run", "sweep-beta0", "label-noise", "grid"):
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=_flag_integer(1), default=1,
+                           help="run all seeds of all arms on one pool of up to this many threads")
         p.set_defaults(handler=fn)
     return parser
 

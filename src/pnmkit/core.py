@@ -155,8 +155,6 @@ class TrajectoryRecord:
 class Trajectory:
     """Ordered per-step records of one optimization run."""
 
-    seed: int
-    config_digest: str = ""
     records: list[TrajectoryRecord] = field(default_factory=list)
 
     def append(

@@ -17,9 +17,9 @@ share data, initialization, and minibatch sequence.
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -73,6 +73,7 @@ def _kind(types, what: str, accept=lambda value: True, convert=lambda value: val
 
 
 number = _kind((int, float), "a number", convert=float)
+non_negative = _kind((int, float), "a number >= 0", lambda value: value >= 0, float)
 string = _kind(str, "a string")
 boolean = _kind(bool, "true or false")
 section = _kind(dict, "an object")
@@ -151,7 +152,7 @@ LABEL_NOISE = {"kind": (string, "symmetric"), "rate": (number, 0.0)}
 ANALYTIC_PROBLEM = {
     "name": (string, REQUIRED), "dim": (integer(1), None), "n": (integer(1), 200),
     "eigenvalues": (list_of(number), None), "theta_star": (list_of(number), None),
-    "f0": (number, 0.0), "noise_sigma2": (number, 0.0), "theta0": (list_of(number), None),
+    "f0": (number, 0.0), "noise_sigma2": (non_negative, 0.0), "theta0": (list_of(number), None),
 }
 
 
@@ -269,10 +270,8 @@ def build_analytic_oracle(cfg: dict, seed: int):
 
 @dataclass
 class RunResult:
-    """Per-seed outcome. ``wall_clock`` is informational and excluded from
-    the summary files so reruns stay byte-identical."""
+    """Per-seed outcome of one run config."""
 
-    config_digest: str
     seed: int
     final_loss: float
     min_grad_norm_sq: float
@@ -280,22 +279,12 @@ class RunResult:
     best_test_error: Optional[float] = None
     final_corrupted_train_error: Optional[float] = None
     final_clean_train_error: Optional[float] = None
-    prng: str = RNG_ALGORITHM
-    wall_clock: float = 0.0
     trajectory: Optional[Trajectory] = None
 
     def summary_fields(self) -> dict:
-        out = {
-            "seed": self.seed,
-            "final_loss": self.final_loss,
-            "min_grad_norm_sq": self.min_grad_norm_sq,
-        }
-        for key in ("final_test_error", "best_test_error",
-                    "final_corrupted_train_error", "final_clean_train_error"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        """The summary row: every metric the run has, without the trajectory."""
+        return {key: value for key, value in vars(self).items()
+                if value is not None and key != "trajectory"}
 
 
 #: Parameters beyond this magnitude (or non-finite) end a run as diverged.
@@ -315,7 +304,7 @@ def _require_test_error(cfg: dict) -> None:
             f"a test error, got {name!r}")
 
 
-def run_seed(cfg: dict, seed: int, digest: str) -> RunResult:
+def run_seed(cfg: dict, seed: int) -> RunResult:
     """Train one seed of a run config.
 
     The per-problem parts (gradient sampler, test-error evaluation,
@@ -324,9 +313,8 @@ def run_seed(cfg: dict, seed: int, digest: str) -> RunResult:
     ``batch_size`` (default ``min(128, N)``), any other oracle supplies its
     own ``stochastic_gradient`` and rejects a ``batch_size``. One loop then
     steps every problem the same way. Parameters that turn non-finite or exceed 1e10 in magnitude
-    raise :class:`DivergenceError` naming the step.
+    raise :class:`DivergenceError` naming the step and the seed.
     """
-    t0 = time.perf_counter()
     run_cfg = read_config(cfg, RUN)
     steps = run_cfg["steps"]
     if run_cfg["problem"].get("name") in _CLASSIFICATION_PROBLEMS:
@@ -361,7 +349,7 @@ def run_seed(cfg: dict, seed: int, digest: str) -> RunResult:
     if not decay["factor"] > 0:
         raise ConfigError(f"'lr_decay.factor' must be a number > 0, got {decay['factor']!r}")
     milestones = set(decay["milestones"])
-    traj = Trajectory(seed=seed, config_digest=digest)
+    traj = Trajectory()
 
     def evaluate(step: int) -> None:
         loss, grad = oracle.full_gradient(theta)
@@ -375,7 +363,7 @@ def run_seed(cfg: dict, seed: int, digest: str) -> RunResult:
         theta = opt.step(theta, sample(theta, rng))
         if not np.max(np.abs(theta)) <= _DIVERGENCE_BOUND:
             raise DivergenceError(
-                f"run diverged at step {step}: parameters non-finite or "
+                f"run diverged at step {step} for seed {seed}: parameters non-finite or "
                 f"beyond {_DIVERGENCE_BOUND:g} in magnitude"
             )
         if step % eval_every == 0 or step == steps:
@@ -383,7 +371,6 @@ def run_seed(cfg: dict, seed: int, digest: str) -> RunResult:
 
     final = traj.records[-1]
     result = RunResult(
-        config_digest=digest,
         seed=seed,
         final_loss=final.loss,
         min_grad_norm_sq=float(np.min(traj.grad_norms_sq)),
@@ -395,7 +382,6 @@ def run_seed(cfg: dict, seed: int, digest: str) -> RunResult:
         result.best_test_error = min(r.test_error for r in traj.records[1:])
         (result.final_corrupted_train_error,
          result.final_clean_train_error) = train_errors(theta)
-    result.wall_clock = time.perf_counter() - t0
     return result
 
 
@@ -406,38 +392,60 @@ def aggregate(values) -> dict:
     return {"mean": float(arr.mean()), "std": float(arr.std())}
 
 
-def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1) -> dict:
-    """Execute one config over its seeds; returns (and writes) a summary.
-
-    Seeds may run on a thread pool; results are ordered by position in
-    the seed list before any output is written, so parallelism never
-    changes a byte of output.
-    """
-    seeds = read_config(cfg, RUN)["seeds"]
-    digest = config_digest(cfg)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: run_seed(cfg, s, digest), seeds))
-    else:
-        results = [run_seed(cfg, s, digest) for s in seeds]
-
-    summary = {
-        "config": cfg,
-        "config_digest": digest,
-        "prng": RNG_ALGORITHM,
-        "results": [r.summary_fields() for r in results],
-    }
-    metrics = {}
-    metrics["final_loss"] = aggregate(r.final_loss for r in results)
+def _summary(results: list[RunResult]) -> dict:
+    """The per-seed rows of one arm and their aggregates."""
+    metrics = {"final_loss": aggregate(r.final_loss for r in results)}
     if results[0].final_test_error is not None:
         metrics["final_test_error"] = aggregate(r.final_test_error for r in results)
         metrics["best_test_error"] = aggregate(r.best_test_error for r in results)
-    summary["aggregate"] = metrics
+    return {"results": [r.summary_fields() for r in results], "aggregate": metrics}
 
+
+def run_arms(cfgs: list[dict], threads: int) -> list:
+    """Run every seed of every arm config as one job list on ``min(threads,
+    jobs)`` threads (serially in this thread when that is 1), after building
+    each arm's optimizer. Returns per arm its :class:`RunResult` list in seed
+    order, or the divergence error of its first diverging seed.
+    """
+    runs = [read_config(cfg, RUN) for cfg in cfgs]
+    for run_cfg in runs:
+        build_optimizer(run_cfg["optimizer"], dim=1)  # a check; run_seed builds its own
+    jobs = [(cfg, seed) for cfg, run_cfg in zip(cfgs, runs) for seed in run_cfg["seeds"]]
+
+    def job(cfg_seed):
+        try:
+            return run_seed(*cfg_seed)
+        except (DivergenceError, NonFiniteError) as exc:
+            return exc.with_traceback(None)  # frees the diverged run's frames
+
+    if min(threads, len(jobs)) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+            outcomes = pool.map(job, jobs)  # read in job order once the pool drains
+    else:
+        outcomes = map(job, jobs)
+    arms = [list(islice(outcomes, len(run_cfg["seeds"]))) for run_cfg in runs]
+    return [next((r for r in results if isinstance(r, Exception)), results) for results in arms]
+
+
+def _completed(outcomes: list) -> list:
+    """:func:`run_arms` outcomes; raises the first diverged arm's error."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1) -> dict:
+    """Execute one config over its seeds; returns (and writes) a summary.
+    A diverging seed raises its error."""
+    (results,) = _completed(run_arms([cfg], threads))
+    digest = config_digest(cfg)
+    summary = {"config": cfg, "config_digest": digest, "prng": RNG_ALGORITHM,
+               **_summary(results)}
     if out_dir is not None:
         out_dir = write_report(out_dir, digest, {f"summary_{digest}.json": summary})
         for r in results:
-            write_trajectory_csv(out_dir / f"trajectory_{digest}_seed{r.seed}.csv", r)
+            write_trajectory_csv(out_dir / f"trajectory_{digest}_seed{r.seed}.csv", r, digest)
     return summary
 
 
@@ -466,10 +474,10 @@ def write_report(out_dir, digest: str, json_files: dict[str, dict],
     return out_dir
 
 
-def write_trajectory_csv(path: Path, result: RunResult) -> None:
+def write_trajectory_csv(path: Path, result: RunResult, digest: str) -> None:
     traj = result.trajectory
     has_test = any(rec.test_error is not None for rec in traj.records)
-    lines = [f"# config_digest={result.config_digest} seed={result.seed} prng={result.prng}"]
+    lines = [f"# config_digest={digest} seed={result.seed} prng={RNG_ALGORITHM}"]
     header = "step,loss,grad_norm_sq" + (",test_error" if has_test else "")
     lines.append(header)
     for rec in traj.records:
@@ -504,11 +512,9 @@ def label_noise_experiment(cfg: dict, optimizer_a: dict, optimizer_b: dict,
     corrupted-train error, and clean-subset train error per seed, plus the
     seed-majority outcome for A beating B on clean test error.
     """
-    cfg_a = {**cfg, "optimizer": optimizer_a}
-    cfg_b = {**cfg, "optimizer": optimizer_b}
-    _require_test_error(cfg_a)
-    summary_a = run(cfg_a, None, threads)
-    summary_b = run(cfg_b, None, threads)
+    arms = [{**cfg, "optimizer": optimizer_a}, {**cfg, "optimizer": optimizer_b}]
+    _require_test_error(arms[0])
+    summary_a, summary_b = map(_summary, _completed(run_arms(arms, threads)))
     errs_a = [r["final_test_error"] for r in summary_a["results"]]
     errs_b = [r["final_test_error"] for r in summary_b["results"]]
     # The rate is reported as written, so an integer rate stays an integer.
@@ -527,7 +533,8 @@ def label_noise_experiment(cfg: dict, optimizer_a: dict, optimizer_b: dict,
             "b": summary_b["aggregate"],
         },
         "test_error_comparison": seed_majority_wins(errs_a, errs_b),
-        "config_digest": config_digest(cfg),
+        "config_digest": config_digest(
+            {"base": cfg, "optimizer_a": optimizer_a, "optimizer_b": optimizer_b}),
         "prng": RNG_ALGORITHM,
     }
     if out_dir is not None:
@@ -548,12 +555,11 @@ def beta0_sweep(cfg: dict, beta0_grid, out_dir: Optional[Path] = None,
     name = read_config(cfg["optimizer"], OPTIMIZER, "optimizer")["name"]
     if name.lower() not in ("pnm", "adapnm"):
         raise ConfigError("beta0 sweep requires a pnm or adapnm optimizer")
+    arms = [{**cfg, "optimizer": {**cfg["optimizer"], "beta0": b0}} for b0 in beta0_grid]
     rows = []
     per_seed = {}
-    for b0 in beta0_grid:
-        opt_cfg = {**cfg["optimizer"], "beta0": b0}
-        summary = run({**cfg, "optimizer": opt_cfg}, None, threads)
-        errors = [r["final_test_error"] for r in summary["results"]]
+    for b0, results in zip(beta0_grid, _completed(run_arms(arms, threads))):
+        errors = [r.final_test_error for r in results]
         per_seed[b0] = errors
         rows.append({"beta0": b0, **aggregate(errors)})
 
@@ -569,7 +575,7 @@ def beta0_sweep(cfg: dict, beta0_grid, out_dir: Optional[Path] = None,
         "per_seed_errors": {str(k): v for k, v in per_seed.items()},
         "positive_beta0_dominates": bool(dominating) if nonpositive else False,
         "dominating_beta0": dominating,
-        "config_digest": config_digest(cfg),
+        "config_digest": config_digest({"base": cfg, "beta0_grid": beta0_grid}),
         "prng": RNG_ALGORITHM,
     }
     if out_dir is not None:
@@ -578,6 +584,14 @@ def beta0_sweep(cfg: dict, beta0_grid, out_dir: Optional[Path] = None,
         write_report(out_dir, report["config_digest"], {"beta0_sweep.json": report},
                      {"beta0_sweep.csv": table})
     return report
+
+
+def _cell_mean(outcome) -> float | str:
+    """A grid cell: its seeds' mean test error, else final loss, or "diverged"."""
+    if isinstance(outcome, Exception):
+        return "diverged"
+    agg = _summary(outcome)["aggregate"]
+    return agg.get("final_test_error", agg["final_loss"])["mean"]
 
 
 def lr_wd_grid(cfg: dict, lrs, lams, out_dir: Optional[Path] = None,
@@ -593,24 +607,16 @@ def lr_wd_grid(cfg: dict, lrs, lams, out_dir: Optional[Path] = None,
                        "optimizer")
     wd = read_config(base["weight_decay"] or {"mode": "decoupled"}, WEIGHT_DECAY,
                      "optimizer.weight_decay")
-    matrix = []
-    for lr in lrs:
-        row = []
-        for lam in lams:
-            opt_cfg = {**cfg["optimizer"], "lr": lr, "weight_decay": {**wd, "lam": lam}}
-            try:
-                summary = run({**cfg, "optimizer": opt_cfg}, None, threads)
-                agg = summary["aggregate"]
-                metric = agg.get("final_test_error", agg["final_loss"])
-                row.append(metric["mean"])
-            except (DivergenceError, NonFiniteError):
-                row.append("diverged")
-        matrix.append(row)
+    arms = [{**cfg, "optimizer": {**cfg["optimizer"], "lr": lr,
+                                  "weight_decay": {**wd, "lam": lam}}}
+            for lr in lrs for lam in lams]
+    cells = map(_cell_mean, run_arms(arms, threads))
+    matrix = [list(islice(cells, len(lams))) for _ in lrs]
     report = {
         "lrs": lrs,
         "lams": lams,
         "mean_test_error": matrix,
-        "config_digest": config_digest(cfg),
+        "config_digest": config_digest({"base": cfg, "lrs": lrs, "lams": lams}),
         "prng": RNG_ALGORITHM,
     }
     if out_dir is not None:

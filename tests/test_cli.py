@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from pnmkit import harness, posterior
+from pnmkit import harness, optim, posterior
 from pnmkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, build_parser, main
 
 
@@ -231,6 +231,52 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "'problem.name'" in capsys.readouterr().err
 
+    # Each breaks an arm other than the first; it used to fail only after the
+    # arms before it had trained.
+    MALFORMED_ARM = [
+        ("label-noise", "optimizer_b", {"name": "hb", "lr": True}),
+        ("label-noise", "optimizer_b", {"name": "hb", "lr": 0.1, "beta1": 1.5}),
+        ("label-noise", "optimizer_b", {"name": "nope", "lr": 0.1}),
+        ("sweep-beta0", "beta0_grid", [0.0, -2.0]),
+        ("grid", "lrs", [0.001, -1.0]),
+        ("grid", "lams", [0.0, -1.0]),
+    ]
+
+    @pytest.mark.parametrize("command,key,value", MALFORMED_ARM,
+                             ids=[f"{c} {k}={v!r}" for c, k, v in MALFORMED_ARM])
+    def test_malformed_arm_fails_before_training(self, tmp_path, capsys, monkeypatch,
+                                                 command, key, value):
+        monkeypatch.setattr(harness, "run_seed",
+                            lambda *a, **k: pytest.fail("trained before failing"))
+        cfg = write_config(tmp_path, with_value(TINY[command], key, value))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "optimizer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "convergence"])
+    def test_negative_noise_sigma2_fails_before_any_step(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        monkeypatch.setattr(optim.Optimizer, "step",
+                            lambda *a, **k: pytest.fail("stepped before failing"))
+        payload = {"run": run_config(problem={"name": "quadratic", "eigenvalues": [1.0, 4.0]}),
+                   "convergence": CONVERGENCE}[command]
+        cfg = write_config(tmp_path, with_value(payload, "problem.noise_sigma2", -1.0))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "'problem.noise_sigma2'" in capsys.readouterr().err
+
+    def test_divergence_names_first_seed_at_any_thread_count(self, tmp_path, capsys):
+        # Seed 0 diverges at a later step than seeds 3 and 1, so on a pool it
+        # tends to finish last; its message is still the one printed.
+        cfg = write_config(tmp_path, run_config(
+            problem={"name": "quadratic", "eigenvalues": [1.0, 4.0], "noise_sigma2": 1.0},
+            optimizer={"name": "sgd", "lr": 0.6}, steps=500, seeds=[0, 3, 1]))
+        errors = []
+        for threads in ("1", "3"):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                         "--threads", threads]) == EXIT_DIVERGED
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert re.search(r"diverged at step \d+ for seed 0:", errors[0])
+
     def test_internal_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")
@@ -343,6 +389,15 @@ class TestUsage:
         assert main([command, "--config", cfg, "--out", out, "--seed", "-1"]) == EXIT_CONFIG
         assert "--seed" in capsys.readouterr().err
         assert main([command, "--config", cfg, "--out", out, "--seed", "0"]) == EXIT_OK
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", sorted(THREADED))
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, command, threads):
+        cfg = write_config(tmp_path, TINY[command])
+        out = str(tmp_path / "out")
+        assert main([command, "--config", cfg, "--out", out, "--threads", threads]) == EXIT_CONFIG
+        assert "--threads" in capsys.readouterr().err
+        assert main([command, "--config", cfg, "--out", out, "--threads", "1"]) == EXIT_OK
 
     def test_missing_config_is_usage_error(self):
         assert main(["run"]) == EXIT_CONFIG

@@ -65,14 +65,14 @@ class TestRngStream:
 
 class TestTrajectory:
     def test_steps_strictly_increasing(self):
-        t = Trajectory(seed=0)
+        t = Trajectory()
         t.append(0, 1.0, 2.0)
         t.append(1, 0.5, 1.0)
         with pytest.raises(ValueError):
             t.append(1, 0.4, 0.9)
 
     def test_column_arrays(self):
-        t = Trajectory(seed=0)
+        t = Trajectory()
         t.append(0, 1.0, 2.0)
         t.append(5, 0.5, 1.5)
         np.testing.assert_array_equal(t.steps, [0, 5])

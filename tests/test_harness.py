@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pnmkit import harness
-from pnmkit.core import DivergenceError
+from pnmkit.core import DivergenceError, config_digest
 from pnmkit.harness import REQUIRED, ConfigError
 from pnmkit.optim import momentum_recovery_beta0, pn_normalization
 
@@ -133,13 +133,34 @@ class TestRun:
         for fa, fb in zip(a_files, b_files):
             assert fa.read_bytes() == fb.read_bytes()
 
-    def test_parallel_seeds_change_nothing(self, tmp_path):
-        cfg = mlp_config(seeds=[0, 1, 2, 3])
-        harness.run(cfg, tmp_path / "serial", threads=1)
-        harness.run(cfg, tmp_path / "pool", threads=4)
-        for fa in sorted((tmp_path / "serial").iterdir()):
-            fb = tmp_path / "pool" / fa.name
-            assert fa.read_bytes() == fb.read_bytes()
+    # Each protocol writes its report into ``out`` on ``threads`` threads.
+    PROTOCOLS = {
+        "run": lambda out, threads: harness.run(mlp_config(seeds=[0, 1, 2, 3]), out, threads),
+        "label_noise_experiment": lambda out, threads: harness.label_noise_experiment(
+            mlp_config(seeds=[0, 1, 2]), {"name": "pnm", "lr": 0.5, "beta0": 1.0},
+            mlp_config()["optimizer"], out, threads),
+        "beta0_sweep": lambda out, threads: harness.beta0_sweep(
+            mlp_config(seeds=[0, 1], optimizer={"name": "pnm", "lr": 0.5}), [0.0, 1.0],
+            out, threads),
+        # lr = 0.6 diverges on this noisy quadratic (eta * lambda_max = 2.4).
+        "lr_wd_grid": lambda out, threads: harness.lr_wd_grid(
+            analytic_config(problem={"name": "quadratic", "eigenvalues": [1.0, 4.0],
+                                     "noise_sigma2": 1.0},
+                            optimizer={"name": "sgd", "lr": 0.1}, seeds=[0, 1, 2]),
+            [0.1, 0.6], [0.0, 0.01], out, threads),
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_parallel_seeds_change_nothing(self, tmp_path, protocol):
+        serial = self.PROTOCOLS[protocol](tmp_path / "serial", 1)
+        self.PROTOCOLS[protocol](tmp_path / "pool", 3)
+        names = sorted(f.name for f in (tmp_path / "serial").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "pool").iterdir())
+        for name in names:
+            assert ((tmp_path / "serial" / name).read_bytes()
+                    == (tmp_path / "pool" / name).read_bytes())
+        if protocol == "lr_wd_grid":
+            assert serial["mean_test_error"][1] == ["diverged", "diverged"]
 
     def test_trajectory_csv_schema(self, tmp_path):
         cfg = mlp_config(seeds=[0])
@@ -166,7 +187,7 @@ class TestRun:
         # Finite but huge parameters end an MLP run the same way they end
         # an analytic one.
         cfg = mlp_config(optimizer={"name": "sgd", "lr": 1e12})
-        with pytest.raises(DivergenceError, match=r"step \d+"):
+        with pytest.raises(DivergenceError, match=r"step \d+ for seed 0:"):
             harness.run(cfg)
 
     def test_linear_regression_minibatched_by_batch_size(self):
@@ -178,9 +199,9 @@ class TestRun:
         oracle, theta = harness.build_analytic_oracle(problem, 4)
         for _ in range(30):
             theta = theta - 0.1 * oracle.full_gradient(theta)[1]
-        full = harness.run_seed({**cfg, "batch_size": 40}, 4, "")
+        full = harness.run_seed({**cfg, "batch_size": 40}, 4)
         assert full.final_loss == oracle.full_gradient(theta)[0]
-        mini = harness.run_seed({**cfg, "batch_size": 8}, 4, "")
+        mini = harness.run_seed({**cfg, "batch_size": 8}, 4)
         assert mini.final_loss != full.final_loss
 
     def test_lr_decay_applies(self):
@@ -286,3 +307,31 @@ class TestLrWdGrid:
         # eta * lambda_max = 20 >> 2 diverges; the stable cell stays numeric
         assert isinstance(rep["mean_test_error"][0][0], (int, float, str))
         assert rep["mean_test_error"][1][0] == "diverged"
+
+
+class TestWrapperDigests:
+    # Each protocol called with a value that only that experiment's own keys
+    # carry, and the dict its digest must hash.
+    VARIANTS = {
+        "label_noise_experiment": (
+            lambda base, v: harness.label_noise_experiment(
+                base, {"name": "pnm", "lr": v}, base["optimizer"]),
+            lambda base, v: {"base": base, "optimizer_a": {"name": "pnm", "lr": v},
+                             "optimizer_b": base["optimizer"]}),
+        "beta0_sweep": (
+            lambda base, v: harness.beta0_sweep(
+                {**base, "optimizer": {"name": "pnm", "lr": 0.5}}, [v]),
+            lambda base, v: {"base": {**base, "optimizer": {"name": "pnm", "lr": 0.5}},
+                             "beta0_grid": [v]}),
+        "lr_wd_grid": (
+            lambda base, v: harness.lr_wd_grid(base, [v], [0.0]),
+            lambda base, v: {"base": base, "lrs": [v], "lams": [0.0]}),
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(VARIANTS))
+    def test_digest_hashes_the_whole_experiment(self, protocol):
+        base = mlp_config(steps=2, seeds=[0])
+        call, experiment = self.VARIANTS[protocol]
+        digests = [call(base, v)["config_digest"] for v in (0.1, 0.2)]
+        assert digests[0] != digests[1]
+        assert digests == [config_digest(experiment(base, v)) for v in (0.1, 0.2)]

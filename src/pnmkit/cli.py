@@ -22,7 +22,7 @@ from . import harness, noise, pacbayes, posterior
 from .core import RNG_ALGORITHM, DivergenceError, NonFiniteError, RngStream, config_digest
 from .harness import (
     ANALYTIC_PROBLEM, REQUIRED, SEEDS, ConfigError, build_analytic_oracle, integer, list_of,
-    number, read_config, section, string, write_report,
+    non_negative, number, read_config, section, string, write_report,
 )
 from .problems import AdditiveNoiseOracle, QuadraticModel
 
@@ -40,7 +40,7 @@ GRID = {"base": (section, REQUIRED), "lrs": (list_of(number), REQUIRED),
 
 POSTERIOR = {
     "kind": (string, "sgd"), "eigenvalues": (list_of(number), [1.0]),
-    "eta": (number, REQUIRED), "noise_sigma2": (number, 1.0),
+    "eta": (number, REQUIRED), "noise_sigma2": (non_negative, 1.0),
     "burn_in": (integer(0), 10000), "samples": (integer(1), 1000000),
     "thin": (integer(1), 1), "chains": (integer(1), 64),
     "beta0": (number, 1.0), "beta1": (number, 0.9),
@@ -130,27 +130,26 @@ def _cmd_posterior(args) -> None:
     eigs = np.asarray(c["eigenvalues"], dtype=np.float64)
     model = QuadraticModel(np.zeros(eigs.size), np.diag(eigs))
     seed = c["seed"] if args.seed is None else args.seed
-    extra = {}
+    noise_cov = c["noise_sigma2"] * np.eye(eigs.size)
+    # Before simulating, so an unstable config or a kind with no scale fails fast.
+    extra = {"closed_form_covariance": posterior.stationary_covariance(
+        c["kind"], model.H, c["eta"], noise_cov, c["beta0"], c["beta1"]).ravel().tolist()}
     if c["batch_size"] is not None:
-        # Before the simulation, so a kind without a closed form fails fast.
         extra["theoretical_scale"] = posterior.theoretical_posterior_covariance(
             c["kind"], c["eta"], c["batch_size"], c["beta0"])
     dynamics = ("kind", "eta", "burn_in", "samples", "thin", "chains", "beta0", "beta1")
     est = posterior.simulate_stationary(model, c["noise_sigma2"], rng=RngStream(seed),
                                         **{key: c[key] for key in dynamics})
-    eta_c = c["eta"] * c["noise_sigma2"] * np.eye(eigs.size)
     payload = {
         "config": cfg, "config_digest": config_digest(cfg), "prng": RNG_ALGORITHM,
         "empirical_mean": est.mean.tolist(),
         "empirical_covariance": est.covariance.ravel().tolist(),
         "dim": eigs.size,
         "retained": est.retained,
-        "lyapunov_residual": posterior.lyapunov_residual(est.covariance, model.H, eta_c),
+        "lyapunov_residual": posterior.lyapunov_residual(est.covariance, model.H,
+                                                         c["eta"] * noise_cov),
         **extra,
     }
-    if eigs.size == 1 and c["kind"] == "sgd":
-        payload["closed_form_variance"] = posterior.discrete_ou_variance(
-            c["eigenvalues"][0], c["eta"], c["noise_sigma2"])
     write_report(args.out, payload["config_digest"], {"posterior.json": payload})
     print(f"retained {est.retained} samples; "
           f"covariance trace {np.trace(est.covariance):.6g}; "

@@ -17,6 +17,7 @@ share data, initialization, and minibatch sequence.
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
@@ -72,8 +73,10 @@ def _kind(types, what: str, accept=lambda value: True, convert=lambda value: val
     return check
 
 
-number = _kind((int, float), "a number", convert=float)
-non_negative = _kind((int, float), "a number >= 0", lambda value: value >= 0, float)
+number = _kind((int, float), "a number in the finite float range",
+               lambda value: abs(value) <= sys.float_info.max, float)
+non_negative = _kind((int, float), "a number >= 0 in the finite float range",
+                     lambda value: 0 <= value <= sys.float_info.max, float)
 string = _kind(str, "a string")
 boolean = _kind(bool, "true or false")
 section = _kind(dict, "an object")
@@ -256,8 +259,8 @@ def build_analytic_oracle(cfg: dict, seed: int):
     else:
         raise ConfigError(f"unknown problem {p['name']!r}")
     start = np.asarray(theta0 if p["theta0"] is None else p["theta0"], dtype=np.float64)
-    if start.shape != (base.dim,) or not np.all(np.isfinite(start)):
-        raise ConfigError(f"'problem.theta0' must be a list of {base.dim} finite numbers, "
+    if start.shape != (base.dim,):
+        raise ConfigError(f"'problem.theta0' must be a list of {base.dim} numbers, "
                           f"got {p['theta0']!r}")
     sigma2 = p["noise_sigma2"]
     oracle = AdditiveNoiseOracle(base, sigma2) if sigma2 > 0 else base
@@ -605,7 +608,9 @@ def lr_wd_grid(cfg: dict, lrs, lams, out_dir: Optional[Path] = None,
     # The grid sets lr per cell, so the base optimizer may leave it out.
     base = read_config(read_config(cfg, RUN)["optimizer"], {**OPTIMIZER, "lr": (number, None)},
                        "optimizer")
-    wd = read_config(base["weight_decay"] or {"mode": "decoupled"}, WEIGHT_DECAY,
+    # The grid sets lam per column, so its decay mode is decoupled unless given as l2.
+    mode = _kind(str, "'l2' or 'decoupled' in a grid", lambda value: value in ("l2", "decoupled"))
+    wd = read_config(base["weight_decay"] or {}, {**WEIGHT_DECAY, "mode": (mode, "decoupled")},
                      "optimizer.weight_decay")
     arms = [{**cfg, "optimizer": {**cfg["optimizer"], "lr": lr,
                                   "weight_decay": {**wd, "lam": lam}}}

@@ -27,16 +27,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .core import RngStream
+from .optim import amplification_factor  # noqa: F401  (re-exported for callers)
 from .problems import DatasetProblem
-
-
-def amplification_factor(beta0: float) -> float:
-    """(1 + beta0)^2 + beta0^2: the pair's variance amplification.
-
-    Exact arithmetic; minimized at beta0 = -1/2 with value 1/2 and
-    symmetric about that point.
-    """
-    return (1.0 + beta0) ** 2 + beta0 ** 2
 
 
 def single_buffer_stationary_variance(beta1: float, sigma2: float = 1.0) -> float:

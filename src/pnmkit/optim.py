@@ -25,9 +25,21 @@ import numpy as np
 from .core import GradientOracle, NonFiniteError, RngStream
 
 
+def amplification_factor(beta0: float) -> float:
+    """(1 + beta0)^2 + beta0^2: the pair's variance amplification, minimized
+    at beta0 = -1/2 with value 1/2; a ``ValueError`` if it overflows."""
+    try:
+        factor = (1.0 + beta0) ** 2 + beta0 ** 2
+    except OverflowError:
+        factor = math.inf
+    if factor == math.inf:
+        raise ValueError(f"beta0 = {beta0!r} overflows (1 + beta0)^2 + beta0^2")
+    return factor
+
+
 def pn_normalization(beta0: float) -> float:
     """sqrt((1 + beta0)^2 + beta0^2), the pair's noise-magnitude factor."""
-    return math.sqrt((1.0 + beta0) ** 2 + beta0 ** 2)
+    return math.sqrt(amplification_factor(beta0))
 
 
 def momentum_recovery_beta0(beta1: float) -> float:

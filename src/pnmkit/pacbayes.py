@@ -121,6 +121,8 @@ class PacBayesSetting:
             raise ValueError("delta must lie in (0, 1)")
         if self.theta_norm_sq < 0:
             raise ValueError("theta_norm_sq must be >= 0")
+        if not 0.0 < critical_ratio(self.eta, self.batch_size, self.lam) < math.inf:
+            raise ValueError("eta / (2 batch_size lam) must be a positive finite number")
 
     @property
     def sigma_scale(self) -> float:

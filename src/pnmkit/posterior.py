@@ -8,10 +8,10 @@ Lyapunov relation
 
 with H the Hessian and C the gradient-noise covariance. This module
 simulates the discrete dynamics directly (no SDE solver), estimates the
-empirical posterior mean/covariance, and provides the closed forms used
-as oracles: the exact discrete-time stationary variance for SGD at finite
-step size, and the eta/(2B)-type identity-matrix covariances that follow
-from the C = H/B noise structure.
+empirical posterior mean/covariance, and provides the oracles: the exact
+finite-step stationary covariance of every dynamics kind, from one
+linear-Gaussian state-space solve, and the eta/(2B)-type identity-matrix
+covariances that follow from the C = H/B noise structure.
 
 The dynamics are the package's own optimizers stepping a (chains, dim)
 state: 'sgd' and 'pnm' run ``optim.HeavyBall`` with beta1 = 0, 'hb' runs
@@ -22,9 +22,9 @@ step feeds the optimizer the positive-negative average
 estimates, which rescales the gradient-noise covariance by
 (1 + beta0)^2 + beta0^2 while leaving the expected step unchanged. This
 is the noise model behind the rescaled posterior; the momentum-buffer
-update ('pnm_momentum') is pinned in the tests against its exact
-state-space solution, which differs from the rescaled-noise posterior
-because the buffers anticorrelate consecutive updates.
+update ('pnm_momentum') has its own exact stationary law, which differs
+from the rescaled-noise posterior because the buffers anticorrelate
+consecutive updates.
 """
 
 from __future__ import annotations
@@ -37,12 +37,8 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
 from .core import DivergenceError, NonFiniteError, RngStream
-from .noise import amplification_factor
-from .optim import HeavyBall, Pnm
+from .optim import HeavyBall, Pnm, amplification_factor, pn_normalization
 from .problems import QuadraticModel
-
-_DIVERGENCE_FACTOR = 1e6
-_DIVERGENCE_CHECK_EVERY = 64
 
 
 @dataclass
@@ -62,51 +58,70 @@ class StationaryEstimate:
         return float(self.covariance[0, 0])
 
 
-def discrete_ou_variance(h: float, eta: float, sigma2: float) -> float:
-    """Exact stationary variance of theta' = (1 - eta h) theta - eta xi.
+def _mode_system(kind: str, eta: float, beta0: float, beta1: float):
+    """``kind`` on a Hessian mode of curvature h as (A0, A1, B): its state x obeys
+    x' = (A0 + h A1) x + B xi; x is theta - theta* for 'sgd' and 'pnm' (with the pair's
+    noise gain), (theta, m) for 'hb' and (theta, m_{t-1}, m_{t-2}) for 'pnm_momentum'."""
+    if kind in ("sgd", "pnm"):
+        A0, G = np.array([[1.0]]), np.array([[-eta]])
+    elif kind == "hb":
+        A0 = np.array([[1.0, -eta * beta1], [0.0, beta1]])
+        G = np.array([[-eta * (1.0 - beta1)], [1.0 - beta1]])
+    elif kind == "pnm_momentum":
+        beta, eta0 = beta1 * beta1, eta / pn_normalization(beta0)
+        A0 = np.array([[1.0, eta0 * beta0, -eta0 * (1.0 + beta0) * beta],
+                       [0.0, 0.0, beta], [0.0, 1.0, 0.0]])
+        G = np.array([[-eta0 * (1.0 + beta0) * (1.0 - beta)], [1.0 - beta], [0.0]])
+    else:
+        raise ValueError(f"unknown dynamics kind {kind!r}")
+    # The gradient h theta + xi enters through one column G of the state.
+    A1 = np.hstack([G, np.zeros((G.shape[0], G.shape[0] - 1))])
+    gain = pn_normalization(beta0) if kind == "pnm" else 1.0
+    return A0, A1, gain * G
 
-    This is the finite-step analogue of the OU stationary variance and
-    the exact oracle for 1-D SGD on a quadratic with additive noise.
-    """
-    contraction = (1.0 - eta * h) ** 2
-    if contraction >= 1.0:
-        raise ValueError("unstable: need 0 < eta * h < 2")
-    return eta * eta * sigma2 / (1.0 - contraction)
+
+def check_stable(kind: str, eigenvalues, eta: float, beta0: float = 1.0,
+                 beta1: float = 0.9) -> None:
+    """Raise ``ValueError`` naming ``kind`` unless its noiseless dynamics
+    contract on every Hessian mode: the spectral radius of A0 + h A1 must
+    be < 1 for each eigenvalue h."""
+    A0, A1, _ = _mode_system(kind, eta, beta0, beta1)
+    h = np.asarray(eigenvalues, dtype=np.float64).ravel()
+    for h_i, M in zip(h, A0 + h[:, None, None] * A1):
+        # A map that overflowed to non-finite entries never contracts.
+        r = np.abs(np.linalg.eigvals(M)).max() if np.isfinite(M).all() else math.inf
+        if not r < 1.0:
+            raise ValueError(f"{kind} dynamics unstable at eta = {eta!r}: spectral radius "
+                             f"{r:.6g} >= 1 on the Hessian eigenvalue {h_i:.6g}")
+
+
+def stationary_covariance(kind: str, H, eta: float, C, beta0: float = 1.0,
+                          beta1: float = 0.9) -> np.ndarray:
+    """Exact stationary covariance of theta under ``kind`` on a quadratic with
+    symmetric Hessian H and gradient noise N(0, C): the theta block of the
+    Lyapunov solution for A = kron(A0, I) + kron(A1, H), noise kron(B B^T, C)."""
+    H = np.asarray(H, dtype=np.float64)
+    check_stable(kind, np.linalg.eigvalsh(H), eta, beta0, beta1)
+    A0, A1, B = _mode_system(kind, eta, beta0, beta1)
+    A = np.kron(A0, np.eye(len(H))) + np.kron(A1, H)
+    S = solve_discrete_lyapunov(A, np.kron(B @ B.T, np.asarray(C, dtype=np.float64)))
+    return S[:len(H), :len(H)]
+
+
+def discrete_ou_variance(h: float, eta: float, sigma2: float) -> float:
+    """Exact stationary variance of 1-D SGD: theta' = (1 - eta h) theta - eta xi."""
+    return float(stationary_covariance("sgd", [[h]], eta, [[sigma2]])[0, 0])
 
 
 def sgd_discrete_stationary_covariance(H, eta: float, C) -> np.ndarray:
-    """Exact discrete stationary covariance of SGD on a quadratic.
-
-    Solves Sigma = A Sigma A^T + eta^2 C with A = I - eta H.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    C = np.asarray(C, dtype=np.float64)
-    A = np.eye(H.shape[0]) - eta * H
-    if np.max(np.abs(np.linalg.eigvalsh(A))) >= 1.0:
-        raise ValueError("unstable: eta * lambda_max(H) must be < 2")
-    return solve_discrete_lyapunov(A, eta * eta * C)
+    """Sigma = A Sigma A^T + eta^2 C with A = I - eta H: SGD's exact law."""
+    return stationary_covariance("sgd", H, eta, C)
 
 
-def pnm_momentum_stationary_variance_exact(
-    h: float, eta: float, beta0: float, beta1: float, sigma2: float = 1.0
-) -> float:
-    """Exact stationary Var(theta) of buffer-based PNM on a 1-D quadratic.
-
-    The joint state (theta_t, m_{t-1}, m_{t-2}) is linear-Gaussian, so the
-    stationary covariance solves a 3x3 discrete Lyapunov equation.
-    """
-    beta = beta1 * beta1
-    eta0 = eta / math.sqrt(amplification_factor(beta0))
-    A = np.array([
-        [1.0 - eta0 * (1.0 + beta0) * (1.0 - beta) * h, eta0 * beta0, -eta0 * (1.0 + beta0) * beta],
-        [(1.0 - beta) * h, 0.0, beta],
-        [0.0, 1.0, 0.0],
-    ])
-    if np.max(np.abs(np.linalg.eigvals(A))) >= 1.0:
-        raise ValueError("unstable PNM configuration")
-    b = np.array([-eta0 * (1.0 + beta0) * (1.0 - beta), 1.0 - beta, 0.0]).reshape(3, 1)
-    S = solve_discrete_lyapunov(A, sigma2 * (b @ b.T))
-    return float(S[0, 0])
+def pnm_momentum_stationary_variance_exact(h: float, eta: float, beta0: float,
+                                           beta1: float, sigma2: float = 1.0) -> float:
+    """Exact stationary Var(theta) of buffer-based PNM on a 1-D quadratic."""
+    return float(stationary_covariance("pnm_momentum", [[h]], eta, [[sigma2]], beta0, beta1)[0, 0])
 
 
 def _noise_factor(cov, dim: int) -> np.ndarray:
@@ -146,23 +161,18 @@ def simulate_stationary(
 
     ``chains`` independent replicas run vectorized on one stream; mean and
     covariance pool all post-burn-in (thinned) iterates, and the mean's
-    standard error comes from per-chain batch means. Iterates that leave a
-    1e6-radius ball around the minimum abort with the offending step.
+    standard error comes from per-chain batch means. An unstable
+    configuration (see :func:`check_stable`) is rejected before the first
+    step; a non-finite gradient aborts with the offending step.
     """
-    if kind not in ("sgd", "hb", "pnm", "pnm_momentum"):
-        raise ValueError(f"unknown dynamics kind {kind!r}")
-    if eta <= 0:
-        raise ValueError("eta must be > 0")
     if thin < 1 or chains < 1 or samples < 1 or burn_in < 0:
         raise ValueError("burn_in/samples/thin/chains out of range")
     n = model.dim
     H = model.H
-    if kind == "sgd" and eta * model.lambda_max >= 2.0:
-        raise ValueError("SGD unstable: eta * lambda_max(H) must be < 2")
+    check_stable(kind, np.linalg.eigvalsh(H), eta, beta0, beta1)
     L = _noise_factor(noise_cov, n)
     per_chain = -(-samples // chains)  # ceil
     total_steps = burn_in + per_chain * thin
-    scale = _DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(model.theta_star)))
 
     if kind == "hb":
         opt = HeavyBall(n, eta, beta1=beta1, beta3=1.0 - beta1)
@@ -185,13 +195,9 @@ def simulate_stationary(
             dev = opt.step(dev, grad)
         except NonFiniteError as exc:
             raise DivergenceError(f"{kind} dynamics diverged at step {t}") from exc
-        if t % _DIVERGENCE_CHECK_EVERY == 0 and not np.all(np.abs(dev) <= scale):
-            raise DivergenceError(f"{kind} dynamics diverged at step {t}")
         if t >= burn_in and (t - burn_in) % thin == 0:
             kept[k] = dev
             k += 1
-    if not np.all(np.abs(dev) <= scale):
-        raise DivergenceError(f"{kind} dynamics diverged at step {total_steps - 1}")
 
     flat = kept[:k].reshape(-1, n)
     mean_dev = flat.mean(axis=0)
@@ -247,8 +253,7 @@ def simulate_sgd_spectral(
         raise ValueError("thin must be >= 1")
     n = model.dim
     lam, Q = np.linalg.eigh(model.H)
-    if eta * lam[-1] >= 2.0:
-        raise ValueError("SGD unstable: eta * lambda_max(H) must be < 2")
+    check_stable("sgd", lam, eta)
     sigma = math.sqrt(sigma2)
     phi = 1.0 - eta * lam
     phi_s = phi ** thin

@@ -252,16 +252,20 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "optimizer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "convergence"])
+    @pytest.mark.parametrize("command", ["run", "convergence", "posterior"])
     def test_negative_noise_sigma2_fails_before_any_step(self, tmp_path, capsys, monkeypatch,
                                                          command):
         monkeypatch.setattr(optim.Optimizer, "step",
                             lambda *a, **k: pytest.fail("stepped before failing"))
-        payload = {"run": run_config(problem={"name": "quadratic", "eigenvalues": [1.0, 4.0]}),
-                   "convergence": CONVERGENCE}[command]
-        cfg = write_config(tmp_path, with_value(payload, "problem.noise_sigma2", -1.0))
+        payload, key = {
+            "run": (run_config(problem={"name": "quadratic", "eigenvalues": [1.0, 4.0]}),
+                    "problem.noise_sigma2"),
+            "convergence": (CONVERGENCE, "problem.noise_sigma2"),
+            "posterior": (TINY["posterior"], "noise_sigma2"),
+        }[command]
+        cfg = write_config(tmp_path, with_value(payload, key, -1.0))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "'problem.noise_sigma2'" in capsys.readouterr().err
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_divergence_names_first_seed_at_any_thread_count(self, tmp_path, capsys):
         # Seed 0 diverges at a later step than seeds 3 and 1, so on a pool it
@@ -298,6 +302,71 @@ class TestExitCodes:
         assert main(["posterior", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert "pnm_momentum" in capsys.readouterr().err
         assert not (out / "posterior.json").exists()
+
+    @pytest.mark.parametrize("kind,eta", [("sgd", 2.5), ("pnm", 2.5), ("hb", 50.0),
+                                          ("pnm_momentum", 5.0)])
+    def test_unstable_posterior_fails_before_any_step(self, tmp_path, capsys, monkeypatch,
+                                                      kind, eta):
+        monkeypatch.setattr(optim.Optimizer, "step",
+                            lambda *a, **k: pytest.fail("stepped before failing"))
+        cfg = write_config(tmp_path, {**TINY["posterior"], "kind": kind, "eta": eta,
+                                      "batch_size": None})
+        out = tmp_path / "out"
+        assert main(["posterior", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"{kind} dynamics unstable" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stable_posterior_with_huge_noise_succeeds(self, tmp_path):
+        # The state sits near 7e5 in size, which no longer reads as diverged.
+        cfg = write_config(tmp_path, {**TINY["posterior"], "noise_sigma2": 1e14,
+                                      "burn_in": 1000, "samples": 6400, "chains": 64})
+        assert main(["posterior", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    # NaN, Infinity and integers beyond the float range; json writes all three.
+    NON_FINITE = [
+        ("run", TINY["run"], "optimizer.lr", float("nan")),
+        ("run", TINY["run"], "optimizer.lr", 10 ** 400),
+        ("run", TINY["run"], "problem.noise", float("inf")),
+        ("grid", TINY["grid"], "lrs", [0.001, float("nan")]),
+        ("posterior", TINY["posterior"], "eta", float("inf")),
+        ("posterior", TINY["posterior"], "noise_sigma2", float("nan")),
+        ("pacbayes", PACBAYES, "lam", float("-inf")),
+        ("noise", TINY["noise"], "beta1", float("nan")),
+        ("convergence", TINY["convergence"], "step_constant", -10 ** 400),
+    ]
+
+    @pytest.mark.parametrize("command,payload,key,value", NON_FINITE,
+                             ids=[f"{c} {k}={v!r:.12}" for c, _, k, v in NON_FINITE])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, command, payload, key,
+                                               value):
+        cfg = write_config(tmp_path, with_value(payload, key, value))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"'{key}' must be a number" in capsys.readouterr().err
+
+    # beta0 = 1e155 overflows (1 + beta0)^2 + beta0^2.
+    HUGE_BETA0 = [
+        ("run", TINY["run"], "optimizer.beta0", 1e155),
+        ("noise", TINY["noise"], "beta0_values", [1e155]),
+        ("posterior", {**TINY["posterior"], "kind": "pnm", "batch_size": None}, "beta0", 1e155),
+        ("posterior", {**TINY["posterior"], "kind": "pnm_momentum", "batch_size": None},
+         "beta0", -1e155),
+    ]
+
+    @pytest.mark.parametrize("command,payload,key,value", HUGE_BETA0,
+                             ids=[f"{c} {p.get('kind', '')} {k}" for c, p, k, _ in HUGE_BETA0])
+    def test_overflowing_beta0_is_config_error(self, tmp_path, capsys, command, payload, key,
+                                               value):
+        cfg = write_config(tmp_path, with_value(payload, key, value))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "beta0 = " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eta,lam", [(0.001, 1e308), (0.001, 1e-320), (1e308, 1e-10)])
+    def test_extreme_pacbayes_ratio_is_config_error(self, tmp_path, capsys, eta, lam):
+        cfg = write_config(tmp_path, {**PACBAYES, "eta": eta, "lam": lam})
+        assert main(["pacbayes", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "eta / (2 batch_size lam)" in capsys.readouterr().err
 
 
 def leaf_paths(payload, prefix=""):
@@ -464,7 +533,7 @@ class TestOutputs:
         assert main(["posterior", "--config", cfg, "--out", str(out)]) == EXIT_OK
         payload = json.loads((out / "posterior.json").read_text())
         assert abs(payload["empirical_covariance"][0]
-                   - payload["closed_form_variance"]) < 0.001
+                   - payload["closed_form_covariance"][0]) < 0.001
 
     def test_convergence_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -308,6 +308,23 @@ class TestLrWdGrid:
         assert isinstance(rep["mean_test_error"][0][0], (int, float, str))
         assert rep["mean_test_error"][1][0] == "diverged"
 
+    def test_modeless_weight_decay_reads_as_decoupled(self):
+        cfg = analytic_config(problem={"name": "quadratic", "eigenvalues": [1.0, 4.0],
+                                       "theta_star": [1.0, -1.0]},
+                              optimizer={"name": "sgd", "lr": 0.1,
+                                         "weight_decay": {"lam": 0.0}}, seeds=[0])
+        rep = harness.lr_wd_grid(cfg, [0.1], [0.0, 0.5])
+        assert rep["mean_test_error"][0][0] != rep["mean_test_error"][0][1]
+        cfg["optimizer"]["weight_decay"] = {"mode": "decoupled"}
+        assert harness.lr_wd_grid(cfg, [0.1], [0.0, 0.5])["mean_test_error"] == \
+            rep["mean_test_error"]
+
+    def test_no_decay_mode_is_config_error(self):
+        cfg = analytic_config(optimizer={"name": "sgd", "lr": 0.1,
+                                         "weight_decay": {"mode": "none", "lam": 0.0}})
+        with pytest.raises(ConfigError, match="'optimizer.weight_decay.mode'"):
+            harness.lr_wd_grid(cfg, [0.1], [0.0, 0.5])
+
 
 class TestWrapperDigests:
     # Each protocol called with a value that only that experiment's own keys

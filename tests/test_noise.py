@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnmkit import optim
 from pnmkit.core import RngStream
 from pnmkit.noise import (
     amplification_factor,
@@ -39,6 +42,20 @@ class TestAmplificationFactor:
         assert amplification_factor(-0.5 + x) == pytest.approx(
             amplification_factor(-0.5 - x), rel=1e-12)
         assert amplification_factor(x) >= 0.5
+
+    def test_one_home_in_optim(self):
+        assert amplification_factor is optim.amplification_factor
+        for beta0 in (-0.9 / 1.9, -0.5, 0.0, 0.3, 1.0, 7.25):
+            # The normalizer is the factor's square root, bit for bit.
+            assert optim.pn_normalization(beta0) == math.sqrt((1.0 + beta0) ** 2 + beta0 ** 2)
+            assert optim.pn_normalization(beta0) == math.sqrt(amplification_factor(beta0))
+
+    # 1e155 overflows a square; 1.2e154 squares finitely but the sum overflows.
+    @pytest.mark.parametrize("beta0", [1e155, -1e155, 1.2e154])
+    def test_overflow_names_beta0(self, beta0):
+        for fn in (amplification_factor, optim.pn_normalization):
+            with pytest.raises(ValueError, match="beta0 = "):
+                fn(beta0)
 
 
 class TestBufferSimulation:

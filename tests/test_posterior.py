@@ -1,14 +1,22 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_lyapunov
 
+from pnmkit import optim
 from pnmkit.core import DivergenceError, RngStream
+from pnmkit.optim import amplification_factor
 from pnmkit.posterior import (
+    check_stable,
     discrete_ou_variance,
     lyapunov_residual,
     pnm_momentum_stationary_variance_exact,
     sgd_discrete_stationary_covariance,
     simulate_sgd_spectral,
     simulate_stationary,
+    stationary_covariance,
     theoretical_posterior_covariance,
 )
 from pnmkit.problems import QuadraticModel
@@ -46,6 +54,119 @@ class TestClosedForms:
     def test_theoretical_validation(self):
         with pytest.raises(ValueError):
             theoretical_posterior_covariance("sgd", 0.1, 0)
+
+
+# The hand-derived closed forms the state-space solver replaced, kept as
+# references: each raises ValueError where its own stability test fails.
+def _ou_reference(h, eta, sigma2):
+    contraction = (1.0 - eta * h) ** 2
+    if contraction >= 1.0:
+        raise ValueError("unstable")
+    return eta * eta * sigma2 / (1.0 - contraction)
+
+
+def _sgd_reference(H, eta, C):
+    A = np.eye(H.shape[0]) - eta * H
+    if np.max(np.abs(np.linalg.eigvalsh(A))) >= 1.0:
+        raise ValueError("unstable")
+    return solve_discrete_lyapunov(A, eta * eta * C)
+
+
+def _pnm_momentum_reference(h, eta, beta0, beta1, sigma2):
+    beta = beta1 * beta1
+    eta0 = eta / math.sqrt(amplification_factor(beta0))
+    A = np.array([
+        [1.0 - eta0 * (1.0 + beta0) * (1.0 - beta) * h, eta0 * beta0,
+         -eta0 * (1.0 + beta0) * beta],
+        [(1.0 - beta) * h, 0.0, beta],
+        [0.0, 1.0, 0.0],
+    ])
+    if np.max(np.abs(np.linalg.eigvals(A))) >= 1.0:
+        raise ValueError("unstable")
+    b = np.array([-eta0 * (1.0 + beta0) * (1.0 - beta), 1.0 - beta, 0.0]).reshape(3, 1)
+    return solve_discrete_lyapunov(A, sigma2 * (b @ b.T))[0, 0]
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or None where it rejects the configuration as unstable."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return None
+
+
+# (h, eta, beta0, beta1, sigma2): stable and unstable points for every kind.
+GRID = list(product([0.5, 1.0, 4.0], [0.01, 0.3, 0.9, 2.5], [-0.4, 0.0, 1.0, 3.0],
+                    [0.0, 0.5, 0.9], [0.25, 1.0]))
+
+
+class TestStateSpaceSolver:
+    def test_sgd_matches_the_scalar_formula(self):
+        calls = 0
+        for h, eta, _, _, sigma2 in GRID:
+            ref = _outcome(_ou_reference, h, eta, sigma2)
+            got = _outcome(stationary_covariance, "sgd", [[h]], eta, [[sigma2]])
+            assert (ref is None) == (got is None), (h, eta)
+            if ref is not None:
+                calls += 1
+                assert got[0, 0] == pytest.approx(ref, rel=1e-12)
+                assert discrete_ou_variance(h, eta, sigma2) == pytest.approx(ref, rel=1e-12)
+        assert 0 < calls < len(GRID)
+
+    def test_pnm_momentum_matches_the_3x3_formula(self):
+        calls = 0
+        for h, eta, beta0, beta1, sigma2 in GRID:
+            ref = _outcome(_pnm_momentum_reference, h, eta, beta0, beta1, sigma2)
+            got = _outcome(stationary_covariance, "pnm_momentum", [[h]], eta, [[sigma2]],
+                           beta0, beta1)
+            assert (ref is None) == (got is None), (h, eta, beta0, beta1)
+            if ref is not None:
+                calls += 1
+                assert got[0, 0] == pytest.approx(ref, rel=1e-12)
+                assert pnm_momentum_stationary_variance_exact(
+                    h, eta, beta0, beta1, sigma2) == pytest.approx(ref, rel=1e-12)
+        assert 0 < calls < len(GRID)
+
+    @pytest.mark.parametrize("eta", [0.005, 0.3, 0.99, 1.01])
+    def test_sgd_matches_the_matrix_formula_in_5d(self, eta):
+        H = _rotated_spd([1.0, 1.3, 1.55, 1.8, 2.0])
+        G = np.random.default_rng(7).standard_normal((5, 5))
+        C = G @ G.T + 0.1 * np.eye(5)
+        ref = _outcome(_sgd_reference, H, eta, C)
+        got = _outcome(stationary_covariance, "sgd", H, eta, C)
+        assert (ref is None) == (got is None) == (eta * 2.0 >= 2.0)
+        if ref is not None:
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(sgd_discrete_stationary_covariance(H, eta, C), ref,
+                                       rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("beta0", [-0.5, 0.0, 0.5, 1.0, 3.0])
+    def test_pnm_over_sgd_is_the_amplification_factor(self, beta0):
+        H = _rotated_spd([0.5, 1.0, 2.0])
+        C = np.diag([1.0, 0.5, 2.0])
+        ratio = (stationary_covariance("pnm", H, 0.1, C, beta0)
+                 / stationary_covariance("sgd", H, 0.1, C))
+        np.testing.assert_allclose(ratio, amplification_factor(beta0), rtol=1e-12)
+
+    @pytest.mark.parametrize("kind,seed", [("hb", 30), ("pnm_momentum", 31)])
+    def test_exact_law_matches_simulation_on_a_rotated_hessian(self, kind, seed):
+        # At eta = 0.5 both laws sit 30% or more off SGD's; over 12 seeds the
+        # simulation stayed within 1.7% of the exact law.
+        H = np.array([[1.5, 0.5], [0.5, 1.0]])
+        exact = stationary_covariance(kind, H, 0.5, np.eye(2), 1.0, 0.9)
+        est = simulate_stationary(QuadraticModel(np.zeros(2), H), 1.0, kind, 0.5,
+                                  burn_in=2000, samples=256_000, rng=RngStream(seed),
+                                  chains=64, beta0=1.0, beta1=0.9)
+        np.testing.assert_allclose(est.covariance, exact, rtol=0.0,
+                                   atol=0.05 * np.max(np.abs(exact)))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="nag"):
+            check_stable("nag", [1.0], 0.01)
+
+    def test_overflowing_map_is_unstable(self):
+        with pytest.raises(ValueError, match="hb dynamics unstable"):
+            check_stable("hb", [1e300], 1e300)
 
 
 class TestLyapunovResidual:
@@ -130,12 +251,28 @@ class TestSimulateStationary:
             simulate_stationary(model, 1.0, "sgd", 2.5, burn_in=10,
                                 samples=10, rng=RngStream(9))
 
-    def test_divergence_names_step(self):
-        # contraction factor |1 - eta h| = 4 explodes geometrically
-        model = QuadraticModel([0.0], [[1.0]])
-        with pytest.raises(DivergenceError, match="step"):
-            simulate_stationary(model, 1.0, "pnm", 5.0, burn_in=100000,
+    @pytest.mark.parametrize("kind,eta", [("pnm", 5.0), ("hb", 50.0), ("pnm_momentum", 5.0)])
+    def test_unstable_kind_rejected_before_any_step(self, monkeypatch, kind, eta):
+        monkeypatch.setattr(optim.Optimizer, "step",
+                            lambda *a, **k: pytest.fail("stepped before failing"))
+        model = QuadraticModel([0.0, 0.0], np.diag([0.1, 1.0]))
+        with pytest.raises(ValueError, match=f"{kind} dynamics unstable"):
+            simulate_stationary(model, 1.0, kind, eta, burn_in=100000,
                                 samples=1000, rng=RngStream(10), chains=2)
+
+    def test_divergence_names_step(self):
+        # Stable dynamics fed infinite noise: the non-finite backstop fires
+        # on the first step.
+        model = QuadraticModel([0.0], [[1.0]])
+        with pytest.raises(DivergenceError, match="pnm dynamics diverged at step 0"):
+            simulate_stationary(model, math.inf, "pnm", 0.01, burn_in=10,
+                                samples=10, rng=RngStream(10), chains=2)
+
+    def test_huge_stable_noise_does_not_diverge(self):
+        model = QuadraticModel([0.0], [[1.0]])
+        est = simulate_stationary(model, 1e14, "sgd", 0.01, burn_in=1000,
+                                  samples=64_000, rng=RngStream(14), chains=64)
+        assert est.variance == pytest.approx(discrete_ou_variance(1.0, 0.01, 1e14), rel=0.1)
 
     def test_unknown_kind(self):
         model = QuadraticModel([0.0], [[1.0]])

@@ -73,12 +73,6 @@ class RngStream:
         (the same draws that ``size=out.shape`` returns)."""
         return self._gen.standard_normal(size, out=out)
 
-    def standard_gaussian_vector(self, dim: int) -> np.ndarray:
-        """I.i.d. standard-normal vector of the given dimension."""
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        return self._gen.standard_normal(int(dim))
-
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size)
 
@@ -112,8 +106,9 @@ class GradientOracle(ABC):
     dataset problems draw minibatches with ``minibatch_gradient`` instead.
 
     The analytic oracles (quadratic, Rosenbrock and the noise oracles)
-    also take a stacked ``(k, dim)`` theta, checked by
-    :meth:`_check_stack`: the loss is then a ``(k,)`` array, the gradient
+    write each formula once on a ``(..., dim)`` theta, checked by
+    :meth:`_check_stack`: for ``(dim,)`` the loss is a float64 scalar;
+    for a stacked ``(k, dim)`` theta it is a ``(k,)`` array, the gradient
     ``(k, dim)``, and ``rng`` a sequence of k streams, row i's noise
     drawn from stream i, so a stacked call equals k row-by-row calls bit
     for bit.

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .core import RngStream
-from .optim import amplification_factor  # noqa: F401  (re-exported for callers)
+from .optim import amplification_factor
 from .problems import DatasetProblem
 
 
@@ -106,8 +106,6 @@ def stationary_momentum_variance(
     sigma2: float,
     steps: int,
     rng: RngStream,
-    dim: int = 1,
-    burn_in: Optional[int] = None,
 ) -> VarianceReport:
     """Long-run variance of the update direction under pure noise.
 
@@ -115,13 +113,12 @@ def stationary_momentum_variance(
     Ball (with beta3 = 1 - beta1), 'pnm' the positive-negative pair, and
     'pnm_buffer' a single PNM buffer (the pair's denominator in the
     amplification ratio). The oracle is pure noise (zero true gradient)
-    with per-coordinate variance ``sigma2``.
+    with variance ``sigma2``, in one coordinate.
     """
     if steps < 2:
         raise ValueError("need at least 2 steps")
     sigma = math.sqrt(sigma2)
-    if burn_in is None:
-        burn_in = min(default_burn_in(beta1), steps // 2)
+    burn_in = min(default_burn_in(beta1), steps // 2)
     warning = None
     if steps < 100.0 * _mixing_time(beta1):
         warning = (
@@ -129,9 +126,9 @@ def stationary_momentum_variance(
             f"({100.0 * _mixing_time(beta1):.0f}); variance may be biased"
         )
     if kind == "hb":
-        series = _hb_directions(beta1, 1.0 - beta1, steps, dim, rng, sigma)
+        series = _hb_directions(beta1, 1.0 - beta1, steps, 1, rng, sigma)
     elif kind in ("pnm", "pnm_buffer"):
-        m, m_prev = _simulate_buffers(beta1, steps, dim, rng, sigma)
+        m, m_prev = _simulate_buffers(beta1, steps, 1, rng, sigma)
         series = (1.0 + beta0) * m - beta0 * m_prev if kind == "pnm" else m
     else:
         raise ValueError(f"unknown kind {kind!r}")
@@ -148,18 +145,18 @@ def pair_amplification_ratio(
     steps: int,
     rng: RngStream,
     dim: int = 1,
-    burn_in: Optional[int] = None,
 ) -> tuple[float, float]:
     """Ratio Var(pair) / Var(single buffer) from one shared simulation.
 
     The buffer sequence does not depend on beta0 under pure noise, so the
     pair and the buffer are measured on the same trajectory; returns the
-    ratio and a batch-means standard error for it.
+    ratio and a batch-means standard error for it. A bad beta0 or beta1
+    fails before the first step.
     """
     if not 0.0 <= beta1 < 1.0:
         raise ValueError("beta1 must lie in [0, 1)")
-    if burn_in is None:
-        burn_in = min(default_burn_in(beta1), steps // 2)
+    amplification_factor(beta0)
+    burn_in = min(default_burn_in(beta1), steps // 2)
     m, m_prev = _simulate_buffers(beta1, steps, dim, rng)
     pair = (1.0 + beta0) * m - beta0 * m_prev
     m_tail = m[burn_in:]
@@ -176,8 +173,7 @@ def pair_amplification_ratio(
 
 
 def pnm_buffer_correlation(
-    beta1: float, steps: int, rng: RngStream, dim: int = 1,
-    burn_in: Optional[int] = None,
+    beta1: float, steps: int, rng: RngStream,
 ) -> float:
     """Empirical correlation between the two buffers under pure noise.
 
@@ -185,9 +181,8 @@ def pnm_buffer_correlation(
     stationary correlation is zero; this measures how well the finite run
     reflects that.
     """
-    if burn_in is None:
-        burn_in = min(default_burn_in(beta1), steps // 2)
-    m, m_prev = _simulate_buffers(beta1, steps, dim, rng)
+    burn_in = min(default_burn_in(beta1), steps // 2)
+    m, m_prev = _simulate_buffers(beta1, steps, 1, rng)
     a = m[burn_in:].ravel()
     b = m_prev[burn_in:].ravel()
     a = a - a.mean()

@@ -123,6 +123,9 @@ class PacBayesSetting:
             raise ValueError("theta_norm_sq must be >= 0")
         if not 0.0 < critical_ratio(self.eta, self.batch_size, self.lam) < math.inf:
             raise ValueError("eta / (2 batch_size lam) must be a positive finite number")
+        r = self.lam * self.sigma_scale  # kl_q_gamma takes log(r), kl_minimizing_gamma 1 / r
+        if not (r > 0.0 and 1.0 / r < math.inf):
+            raise ValueError("lam * eta / (2 batch_size) must be > 0 with a finite reciprocal")
 
     @property
     def sigma_scale(self) -> float:

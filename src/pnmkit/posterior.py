@@ -38,7 +38,7 @@ from scipy.linalg import solve_discrete_lyapunov
 
 from .core import DivergenceError, NonFiniteError, RngStream
 from .optim import HeavyBall, Pnm, amplification_factor, pn_normalization
-from .problems import QuadraticModel
+from .problems import QuadraticModel, gaussian_factor
 
 
 @dataclass
@@ -87,7 +87,9 @@ def check_stable(kind: str, eigenvalues, eta: float, beta0: float = 1.0,
     be < 1 for each eigenvalue h."""
     A0, A1, _ = _mode_system(kind, eta, beta0, beta1)
     h = np.asarray(eigenvalues, dtype=np.float64).ravel()
-    for h_i, M in zip(h, A0 + h[:, None, None] * A1):
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = A0 + h[:, None, None] * A1
+    for h_i, M in zip(h, maps):
         # A map that overflowed to non-finite entries never contracts.
         r = np.abs(np.linalg.eigvals(M)).max() if np.isfinite(M).all() else math.inf
         if not r < 1.0:
@@ -124,19 +126,6 @@ def pnm_momentum_stationary_variance_exact(h: float, eta: float, beta0: float,
     return float(stationary_covariance("pnm_momentum", [[h]], eta, [[sigma2]], beta0, beta1)[0, 0])
 
 
-def _noise_factor(cov, dim: int) -> np.ndarray:
-    """Matrix L with L L^T = C, for sampling N(0, C)."""
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.ndim == 0:
-        return math.sqrt(float(cov)) * np.eye(dim)
-    if cov.shape != (dim, dim):
-        raise ValueError("noise covariance shape mismatch")
-    w, V = np.linalg.eigh(0.5 * (cov + cov.T))
-    if w[0] < -1e-10:
-        raise ValueError("noise covariance must be positive semidefinite")
-    return V * np.sqrt(np.clip(w, 0.0, None))
-
-
 def simulate_stationary(
     model: QuadraticModel,
     noise_cov,
@@ -170,7 +159,9 @@ def simulate_stationary(
     n = model.dim
     H = model.H
     check_stable(kind, np.linalg.eigvalsh(H), eta, beta0, beta1)
-    L = _noise_factor(noise_cov, n)
+    L = gaussian_factor(noise_cov, n)
+    if isinstance(L, float):  # isotropic noise, sigma I
+        L = L * np.eye(n)
     per_chain = -(-samples // chains)  # ceil
     total_steps = burn_in + per_chain * thin
 
@@ -220,6 +211,9 @@ def simulate_stationary(
     )
 
 
+_SPECTRAL_BLOCK = 2_000_000
+
+
 def simulate_sgd_spectral(
     model: QuadraticModel,
     sigma2: float,
@@ -228,7 +222,6 @@ def simulate_sgd_spectral(
     samples: int,
     rng: RngStream,
     thin: int = 1,
-    block: int = 2_000_000,
 ) -> StationaryEstimate:
     """Fast exact-in-law SGD simulation for isotropic gradient noise.
 
@@ -242,8 +235,8 @@ def simulate_sgd_spectral(
     A test pins the agreement with the step-by-step loop.
 
     ``burn_in`` and ``samples`` count retained (post-thinning) draws.
-    Noise is streamed in blocks with filter state carried across blocks,
-    so memory stays bounded at any budget.
+    Noise is streamed in blocks of ``_SPECTRAL_BLOCK`` draws with filter
+    state carried across blocks, so memory stays bounded at any budget.
     """
     from scipy.signal import lfilter
 
@@ -272,7 +265,7 @@ def simulate_sgd_spectral(
     outer_acc = np.zeros((n, n))
     block_means = []
     while seen < total:
-        m = int(min(block, total - seen))
+        m = int(min(_SPECTRAL_BLOCK, total - seen))
         xi = rng.standard_normal((m, n))
         u = np.empty_like(xi)
         for i in range(n):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -28,11 +28,9 @@ from .core import (
 # ---------------------------------------------------------------------------
 
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` for each row of a ``(dim,)`` or ``(k, dim)`` ``x``. The
-    stacked form, matmul over a trailing unit axis, equals row-by-row
-    ``A @ x`` bit for bit; ``x @ A.T`` and ``einsum`` do not."""
-    if x.ndim == 1:
-        return A @ x
+    """``A @ x`` for each row of a ``(..., dim)`` ``x``. Matmul over a
+    trailing unit axis equals row-by-row ``A @ x`` bit for bit;
+    ``x @ A.T`` and ``einsum`` do not."""
     return np.matmul(A, x[..., None])[..., 0]
 
 
@@ -41,7 +39,7 @@ def _standard_normal_like(x: np.ndarray, rng) -> np.ndarray:
     ``rng`` for a ``(dim,)`` ``x``; for ``(k, dim)``, ``rng`` is a
     sequence of k streams and row i is drawn from ``rng[i]``."""
     if x.ndim == 1:
-        return rng.standard_gaussian_vector(x.shape[0])
+        return rng.standard_normal(x.shape)
     k, dim = x.shape
     if isinstance(rng, RngStream) or len(rng) != k:
         raise ValueError(f"a stack of {k} rows needs a sequence of {k} RngStreams")
@@ -49,6 +47,25 @@ def _standard_normal_like(x: np.ndarray, rng) -> np.ndarray:
     for i, r in enumerate(rng):
         r.standard_normal(out=z[i])
     return z
+
+
+def gaussian_factor(cov, dim: int):
+    """The scale of N(0, C) noise in ``dim`` coordinates: sigma with
+    sigma^2 = C for a scalar C >= 0 (isotropic noise), else the matrix L
+    with L L^T = C for a symmetric positive semidefinite ``(dim, dim)`` C."""
+    cov = np.asarray(cov, dtype=np.float64)
+    if cov.ndim == 0:
+        if cov < 0:
+            raise ValueError("scalar covariance must be >= 0")
+        return float(np.sqrt(cov))
+    if cov.shape != (dim, dim):
+        raise DimensionMismatchError("covariance shape mismatch")
+    if not np.allclose(cov, cov.T, atol=1e-12, rtol=0.0):
+        raise ValueError("covariance must be symmetric")
+    w, V = np.linalg.eigh(cov)
+    if w[0] < -1e-10:
+        raise ValueError("covariance must be positive semidefinite")
+    return V * np.sqrt(np.clip(w, 0.0, None))
 
 
 class QuadraticModel(GradientOracle):
@@ -84,22 +101,16 @@ class QuadraticModel(GradientOracle):
     def lambda_min(self) -> float:
         return float(self._eigvals[0])
 
-    def loss_and_gradient(self, theta):
-        theta = self._check_stack(theta)
-        d = theta - self.theta_star
-        Hd = _matvec(self.H, d)
-        if d.ndim == 1:
-            return self.f0 + 0.5 * float(d @ Hd), Hd
-        return self.f0 + 0.5 * np.vecdot(d, Hd), Hd
-
     def full_gradient(self, theta):
-        return self.loss_and_gradient(theta)
+        d = self._check_stack(theta) - self.theta_star
+        Hd = _matvec(self.H, d)
+        return self.f0 + 0.5 * np.vecdot(d, Hd), Hd
 
     def hessian(self, theta=None) -> np.ndarray:
         return self.H
 
     def stochastic_gradient(self, theta, rng) -> np.ndarray:
-        return self.loss_and_gradient(theta)[1]
+        return self.full_gradient(theta)[1]
 
 
 def rosenbrock_eval(theta) -> tuple[float, np.ndarray]:
@@ -107,11 +118,7 @@ def rosenbrock_eval(theta) -> tuple[float, np.ndarray]:
     theta = as_param_vector(theta, name="theta")
     if theta.shape[0] != 2:
         raise DimensionMismatchError("rosenbrock is defined on 2-vectors")
-    x, y = theta
-    loss = (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
-    gx = -2.0 * (1.0 - x) - 400.0 * x * (y - x * x)
-    gy = 200.0 * (y - x * x)
-    return float(loss), np.array([gx, gy])
+    return RosenbrockProblem().full_gradient(theta)
 
 
 class RosenbrockProblem(GradientOracle):
@@ -120,16 +127,14 @@ class RosenbrockProblem(GradientOracle):
     dim = 2
 
     def full_gradient(self, theta):
+        # float_power calls libm pow on every element, as a Python float's
+        # ``** 2`` does; an array's ``** 2`` squares instead, which differs
+        # in the last bit on some inputs.
         theta = self._check_stack(theta)
-        if theta.ndim == 1:
-            return rosenbrock_eval(theta)
-        # float_power calls libm pow, as the scalar ``** 2`` in
-        # rosenbrock_eval does; an array ``** 2`` squares instead, which
-        # differs in the last bit on some inputs.
-        x, y = theta[:, 0], theta[:, 1]
+        x, y = theta[..., 0], theta[..., 1]
         r = y - x * x
         loss = np.float_power(1.0 - x, 2.0) + 100.0 * np.float_power(r, 2.0)
-        return loss, np.stack([-2.0 * (1.0 - x) - 400.0 * x * r, 200.0 * r], axis=1)
+        return loss, np.stack([-2.0 * (1.0 - x) - 400.0 * x * r, 200.0 * r], axis=-1)
 
     def stochastic_gradient(self, theta, rng) -> np.ndarray:
         return self.full_gradient(theta)[1]
@@ -143,32 +148,15 @@ class AdditiveNoiseOracle(GradientOracle):
     """Deterministic base oracle plus zero-mean Gaussian gradient noise.
 
     ``covariance`` is either a scalar sigma^2 (isotropic) or a full PSD
-    matrix. Noise is drawn from the RngStream passed at call time (one
-    stream per row for a stacked theta); the base oracle must take the
-    same theta shape.
+    matrix, read by :func:`gaussian_factor`. Noise is drawn from the
+    RngStream passed at call time (one stream per row for a stacked
+    theta); the base oracle must take the same theta shape.
     """
 
     def __init__(self, base: GradientOracle, covariance):
         self.base = base
         self.dim = base.dim
-        cov = np.asarray(covariance, dtype=np.float64)
-        if cov.ndim == 0:
-            if cov < 0:
-                raise ValueError("scalar covariance must be >= 0")
-            self.sigma = float(np.sqrt(cov))
-            self._factor = None
-            self.covariance = float(cov) * np.eye(self.dim)
-        else:
-            if cov.shape != (self.dim, self.dim):
-                raise DimensionMismatchError("covariance shape mismatch")
-            if not np.allclose(cov, cov.T, atol=1e-12, rtol=0.0):
-                raise ValueError("covariance must be symmetric")
-            w, V = np.linalg.eigh(cov)
-            if w[0] < -1e-10:
-                raise ValueError("covariance must be positive semidefinite")
-            self._factor = V * np.sqrt(np.clip(w, 0.0, None))
-            self.sigma = None
-            self.covariance = cov
+        self._factor = gaussian_factor(covariance, self.dim)
 
     def full_gradient(self, theta):
         return self.base.full_gradient(theta)
@@ -176,8 +164,8 @@ class AdditiveNoiseOracle(GradientOracle):
     def stochastic_gradient(self, theta, rng) -> np.ndarray:
         grad = self.base.full_gradient(theta)[1]
         z = _standard_normal_like(grad, rng)
-        if self._factor is None:
-            return grad + self.sigma * z
+        if isinstance(self._factor, float):
+            return grad + self._factor * z
         return grad + _matvec(self._factor, z)
 
 
@@ -194,14 +182,11 @@ class PureNoiseOracle(GradientOracle):
         if sigma2 < 0:
             raise ValueError("sigma2 must be >= 0")
         self.dim = int(dim)
-        self.sigma2 = float(sigma2)
         self.sigma = float(np.sqrt(sigma2))
 
     def full_gradient(self, theta):
         theta = self._check_stack(theta)
-        if theta.ndim == 1:
-            return 0.0, np.zeros(self.dim)
-        return np.zeros(theta.shape[0]), np.zeros(theta.shape)
+        return np.zeros(theta.shape[:-1])[()], np.zeros(theta.shape)
 
     def stochastic_gradient(self, theta, rng) -> np.ndarray:
         return self.sigma * _standard_normal_like(self._check_stack(theta), rng)
@@ -444,14 +429,13 @@ class TinyMlpProblem(DatasetProblem):
         self,
         dataset: FiniteDataset,
         hidden: int = 16,
-        n_classes: Optional[int] = None,
     ):
         labels = np.asarray(dataset.labels)
         if labels.dtype.kind not in "iu":
             raise ValueError("MLP requires integer class labels")
         super().__init__(dataset)
         self.hidden = int(hidden)
-        self.n_classes = int(n_classes if n_classes is not None else labels.max() + 1)
+        self.n_classes = int(labels.max() + 1)
         if self.n_classes < 2:
             raise ValueError("need at least two classes")
         self.in_dim = dataset.n_features

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from pnmkit import harness, optim, posterior
+from pnmkit import harness, noise, optim, posterior
 from pnmkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, build_parser, main
 
 
@@ -352,21 +352,42 @@ class TestExitCodes:
          "beta0", -1e155),
     ]
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command,payload,key,value", HUGE_BETA0,
                              ids=[f"{c} {p.get('kind', '')} {k}" for c, p, k, _ in HUGE_BETA0])
-    def test_overflowing_beta0_is_config_error(self, tmp_path, capsys, command, payload, key,
-                                               value):
+    def test_overflowing_beta0_is_config_error(self, tmp_path, capsys, monkeypatch, command,
+                                               payload, key, value):
+        monkeypatch.setattr(noise, "_simulate_buffers",
+                            lambda *a, **k: pytest.fail("simulated before failing"))
         cfg = write_config(tmp_path, with_value(payload, key, value))
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert "beta0 = " in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("eta,lam", [(0.001, 1e308), (0.001, 1e-320), (1e308, 1e-10)])
-    def test_extreme_pacbayes_ratio_is_config_error(self, tmp_path, capsys, eta, lam):
-        cfg = write_config(tmp_path, {**PACBAYES, "eta": eta, "lam": lam})
+    @pytest.mark.parametrize("eta,lam,batch_size,message", [
+        pytest.param(0.001, 1e308, 128, "eta / (2 batch_size lam)", id="0.001-1e+308"),
+        pytest.param(0.001, 1e-320, 128, "eta / (2 batch_size lam)", id="0.001-1e-320"),
+        pytest.param(1e308, 1e-10, 128, "eta / (2 batch_size lam)", id="1e+308-1e-10"),
+        # The ratio is 0.5, but lam * eta / (2 batch_size) underflows to 0.
+        pytest.param(1e-300, 1e-300, 1, "lam * eta / (2 batch_size)", id="1e-300-1e-300-1"),
+    ])
+    def test_extreme_pacbayes_ratio_is_config_error(self, tmp_path, capsys, eta, lam,
+                                                    batch_size, message):
+        cfg = write_config(tmp_path, {**PACBAYES, "eta": eta, "lam": lam,
+                                      "batch_size": batch_size})
         assert main(["pacbayes", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "eta / (2 batch_size lam)" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["sgd", "pnm_momentum"])
+    def test_overflowing_posterior_map_is_config_error(self, tmp_path, capsys, kind):
+        cfg = write_config(tmp_path, {**TINY["posterior"], "kind": kind, "eta": 1e300,
+                                      "eigenvalues": [1e300], "batch_size": None})
+        out = tmp_path / "out"
+        assert main(["posterior", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"{kind} dynamics unstable" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def leaf_paths(payload, prefix=""):

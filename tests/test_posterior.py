@@ -164,9 +164,12 @@ class TestStateSpaceSolver:
         with pytest.raises(ValueError, match="nag"):
             check_stable("nag", [1.0], 0.01)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_map_is_unstable(self):
-        with pytest.raises(ValueError, match="hb dynamics unstable"):
-            check_stable("hb", [1e300], 1e300)
+        # eta h = 1e600 overflows A0 + h A1; that reads as unstable, silently.
+        for kind in ("sgd", "pnm", "hb", "pnm_momentum"):
+            with pytest.raises(ValueError, match=f"{kind} dynamics unstable"):
+                check_stable(kind, [1e300], 1e300)
 
 
 class TestLyapunovResidual:
@@ -278,6 +281,12 @@ class TestSimulateStationary:
         model = QuadraticModel([0.0], [[1.0]])
         with pytest.raises(ValueError):
             simulate_stationary(model, 1.0, "nag", 0.01, burn_in=1,
+                                samples=1, rng=RngStream(0))
+
+    def test_asymmetric_noise_covariance_rejected(self):
+        model = QuadraticModel([0.0, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="symmetric"):
+            simulate_stationary(model, [[1.0, 0.1], [0.0, 1.0]], "sgd", 0.01, burn_in=1,
                                 samples=1, rng=RngStream(0))
 
 

@@ -29,14 +29,14 @@ def _random_quadratic(rng, dim):
 class TestQuadratic:
     def test_minimum(self):
         m = QuadraticModel([1.0, -2.0], [[2.0, 0.0], [0.0, 3.0]], f0=0.7)
-        loss, grad = m.loss_and_gradient(m.theta_star)
+        loss, grad = m.full_gradient(m.theta_star)
         assert loss == 0.7
         np.testing.assert_array_equal(grad, [0.0, 0.0])
 
     def test_hand_value(self):
         # H = I, displacement (3, 4): loss = (9 + 16) / 2
         m = QuadraticModel([0.0, 0.0], np.eye(2))
-        loss, grad = m.loss_and_gradient([3.0, 4.0])
+        loss, grad = m.full_gradient([3.0, 4.0])
         assert loss == pytest.approx(12.5)
         np.testing.assert_allclose(grad, [3.0, 4.0])
 
@@ -58,7 +58,7 @@ class TestQuadratic:
     def test_dim_mismatch(self):
         m = QuadraticModel([0.0, 0.0], np.eye(2))
         with pytest.raises(DimensionMismatchError):
-            m.loss_and_gradient([1.0, 2.0, 3.0])
+            m.full_gradient([1.0, 2.0, 3.0])
 
 
 class TestRosenbrock:
@@ -96,7 +96,7 @@ class TestFdGradientCheck:
     def test_planted_fault_detected(self):
         class Corrupted(QuadraticModel):
             def full_gradient(self, theta):
-                loss, grad = self.loss_and_gradient(theta)
+                loss, grad = super().full_gradient(theta)
                 grad = grad.copy()
                 grad[0] *= 1.10
                 return loss, grad
@@ -379,18 +379,59 @@ def _nondiagonal_covariance(dim):
     return B @ B.T + 0.1 * np.eye(dim)
 
 
+NOISE_COVARIANCE = {"isotropic_noise": 0.7, "full_covariance_noise": _nondiagonal_covariance(5),
+                    "noisy_rosenbrock": 0.25}
+
+
+# Row-only formulas, written apart from the oracles' (..., dim) code, as the
+# reference each (dim,) call must match bit for bit.
+def _row_quadratic(m, theta):
+    d = theta - m.theta_star
+    Hd = m.H @ d
+    return m.f0 + 0.5 * float(d @ Hd), Hd
+
+
+def _row_rosenbrock(theta):
+    x, y = theta
+    loss = (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
+    gx = -2.0 * (1.0 - x) - 400.0 * x * (y - x * x)
+    gy = 200.0 * (y - x * x)
+    return float(loss), np.array([gx, gy])
+
+
+def _row_reference(name, oracle, theta, rng):
+    """(loss, gradient, stochastic gradient) at a ``(dim,)`` theta, the
+    noise drawn from ``rng``."""
+    if name == "pure_noise":
+        return 0.0, np.zeros(oracle.dim), oracle.sigma * rng.standard_normal(oracle.dim)
+    base = getattr(oracle, "base", oracle)
+    loss, grad = _row_quadratic(base, theta) if isinstance(base, QuadraticModel) \
+        else _row_rosenbrock(theta)
+    cov = NOISE_COVARIANCE.get(name)
+    if cov is None:
+        return loss, grad, grad
+    z = rng.standard_normal(oracle.dim)
+    if np.ndim(cov) == 0:
+        return loss, grad, grad + float(np.sqrt(cov)) * z
+    w, V = np.linalg.eigh(cov)
+    return loss, grad, grad + (V * np.sqrt(np.clip(w, 0.0, None))) @ z
+
+
 class TestStackedOracles:
-    """A ``(k, dim)`` theta with one stream per row equals k row-by-row
-    ``(dim,)`` calls bit for bit."""
+    """Each analytic oracle is one ``(..., dim)`` formula: a ``(dim,)``
+    row equals the row-only formula, and a ``(k, dim)`` theta with one
+    stream per row equals k row-by-row calls, bit for bit."""
 
     ORACLES = {
         "quadratic_5d": lambda: _random_quadratic(RngStream(41), 5),
         "rosenbrock": RosenbrockProblem,
         "isotropic_noise": lambda: AdditiveNoiseOracle(
-            QuadraticModel([0.5, -1.0], np.diag([1.0, 4.0]), f0=0.2), 0.7),
+            QuadraticModel([0.5, -1.0], np.diag([1.0, 4.0]), f0=0.2),
+            NOISE_COVARIANCE["isotropic_noise"]),
         "full_covariance_noise": lambda: AdditiveNoiseOracle(
-            _random_quadratic(RngStream(42), 5), _nondiagonal_covariance(5)),
-        "noisy_rosenbrock": lambda: AdditiveNoiseOracle(RosenbrockProblem(), 0.25),
+            _random_quadratic(RngStream(42), 5), NOISE_COVARIANCE["full_covariance_noise"]),
+        "noisy_rosenbrock": lambda: AdditiveNoiseOracle(
+            RosenbrockProblem(), NOISE_COVARIANCE["noisy_rosenbrock"]),
         "pure_noise": lambda: PureNoiseOracle(3, 2.0),
     }
 
@@ -417,6 +458,17 @@ class TestStackedOracles:
         rows = [oracle.stochastic_gradient(row, RngStream(i)) for i, row in enumerate(theta)]
         assert type(stacked) is np.ndarray and stacked.shape == theta.shape
         assert stacked.tobytes() == np.array(rows).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_rows_equal_the_row_formulas(self, name):
+        oracle = self.ORACLES[name]()
+        for i, row in enumerate(self._stack(oracle.dim)):
+            want_loss, want_grad, want_noisy = _row_reference(name, oracle, row, RngStream(i))
+            loss, grad = oracle.full_gradient(row)
+            assert type(loss) is np.float64 and loss.tobytes() == np.float64(want_loss).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+            noisy = oracle.stochastic_gradient(row, RngStream(i))
+            assert noisy.tobytes() == want_noisy.tobytes()
 
     @pytest.mark.parametrize("name", ["isotropic_noise", "pure_noise"])
     def test_stacked_call_needs_one_stream_per_row(self, name):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -161,6 +162,13 @@ def _cmd_pacbayes(args) -> None:
     c = read_config(cfg, PACBAYES)
     gammas = c.pop("gammas")
     setting = pacbayes.PacBayesSetting(**c)
+    for gamma in gammas or ():
+        # The KL takes log(r) and its gradient 1 / gamma.
+        r = pacbayes.variance_ratio(gamma, setting)
+        if not all(0.0 < x < math.inf and 1.0 / x < math.inf for x in (gamma, r)):
+            raise ConfigError(
+                f"'gammas' must hold gammas > 0 with lam * gamma * eta / (2 batch_size) "
+                f"finite, both with finite reciprocals, got {gamma!r}")
     choice = pacbayes.optimal_gamma(setting)
     if gammas is None:
         gammas = np.geomspace(1.0, max(2.0, choice.gamma), 50).tolist()

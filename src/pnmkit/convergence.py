@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import DivergenceError, GradientOracle, RngStream
 from .optim import Pnm, pn_normalization
+from .posterior import _NOISE_BLOCK
 
 
 @dataclass
@@ -114,23 +115,41 @@ def _grad_sq_curves(
 ) -> np.ndarray:
     """One PNM run per seed, all stepped together as one ``(seeds, dim)``
     state; seed s draws its noise from ``RngStream(s).spawn(key)``.
-    Returns ||grad f(theta_k)||^2 for k = 0..horizon-1, one row per seed."""
+    Returns ||grad f(theta_k)||^2 for k = 0..horizon-1, one row per seed.
+
+    Each step evaluates one full gradient; the stochastic gradient is it
+    plus ``oracle.noise`` of that step's standard normals (none when
+    ``oracle.noise`` is None). Each stream draws its normals for a block
+    of steps at once, in stream order, so the values equal those of one
+    ``stochastic_gradient`` call per step.
+    """
     streams = [RngStream(seed).spawn(key) for seed in seeds]
     lr = eta0 * pn_normalization(beta0)
-    opt = Pnm(dim=theta0.shape[0], lr=lr, beta0=beta0, beta1=beta1)
+    dim = theta0.shape[0]
+    opt = Pnm(dim=dim, lr=lr, beta0=beta0, beta1=beta1)
     theta = np.tile(theta0, (len(seeds), 1))
     curves = np.empty((len(seeds), horizon))
-    for k in range(horizon):
-        _, full = oracle.full_gradient(theta)
-        curves[:, k] = np.vecdot(full, full)
-        theta = opt.step(theta, oracle.stochastic_gradient(theta, streams))
-        # NaN fails ``<=`` too, so one comparison catches every divergence.
-        if not np.abs(theta).max() <= 1e8:
-            first = int(np.argmin(np.abs(theta).max(axis=1) <= 1e8))
-            raise DivergenceError(
-                f"PNM diverged at step {k} for seed {seeds[first]} "
-                f"(horizon {horizon}, eta0 {eta0:g})"
-            )
+    noise = oracle.noise
+    block = max(1, _NOISE_BLOCK // (len(seeds) * dim))
+    for start in range(0, horizon, block):
+        steps = range(start, min(start + block, horizon))
+        if noise is not None:
+            z = np.empty((len(streams), len(steps), dim))
+            for row, stream in zip(z, streams):
+                stream.standard_normal(out=row)
+            block_noise = noise(z)
+        for k in steps:
+            _, full = oracle.full_gradient(theta)
+            curves[:, k] = np.vecdot(full, full)
+            grad = full if noise is None else full + block_noise[:, k - start]
+            theta = opt.step(theta, grad)
+            # NaN fails ``<=`` too, so one comparison catches every divergence.
+            if not np.abs(theta).max() <= 1e8:
+                first = int(np.argmin(np.abs(theta).max(axis=1) <= 1e8))
+                raise DivergenceError(
+                    f"PNM diverged at step {k} for seed {seeds[first]} "
+                    f"(horizon {horizon}, eta0 {eta0:g})"
+                )
     return curves
 
 
@@ -150,7 +169,8 @@ def empirical_rate(
     Each (horizon, seed) pair restarts from ``theta0`` with the constant
     step the rule assigns to that horizon and an independent noise stream;
     the seeds of one horizon run together on a stacked state, so the
-    oracle must take a ``(len(seeds), dim)`` theta.
+    oracle must take a ``(len(seeds), dim)`` theta and give its gradient
+    noise as ``oracle.noise`` (see :class:`~pnmkit.core.GradientOracle`).
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
     if len(horizons) < 2:

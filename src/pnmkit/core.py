@@ -111,7 +111,10 @@ class GradientOracle(ABC):
     for a stacked ``(k, dim)`` theta it is a ``(k,)`` array, the gradient
     ``(k, dim)``, and ``rng`` a sequence of k streams, row i's noise
     drawn from stream i, so a stacked call equals k row-by-row calls bit
-    for bit.
+    for bit. Their gradient noise is one map, ``noise(z)``, from standard
+    normals ``z`` shaped like theta to the noise added to the full
+    gradient (``None`` on the noiseless quadratic and Rosenbrock), and
+    ``stochastic_gradient`` applies it to the row streams' next draws.
     """
 
     dim: int

@@ -364,7 +364,7 @@ def run_seed(cfg: dict, seed: int) -> RunResult:
         if step in milestones:
             opt.lr *= decay["factor"]
         theta = opt.step(theta, sample(theta, rng))
-        if not np.max(np.abs(theta)) <= _DIVERGENCE_BOUND:
+        if not np.abs(theta).max() <= _DIVERGENCE_BOUND:
             raise DivergenceError(
                 f"run diverged at step {step} for seed {seed}: parameters non-finite or "
                 f"beyond {_DIVERGENCE_BOUND:g} in magnitude"

@@ -85,7 +85,7 @@ class Optimizer:
                 f"gradient shape {grad.shape} must equal parameter shape "
                 f"{theta.shape} with last axis {self.dim}"
             )
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise NonFiniteError(
                 f"non-finite gradient entries at step {self.t + 1}"
             )

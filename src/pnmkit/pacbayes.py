@@ -133,6 +133,11 @@ class PacBayesSetting:
         return self.eta / (2.0 * self.batch_size)
 
 
+def variance_ratio(gamma: float, setting: PacBayesSetting) -> float:
+    """r = lam * gamma * s, the variance of Q(gamma) over the prior's."""
+    return setting.lam * gamma * setting.sigma_scale
+
+
 def kl_q_gamma(gamma: float, setting: PacBayesSetting) -> float:
     """KL(Q(gamma) || P) for Q = N(theta*, gamma s I), P = N(0, lam^-1 I).
 
@@ -142,7 +147,7 @@ def kl_q_gamma(gamma: float, setting: PacBayesSetting) -> float:
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    r = setting.lam * gamma * setting.sigma_scale
+    r = variance_ratio(gamma, setting)
     return 0.5 * setting.dim * (r - 1.0 - math.log(r)) + 0.5 * setting.lam * setting.theta_norm_sq
 
 

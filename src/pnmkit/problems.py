@@ -75,6 +75,8 @@ class QuadraticModel(GradientOracle):
     vanishes exactly at theta*.
     """
 
+    noise = None  # noiseless: the stochastic gradient is the full gradient
+
     def __init__(self, theta_star, hessian, f0: float = 0.0):
         self.theta_star = as_param_vector(theta_star, name="theta_star")
         H = np.asarray(hessian, dtype=np.float64)
@@ -125,6 +127,7 @@ class RosenbrockProblem(GradientOracle):
     """Deterministic Rosenbrock oracle (smooth, nonconvex, 2-D)."""
 
     dim = 2
+    noise = None  # noiseless: the stochastic gradient is the full gradient
 
     def full_gradient(self, theta):
         # float_power calls libm pow on every element, as a Python float's
@@ -161,12 +164,15 @@ class AdditiveNoiseOracle(GradientOracle):
     def full_gradient(self, theta):
         return self.base.full_gradient(theta)
 
+    def noise(self, z: np.ndarray) -> np.ndarray:
+        """The gradient noise for standard normals ``z`` of shape ``(..., dim)``."""
+        if isinstance(self._factor, float):
+            return self._factor * z
+        return _matvec(self._factor, z)
+
     def stochastic_gradient(self, theta, rng) -> np.ndarray:
         grad = self.base.full_gradient(theta)[1]
-        z = _standard_normal_like(grad, rng)
-        if isinstance(self._factor, float):
-            return grad + self._factor * z
-        return grad + _matvec(self._factor, z)
+        return grad + self.noise(_standard_normal_like(grad, rng))
 
 
 class PureNoiseOracle(GradientOracle):
@@ -188,8 +194,12 @@ class PureNoiseOracle(GradientOracle):
         theta = self._check_stack(theta)
         return np.zeros(theta.shape[:-1])[()], np.zeros(theta.shape)
 
+    def noise(self, z: np.ndarray) -> np.ndarray:
+        """The gradient noise for standard normals ``z`` of shape ``(..., dim)``."""
+        return self.sigma * z
+
     def stochastic_gradient(self, theta, rng) -> np.ndarray:
-        return self.sigma * _standard_normal_like(self._check_stack(theta), rng)
+        return self.noise(_standard_normal_like(self._check_stack(theta), rng))
 
 
 # ---------------------------------------------------------------------------

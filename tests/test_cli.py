@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from pnmkit import harness, noise, optim, posterior
+from pnmkit import harness, noise, optim, pacbayes, posterior
 from pnmkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, build_parser, main
 
 
@@ -378,6 +378,27 @@ class TestExitCodes:
                                       "batch_size": batch_size})
         assert main(["pacbayes", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    # With eta = 1, batch_size = 1 and lam = 1e3, lam * eta / (2 batch_size) is 500:
+    # gamma = 1e307 overflows it, and gamma = 1e-310 has no finite reciprocal.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gammas,overrides", [
+        pytest.param([0], {}, id="zero"),
+        pytest.param([1.0, -1.0], {}, id="negative"),
+        pytest.param([5.0, 1e-320], {}, id="ratio_underflows"),
+        pytest.param([1.0, 1e307], {"eta": 1.0, "batch_size": 1, "lam": 1e3},
+                     id="ratio_overflows"),
+        pytest.param([1e-310], {"eta": 1.0, "batch_size": 1, "lam": 1e3},
+                     id="gamma_reciprocal_overflows"),
+    ])
+    def test_bad_gamma_is_config_error(self, tmp_path, capsys, monkeypatch, gammas, overrides):
+        monkeypatch.setattr(pacbayes, "bound_table",
+                            lambda *a: pytest.fail("computed rows before failing"))
+        cfg = write_config(tmp_path, {**PACBAYES, **overrides, "gammas": gammas})
+        out = tmp_path / "out"
+        assert main(["pacbayes", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "'gammas'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", ["sgd", "pnm_momentum"])

@@ -164,19 +164,17 @@ def _reference_rate(oracle, theta0, horizons, seeds, smoothness, step_constant=1
 
 
 class _ShapeSpy:
-    """Passes every call on to ``oracle`` and records theta's shape."""
+    """Passes every call on to ``oracle``, records theta's shape on each
+    full gradient and forwards the oracle's noise map."""
 
     def __init__(self, oracle):
         self.oracle = oracle
+        self.noise = oracle.noise
         self.shapes = []
 
     def full_gradient(self, theta):
         self.shapes.append(theta.shape)
         return self.oracle.full_gradient(theta)
-
-    def stochastic_gradient(self, theta, rng):
-        self.shapes.append(theta.shape)
-        return self.oracle.stochastic_gradient(theta, rng)
 
 
 def _nondiagonal_setting():
@@ -222,8 +220,8 @@ class TestSeedStacking:
         assert est.slope == slope
         assert est.measured_grad_bound == g_max
         assert est.step_sizes == steps
-        # one full and one stochastic gradient per step, each on every seed
-        assert spy.shapes == [(len(seeds), len(theta0))] * (2 * sum(horizons))
+        # one full gradient per step, on every seed at once
+        assert spy.shapes == [(len(seeds), len(theta0))] * sum(horizons)
 
     def test_divergence_names_first_diverging_seed(self):
         # Unstable quadratic started at its minimum: only the noise pushes

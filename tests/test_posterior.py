@@ -6,9 +6,10 @@ import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
 from pnmkit import optim
-from pnmkit.core import DivergenceError, RngStream
-from pnmkit.optim import amplification_factor
+from pnmkit.core import DivergenceError, NonFiniteError, RngStream
+from pnmkit.optim import HeavyBall, Pnm, amplification_factor
 from pnmkit.posterior import (
+    _NOISE_BLOCK,
     check_stable,
     discrete_ou_variance,
     lyapunov_residual,
@@ -19,7 +20,7 @@ from pnmkit.posterior import (
     stationary_covariance,
     theoretical_posterior_covariance,
 )
-from pnmkit.problems import QuadraticModel
+from pnmkit.problems import QuadraticModel, gaussian_factor
 
 
 def _rotated_spd(eigs, seed=3):
@@ -288,6 +289,98 @@ class TestSimulateStationary:
         with pytest.raises(ValueError, match="symmetric"):
             simulate_stationary(model, [[1.0, 0.1], [0.0, 1.0]], "sgd", 0.01, burn_in=1,
                                 samples=1, rng=RngStream(0))
+
+
+def _reference_stationary(model, noise_cov, kind, eta, burn_in, samples, rng, thin=1,
+                          chains=64, beta0=1.0, beta1=0.9):
+    """The per-step loop that ``simulate_stationary`` ran before it drew its
+    noise in blocks: one ``(chains, n)`` draw per step, two for 'pnm'.
+    Returns (mean, covariance, mean_se)."""
+    n, H = model.dim, model.H
+    L = gaussian_factor(noise_cov, n)
+    if isinstance(L, float):
+        L = L * np.eye(n)
+    per_chain = -(-samples // chains)
+    total_steps = burn_in + per_chain * thin
+    if kind == "hb":
+        opt = HeavyBall(n, eta, beta1=beta1, beta3=1.0 - beta1)
+    elif kind == "pnm_momentum":
+        opt = Pnm(n, eta, beta0=beta0, beta1=beta1)
+    else:
+        opt = HeavyBall(n, eta, beta1=0.0)
+    dev = np.zeros((chains, n))
+    kept = np.empty((per_chain, chains, n))
+    k = 0
+    for t in range(total_steps):
+        xi = rng.standard_normal((chains, n)) @ L.T
+        if kind == "pnm":
+            xb = rng.standard_normal((chains, n)) @ L.T
+            grad = dev @ H + (1.0 + beta0) * xi - beta0 * xb
+        else:
+            grad = dev @ H + xi
+        try:
+            dev = opt.step(dev, grad)
+        except NonFiniteError as exc:
+            raise DivergenceError(f"{kind} dynamics diverged at step {t}") from exc
+        if t >= burn_in and (t - burn_in) % thin == 0:
+            kept[k] = dev
+            k += 1
+    flat = kept[:k].reshape(-1, n)
+    mean_dev = flat.mean(axis=0)
+    centered = flat - mean_dev
+    cov = centered.T @ centered / (flat.shape[0] - 1)
+    n_blocks = max(4, min(50, k // 50)) if k >= 8 else 2
+    usable = (k // n_blocks) * n_blocks
+    block_means = kept[:usable].reshape(n_blocks, -1, n).mean(axis=1)
+    mean_se = block_means.std(axis=0, ddof=1) / math.sqrt(n_blocks)
+    return model.theta_star + mean_dev, 0.5 * (cov + cov.T), mean_se
+
+
+def _block_setting(dim, cov_kind):
+    rng = np.random.default_rng(dim)
+    model = QuadraticModel(rng.standard_normal(dim),
+                           _rotated_spd(np.linspace(0.5, 3.0, dim), seed=dim))
+    B = rng.standard_normal((dim, dim))
+    return model, 0.7 if cov_kind == "scalar" else B @ B.T
+
+
+class TestBlockNoise:
+    """``simulate_stationary`` draws its noise in blocks of at most
+    ``_NOISE_BLOCK`` elements and still equals the per-step loop bit for
+    bit. At 1,000 burn-in plus 500 (or 1,500 thinned) steps per chain no
+    run is a whole number of blocks, and a 64-chain 1-D run spans two or
+    three."""
+
+    @pytest.mark.parametrize("kind,dim,cov_kind,chains,thin", list(product(
+        ["sgd", "hb", "pnm", "pnm_momentum"], [1, 5], ["scalar", "matrix"], [1, 7, 64], [1, 3])))
+    def test_matches_per_step_loop(self, kind, dim, cov_kind, chains, thin):
+        model, cov = _block_setting(dim, cov_kind)
+        args = (model, cov, kind, 0.05, 1000, 500 * chains)
+        hparams = {"thin": thin, "chains": chains, "beta0": 0.8, "beta1": 0.7}
+        est = simulate_stationary(*args, rng=RngStream(dim * 100 + chains), **hparams)
+        want = _reference_stationary(*args, rng=RngStream(dim * 100 + chains), **hparams)
+        for got, ref in zip((est.mean, est.covariance, est.mean_se), want):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sgd", "pnm"])
+    def test_draws_stay_within_the_block_budget(self, monkeypatch, kind):
+        model, cov = _block_setting(1, "scalar")
+        args = (model, cov, kind, 0.05, 1000, 64 * 500)
+        want = _reference_stationary(*args, rng=RngStream(4), thin=3)
+        sizes = []
+        draw = RngStream.standard_normal
+
+        def spy(self, size=None, out=None):
+            sizes.append(int(np.prod(size)))
+            return draw(self, size, out)
+
+        monkeypatch.setattr(RngStream, "standard_normal", spy)
+        est = simulate_stationary(*args, rng=RngStream(4), thin=3)
+        assert est.mean.tobytes() == want[0].tobytes()
+        assert max(sizes) <= _NOISE_BLOCK
+        # 2,500 steps of 64 chains: at least three draws, the last a partial block.
+        assert len(sizes) >= 3 and sizes[-1] < sizes[0]
+        assert sum(sizes) == 2500 * 64 * (2 if kind == "pnm" else 1)
 
 
 class TestSpectralPath:

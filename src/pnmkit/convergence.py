@@ -173,10 +173,11 @@ def empirical_rate(
     noise as ``oracle.noise`` (see :class:`~pnmkit.core.GradientOracle`).
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
-    if len(horizons) < 2:
-        raise ValueError("need at least two horizons to fit a slope")
     if any(isinstance(T, bool) or not isinstance(T, Integral) or T < 1 for T in horizons):
         raise ValueError(f"horizons must be integers >= 1, got {list(horizons)}")
+    if len(set(horizons)) < 2:
+        raise ValueError(f"'horizons' needs at least two distinct values to fit a slope, "
+                         f"got {list(horizons)}")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")

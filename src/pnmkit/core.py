@@ -108,13 +108,13 @@ class GradientOracle(ABC):
     The analytic oracles (quadratic, Rosenbrock and the noise oracles)
     write each formula once on a ``(..., dim)`` theta, checked by
     :meth:`_check_stack`: for ``(dim,)`` the loss is a float64 scalar;
-    for a stacked ``(k, dim)`` theta it is a ``(k,)`` array, the gradient
-    ``(k, dim)``, and ``rng`` a sequence of k streams, row i's noise
-    drawn from stream i, so a stacked call equals k row-by-row calls bit
-    for bit. Their gradient noise is one map, ``noise(z)``, from standard
-    normals ``z`` shaped like theta to the noise added to the full
-    gradient (``None`` on the noiseless quadratic and Rosenbrock), and
-    ``stochastic_gradient`` applies it to the row streams' next draws.
+    for a stacked ``(k, dim)`` theta it is a ``(k,)`` array and the
+    gradient ``(k, dim)``. Their gradient noise is one map, ``noise(z)``,
+    from standard normals ``z`` shaped like theta to the noise added to
+    the full gradient (``None`` on the noiseless quadratic and Rosenbrock),
+    and ``stochastic_gradient`` applies it to the next draws of the one
+    stream ``rng``, a stack's rows in row order, so a stacked call equals
+    k row-by-row calls on that stream bit for bit.
     """
 
     dim: int

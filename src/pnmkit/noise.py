@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.signal import lfilter
@@ -42,40 +41,17 @@ def single_buffer_stationary_variance(beta1: float, sigma2: float = 1.0) -> floa
     return (1.0 - beta) ** 2 * sigma2 / (1.0 - beta * beta)
 
 
-@dataclass
-class VarianceReport:
-    """An estimated variance with its sampling uncertainty.
-
-    ``standard_error`` comes from non-overlapping batch means over the
-    same run, which stays valid under the serial correlation the momentum
-    recursion induces. ``warning`` is set when the run is too short
-    relative to the mixing time.
-    """
-
-    variance: float
-    sample_count: int
-    standard_error: float
-    warning: Optional[str] = None
-
-
-def _batch_se(values: np.ndarray, n_blocks: int) -> float:
-    """Standard error of the variance of ``values`` via batch means."""
-    usable = (values.shape[0] // n_blocks) * n_blocks
-    blocks = values[:usable].reshape(n_blocks, -1)
-    block_vars = blocks.var(axis=1)
-    return float(block_vars.std(ddof=1) / math.sqrt(n_blocks))
-
-
-def _simulate_buffers(beta1: float, steps: int, dim: int, rng: RngStream,
-                      sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve m_t = beta1^2 m_{t-2} + (1 - beta1^2) xi_t for ``steps`` steps.
+def _simulate_buffers(beta1: float, steps: int, dim: int,
+                      rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Evolve m_t = beta1^2 m_{t-2} + (1 - beta1^2) xi_t for ``steps`` steps
+    of unit white noise xi.
 
     Returns (m, m_prev): the freshly updated buffer at each step and the
     other buffer's value (zero before the first step). Each parity track
     is an AR(1) in its own index, so lfilter computes the exact recursion.
     """
     beta = beta1 * beta1
-    xi = sigma * rng.standard_normal((steps, dim))
+    xi = rng.standard_normal((steps, dim))
     m = np.empty_like(xi)
     for parity in (0, 1):
         track = xi[parity::2]
@@ -84,59 +60,9 @@ def _simulate_buffers(beta1: float, steps: int, dim: int, rng: RngStream,
     return m, m_prev
 
 
-def _hb_directions(beta1: float, beta3: float, steps: int, dim: int,
-                   rng: RngStream, sigma: float = 1.0) -> np.ndarray:
-    xi = sigma * rng.standard_normal((steps, dim))
-    return lfilter([beta3], [1.0, -beta1], xi, axis=0)
-
-
-def _mixing_time(beta1: float) -> float:
-    return 1.0 / max(1.0 - beta1 * beta1, 1e-12)
-
-
 def default_burn_in(beta1: float) -> int:
-    """100 mixing times of the buffer recursion."""
-    return int(math.ceil(100.0 * _mixing_time(beta1)))
-
-
-def stationary_momentum_variance(
-    kind: str,
-    beta1: float,
-    beta0: float,
-    sigma2: float,
-    steps: int,
-    rng: RngStream,
-) -> VarianceReport:
-    """Long-run variance of the update direction under pure noise.
-
-    ``kind`` selects what is measured: 'hb' the momentum buffer of Heavy
-    Ball (with beta3 = 1 - beta1), 'pnm' the positive-negative pair, and
-    'pnm_buffer' a single PNM buffer (the pair's denominator in the
-    amplification ratio). The oracle is pure noise (zero true gradient)
-    with variance ``sigma2``, in one coordinate.
-    """
-    if steps < 2:
-        raise ValueError("need at least 2 steps")
-    sigma = math.sqrt(sigma2)
-    burn_in = min(default_burn_in(beta1), steps // 2)
-    warning = None
-    if steps < 100.0 * _mixing_time(beta1):
-        warning = (
-            f"steps={steps} is below 100 mixing times "
-            f"({100.0 * _mixing_time(beta1):.0f}); variance may be biased"
-        )
-    if kind == "hb":
-        series = _hb_directions(beta1, 1.0 - beta1, steps, 1, rng, sigma)
-    elif kind in ("pnm", "pnm_buffer"):
-        m, m_prev = _simulate_buffers(beta1, steps, 1, rng, sigma)
-        series = (1.0 + beta0) * m - beta0 * m_prev if kind == "pnm" else m
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    tail = series[burn_in:]
-    flat = (tail - tail.mean(axis=0)).ravel()
-    variance = float(tail.var(axis=0).mean())
-    n_blocks = max(10, min(100, flat.shape[0] // 1000))
-    return VarianceReport(variance, tail.size, _batch_se(flat, n_blocks), warning)
+    """100 mixing times 1 / (1 - beta1^2) of the buffer recursion."""
+    return int(math.ceil(100.0 * (1.0 / max(1.0 - beta1 * beta1, 1e-12))))
 
 
 def pair_amplification_ratio(
@@ -150,20 +76,24 @@ def pair_amplification_ratio(
 
     The buffer sequence does not depend on beta0 under pure noise, so the
     pair and the buffer are measured on the same trajectory; returns the
-    ratio and a batch-means standard error for it. A bad beta0 or beta1
+    ratio and a batch-means standard error for it. A bad beta0 or beta1,
+    or ``steps`` too few for 2 post-burn-in samples in each of the batches,
     fails before the first step.
     """
     if not 0.0 <= beta1 < 1.0:
         raise ValueError("beta1 must lie in [0, 1)")
     amplification_factor(beta0)
     burn_in = min(default_burn_in(beta1), steps // 2)
+    n_blocks = max(10, min(100, (steps - burn_in) // 1000))
+    if (steps - burn_in) // n_blocks < 2:
+        raise ValueError(f"'steps' = {steps} leaves fewer than 2 samples in each of "
+                         f"{n_blocks} batches after a burn-in of {burn_in} steps")
     m, m_prev = _simulate_buffers(beta1, steps, dim, rng)
     pair = (1.0 + beta0) * m - beta0 * m_prev
     m_tail = m[burn_in:]
     pair_tail = pair[burn_in:]
     ratio = float(pair_tail.var(axis=0).mean() / m_tail.var(axis=0).mean())
 
-    n_blocks = max(10, min(100, (steps - burn_in) // 1000))
     usable = ((steps - burn_in) // n_blocks) * n_blocks
     mb = m_tail[:usable].reshape(n_blocks, -1, dim)
     pb = pair_tail[:usable].reshape(n_blocks, -1, dim)

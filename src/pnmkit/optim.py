@@ -302,7 +302,7 @@ def record_pnm_run(
     return np.array(thetas), np.array(ms), np.array(grads)
 
 
-def pnm_auxiliary_sequence(thetas, ms, lr, beta0, beta1) -> np.ndarray:
+def pnm_auxiliary_sequence(thetas, ms, lr, beta0) -> np.ndarray:
     """The shifted iterates x_t = theta_t + eta0 beta0 m_{t-1} along a PNM
     run, with x_{-2} = x_{-1} = theta_0 prepended.
 
@@ -316,36 +316,29 @@ def pnm_auxiliary_sequence(thetas, ms, lr, beta0, beta1) -> np.ndarray:
     x = np.empty((thetas.shape[0] + 2, thetas.shape[1]))
     x[0] = x[1] = thetas[0]          # x_{-2}, x_{-1}
     x[2] = thetas[0]                 # x_0: m_{-1} = 0
-    for t in range(1, thetas.shape[0]):
-        x[t + 2] = thetas[t] + eta0 * beta0 * ms[t - 1]
+    x[3:] = thetas[1:] + eta0 * beta0 * ms[:thetas.shape[0] - 1]
     return x
 
 
 def pnm_recursion_residuals(thetas, ms, grads, lr, beta0, beta1) -> np.ndarray:
     """Per-step residuals of x_{t+1} = x_t - alpha g_t + beta (x_{t-1} - x_{t-2})."""
-    x = pnm_auxiliary_sequence(thetas, ms, lr, beta0, beta1)
+    x = pnm_auxiliary_sequence(thetas, ms, lr, beta0)
     beta = beta1 * beta1
     alpha = (lr / pn_normalization(beta0)) * (1.0 - beta)
     grads = np.asarray(grads, dtype=np.float64)
     steps = grads.shape[0]
-    res = np.empty(steps)
-    for t in range(steps):
-        # x[t + 2] holds x_t
-        pred = x[t + 2] - alpha * grads[t] + beta * (x[t + 1] - x[t])
-        res[t] = np.max(np.abs(x[t + 3] - pred))
-    return res
+    # x[t + 2] holds x_t
+    pred = x[2:steps + 2] - alpha * grads + beta * (x[1:steps + 1] - x[:steps])
+    return np.max(np.abs(x[3:steps + 3] - pred), axis=1)
 
 
 def pnm_lemma1_residuals(thetas, ms, grads, lr, beta0, beta1) -> np.ndarray:
     """Per-step residuals of z_{t+1} - z_t = -(alpha / (1 - beta)) g_t,
     where z_t = (x_t - beta x_{t-2}) / (1 - beta)."""
-    x = pnm_auxiliary_sequence(thetas, ms, lr, beta0, beta1)
+    x = pnm_auxiliary_sequence(thetas, ms, lr, beta0)
     beta = beta1 * beta1
     alpha = (lr / pn_normalization(beta0)) * (1.0 - beta)
     grads = np.asarray(grads, dtype=np.float64)
     z = (x[2:] - beta * x[:-2]) / (1.0 - beta)
     steps = grads.shape[0]
-    res = np.empty(steps)
-    for t in range(steps):
-        res[t] = np.max(np.abs(z[t + 1] - z[t] + alpha / (1.0 - beta) * grads[t]))
-    return res
+    return np.max(np.abs(z[1:steps + 1] - z[:steps] + alpha / (1.0 - beta) * grads), axis=1)

@@ -47,10 +47,8 @@ class StationaryEstimate:
 
     mean: np.ndarray
     covariance: np.ndarray
-    burn_in: int
     retained: int
-    thin: int
-    mean_se: Optional[np.ndarray] = None
+    mean_se: Optional[np.ndarray] = None  # set by simulate_stationary only
 
     @property
     def variance(self) -> float:
@@ -150,9 +148,11 @@ def simulate_stationary(
 
     ``chains`` independent replicas run vectorized on one stream; mean and
     covariance pool all post-burn-in (thinned) iterates, and the mean's
-    standard error comes from per-chain batch means. An unstable
-    configuration (see :func:`check_stable`) is rejected before the first
-    step; a non-finite gradient aborts with the offending step.
+    standard error comes from per-chain batch means, so each chain must
+    keep at least 2 iterates (``samples > chains``). An unstable
+    configuration (see :func:`check_stable`) and too few samples are
+    rejected before the first step; a non-finite gradient aborts with the
+    offending step.
 
     The noise of a block of steps (at most ``_NOISE_BLOCK`` values, or one
     step's noise when that is more) is drawn at once, in the stream order
@@ -168,6 +168,9 @@ def simulate_stationary(
     if isinstance(L, float):  # isotropic noise, sigma I
         L = L * np.eye(n)
     per_chain = -(-samples // chains)  # ceil
+    if per_chain < 2:
+        raise ValueError(f"'samples' = {samples} over 'chains' = {chains} keeps fewer than "
+                         "2 iterates per chain; need samples > chains")
     total_steps = burn_in + per_chain * thin
 
     if kind == "hb":
@@ -184,22 +187,25 @@ def simulate_stationary(
     dev = np.zeros((chains, n))  # theta - theta*
     kept = np.empty((per_chain, chains, n))
     k = 0
-    for start in range(0, total_steps, block):
-        noise = rng.standard_normal((min(block, total_steps - start), draws, chains, n)) @ L.T
-        if kind == "pnm":
-            noise[:, 0] *= 1.0 + beta0
-            noise[:, 1] *= beta0
-        for t, step_noise in enumerate(noise, start):
-            grad = dev @ H + step_noise[0]
+    # Infinite noise makes inf - inf; the optimizer's non-finite check
+    # reports it as a divergence, so numpy need not warn first.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, total_steps, block):
+            noise = rng.standard_normal((min(block, total_steps - start), draws, chains, n)) @ L.T
             if kind == "pnm":
-                grad -= step_noise[1]
-            try:
-                dev = opt.step(dev, grad)
-            except NonFiniteError as exc:
-                raise DivergenceError(f"{kind} dynamics diverged at step {t}") from exc
-            if t >= burn_in and (t - burn_in) % thin == 0:
-                kept[k] = dev
-                k += 1
+                noise[:, 0] *= 1.0 + beta0
+                noise[:, 1] *= beta0
+            for t, step_noise in enumerate(noise, start):
+                grad = dev @ H + step_noise[0]
+                if kind == "pnm":
+                    grad -= step_noise[1]
+                try:
+                    dev = opt.step(dev, grad)
+                except NonFiniteError as exc:
+                    raise DivergenceError(f"{kind} dynamics diverged at step {t}") from exc
+                if t >= burn_in and (t - burn_in) % thin == 0:
+                    kept[k] = dev
+                    k += 1
 
     flat = kept[:k].reshape(-1, n)
     mean_dev = flat.mean(axis=0)
@@ -215,9 +221,7 @@ def simulate_stationary(
     return StationaryEstimate(
         mean=model.theta_star + mean_dev,
         covariance=0.5 * (cov + cov.T),
-        burn_in=burn_in,
         retained=flat.shape[0],
-        thin=thin,
         mean_se=mean_se,
     )
 
@@ -278,7 +282,6 @@ def simulate_sgd_spectral(
     count = 0
     mean_acc = np.zeros(n)
     outer_acc = np.zeros((n, n))
-    block_means = []
     while seen < total:
         m = int(min(_SPECTRAL_BLOCK, total - seen))
         xi = rng.standard_normal((m, n))
@@ -293,23 +296,14 @@ def simulate_sgd_spectral(
             mean_acc += tail.sum(axis=0)
             outer_acc += tail.T @ tail
             count += tail.shape[0]
-            block_means.append(tail.mean(axis=0))
         seen += m
     mean_u = mean_acc / count
     cov_u = (outer_acc - count * np.outer(mean_u, mean_u)) / (count - 1)
     cov = Q @ cov_u @ Q.T
-    bm = np.asarray(block_means)
-    if bm.shape[0] >= 2:
-        mean_se = np.abs(Q) @ (bm.std(axis=0, ddof=1) / math.sqrt(bm.shape[0]))
-    else:
-        mean_se = None
     return StationaryEstimate(
         mean=model.theta_star + Q @ mean_u,
         covariance=0.5 * (cov + cov.T),
-        burn_in=burn_in,
         retained=count,
-        thin=thin,
-        mean_se=mean_se,
     )
 
 

@@ -34,21 +34,6 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(A, x[..., None])[..., 0]
 
 
-def _standard_normal_like(x: np.ndarray, rng) -> np.ndarray:
-    """Standard-normal noise shaped like ``x``: one draw from the stream
-    ``rng`` for a ``(dim,)`` ``x``; for ``(k, dim)``, ``rng`` is a
-    sequence of k streams and row i is drawn from ``rng[i]``."""
-    if x.ndim == 1:
-        return rng.standard_normal(x.shape)
-    k, dim = x.shape
-    if isinstance(rng, RngStream) or len(rng) != k:
-        raise ValueError(f"a stack of {k} rows needs a sequence of {k} RngStreams")
-    z = np.empty((k, dim))
-    for i, r in enumerate(rng):
-        r.standard_normal(out=z[i])
-    return z
-
-
 def gaussian_factor(cov, dim: int):
     """The scale of N(0, C) noise in ``dim`` coordinates: sigma with
     sigma^2 = C for a scalar C >= 0 (isotropic noise), else the matrix L
@@ -99,10 +84,6 @@ class QuadraticModel(GradientOracle):
     def lambda_max(self) -> float:
         return float(self._eigvals[-1])
 
-    @property
-    def lambda_min(self) -> float:
-        return float(self._eigvals[0])
-
     def full_gradient(self, theta):
         d = self._check_stack(theta) - self.theta_star
         Hd = _matvec(self.H, d)
@@ -152,8 +133,8 @@ class AdditiveNoiseOracle(GradientOracle):
 
     ``covariance`` is either a scalar sigma^2 (isotropic) or a full PSD
     matrix, read by :func:`gaussian_factor`. Noise is drawn from the
-    RngStream passed at call time (one stream per row for a stacked
-    theta); the base oracle must take the same theta shape.
+    RngStream passed at call time; the base oracle must take the same
+    theta shape.
     """
 
     def __init__(self, base: GradientOracle, covariance):
@@ -172,14 +153,14 @@ class AdditiveNoiseOracle(GradientOracle):
 
     def stochastic_gradient(self, theta, rng) -> np.ndarray:
         grad = self.base.full_gradient(theta)[1]
-        return grad + self.noise(_standard_normal_like(grad, rng))
+        return grad + self.noise(rng.standard_normal(grad.shape))
 
 
 class PureNoiseOracle(GradientOracle):
     """Zero true gradient everywhere; stochastic gradients are pure noise.
 
-    Used for stationary momentum-variance estimation, where the update
-    direction statistics must be isolated from any drift.
+    The setting of ``noise.pair_amplification_ratio``'s buffer simulation,
+    where the update direction statistics must be isolated from any drift.
     """
 
     def __init__(self, dim: int, sigma2: float = 1.0):
@@ -199,7 +180,7 @@ class PureNoiseOracle(GradientOracle):
         return self.sigma * z
 
     def stochastic_gradient(self, theta, rng) -> np.ndarray:
-        return self.noise(_standard_normal_like(self._check_stack(theta), rng))
+        return self.noise(rng.standard_normal(self._check_stack(theta).shape))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import re
 
 import pytest
@@ -184,6 +185,9 @@ class TestExitCodes:
         ("horizons", [10.7, 100]),
         ("horizons", [0, 100]),
         ("horizons", "10"),
+        # Equal horizons leave the log-log slope fit singular.
+        ("horizons", [1, 1]),
+        ("horizons", [200, 200, 200]),
     ]
 
     @pytest.mark.parametrize("key,value", MALFORMED_CONVERGENCE,
@@ -409,6 +413,51 @@ class TestExitCodes:
         assert main(["posterior", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert f"{kind} dynamics unstable" in capsys.readouterr().err
         assert not out.exists()
+
+    # Below 39 steps some batch keeps fewer than 2 post-burn-in samples, which
+    # made a NaN ratio (steps 1) or standard error (steps 15, 38).
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta1", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("steps", [1, 15, 38])
+    def test_too_few_noise_steps_is_config_error(self, tmp_path, capsys, monkeypatch, beta1,
+                                                 steps):
+        monkeypatch.setattr(noise, "_simulate_buffers",
+                            lambda *a, **k: pytest.fail("simulated before failing"))
+        cfg = write_config(tmp_path, {**TINY["noise"], "beta1": beta1, "steps": steps})
+        out = tmp_path / "out"
+        assert main(["noise", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "'steps'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta1", [0.0, 0.5, 0.9])
+    def test_fewest_noise_steps_are_finite(self, tmp_path, beta1):
+        cfg = write_config(tmp_path, {**TINY["noise"], "beta1": beta1, "steps": 39,
+                                      "beta0_values": [0.0, 1.0]})
+        out = tmp_path / "out"
+        assert main(["noise", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        for row in json.loads((out / "noise_ratios.json").read_text())["ratios"]:
+            assert math.isfinite(row["measured_ratio"]) and math.isfinite(row["standard_error"])
+
+    # One retained iterate per chain left the mean's batch means empty.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("samples,chains", [(64, 64), (1, 1), (10, 64)])
+    def test_one_sample_per_chain_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                  samples, chains):
+        monkeypatch.setattr(optim.Optimizer, "step",
+                            lambda *a, **k: pytest.fail("stepped before failing"))
+        cfg = write_config(tmp_path, {**TINY["posterior"], "samples": samples,
+                                      "chains": chains})
+        out = tmp_path / "out"
+        assert main(["posterior", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'samples'" in err and "'chains'" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_two_samples_per_chain_succeed(self, tmp_path):
+        cfg = write_config(tmp_path, {**TINY["posterior"], "samples": 65, "chains": 64})
+        assert main(["posterior", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 def leaf_paths(payload, prefix=""):

@@ -9,15 +9,14 @@ from pnmkit import optim
 from pnmkit.core import RngStream
 from pnmkit.noise import (
     amplification_factor,
+    default_burn_in,
     estimate_gradient_noise_covariance,
     pair_amplification_ratio,
     pnm_buffer_correlation,
     single_buffer_stationary_variance,
-    stationary_momentum_variance,
-    _hb_directions,
     _simulate_buffers,
 )
-from pnmkit.optim import HeavyBall, Pnm
+from pnmkit.optim import Pnm
 from pnmkit.problems import FiniteDataset, LinearRegressionProblem, PureNoiseOracle
 
 
@@ -74,45 +73,19 @@ class TestBufferSimulation:
             np.testing.assert_allclose(opt.m, m_sim[t], atol=1e-14)
             np.testing.assert_allclose(prev_before, m_prev_sim[t], atol=1e-14)
 
-    def test_hb_directions_match_optimizer_exactly(self):
-        # The IIR filter must replay HeavyBall's buffer (beta3 = 1 - beta1)
-        # on the same noise stream.
-        beta1 = 0.9
-        series = _hb_directions(beta1, 1.0 - beta1, 300, 2, RngStream(12))
-        oracle = PureNoiseOracle(2, 1.0)
-        opt = HeavyBall(dim=2, lr=0.1, beta1=beta1, beta3=1.0 - beta1)
-        theta = np.zeros(2)
-        rng = RngStream(12)
-        for t in range(300):
-            theta = opt.step(theta, oracle.stochastic_gradient(theta, rng))
-            np.testing.assert_allclose(opt.m, series[t], atol=1e-14)
-
     def test_single_buffer_variance_closed_form(self):
         # geometric series: (1 - beta)^2 / (1 - beta^2), beta = beta1^2
         assert single_buffer_stationary_variance(0.9) == pytest.approx(0.19 / 1.81)
         assert single_buffer_stationary_variance(0.9) == pytest.approx(0.104972, abs=1e-6)
 
     def test_estimated_buffer_variance(self):
-        rep = stationary_momentum_variance("pnm_buffer", 0.9, 0.0, 1.0,
-                                           300_000, RngStream(21))
-        target = single_buffer_stationary_variance(0.9)
-        assert abs(rep.variance - target) < 4 * rep.standard_error
-        assert rep.warning is None
-
-    def test_hb_variance_closed_form(self):
-        # EMA with weight 1 - beta1: stationary variance (1-b)/(1+b)
-        rep = stationary_momentum_variance("hb", 0.9, 0.0, 1.0,
-                                           300_000, RngStream(22))
-        target = (1.0 - 0.9) / (1.0 + 0.9)
-        assert abs(rep.variance - target) < 4 * rep.standard_error
-
-    def test_short_run_warns(self):
-        rep = stationary_momentum_variance("pnm", 0.95, 1.0, 1.0, 400, RngStream(1))
-        assert rep.warning is not None
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            stationary_momentum_variance("nesterov", 0.9, 0.0, 1.0, 1000, RngStream(0))
+        # The simulated buffer's post-burn-in variance sits within 4
+        # batch-means standard errors of the geometric-series closed form.
+        m, _ = _simulate_buffers(0.9, 300_000, 1, RngStream(21))
+        tail = m[default_burn_in(0.9):, 0]
+        block_vars = tail[:tail.size // 100 * 100].reshape(100, -1).var(axis=1)
+        se = block_vars.std(ddof=1) / math.sqrt(100)
+        assert abs(tail.var() - single_buffer_stationary_variance(0.9)) < 4 * se
 
 
 class TestPairRatio:

@@ -249,6 +249,36 @@ class TestTrajectoryIdentities:
             oracle, opt, np.zeros(1), 500, RngStream(123))
         assert pnm_lemma1_residuals(thetas, ms, grads, 0.1, 1.0, 0.9).max() <= 1e-10
 
+    @pytest.mark.parametrize("beta0,beta1,lr,dim", [(1.0, 0.9, 0.05, 3), (-0.4, 0.95, 0.01, 1)])
+    def test_residuals_equal_the_per_step_loops(self, beta0, beta1, lr, dim):
+        quad = QuadraticModel([0.0] * dim, np.diag(np.arange(1.0, dim + 1)))
+        opt = Pnm(dim=dim, lr=lr, beta0=beta0, beta1=beta1)
+        run = record_pnm_run(AdditiveNoiseOracle(quad, 1.0), opt, np.ones(dim), 1000,
+                             RngStream(7))
+        want_recursion, want_lemma1 = _reference_residuals(*run, lr, beta0, beta1)
+        got = pnm_recursion_residuals(*run, lr, beta0, beta1)
+        assert got.tobytes() == want_recursion.tobytes()
+        assert pnm_lemma1_residuals(*run, lr, beta0, beta1).tobytes() == want_lemma1.tobytes()
+
+
+def _reference_residuals(thetas, ms, grads, lr, beta0, beta1):
+    """The step-by-step loops of the two identity residuals: the reference
+    their vectorized forms must equal bit for bit."""
+    eta0 = lr / pn_normalization(beta0)
+    x = np.empty((thetas.shape[0] + 2, thetas.shape[1]))
+    x[0] = x[1] = x[2] = thetas[0]
+    for t in range(1, thetas.shape[0]):
+        x[t + 2] = thetas[t] + eta0 * beta0 * ms[t - 1]
+    beta = beta1 * beta1
+    alpha = eta0 * (1.0 - beta)
+    z = (x[2:] - beta * x[:-2]) / (1.0 - beta)
+    recursion, lemma1 = np.empty(len(grads)), np.empty(len(grads))
+    for t in range(len(grads)):
+        pred = x[t + 2] - alpha * grads[t] + beta * (x[t + 1] - x[t])
+        recursion[t] = np.max(np.abs(x[t + 3] - pred))
+        lemma1[t] = np.max(np.abs(z[t + 1] - z[t] + alpha / (1.0 - beta) * grads[t]))
+    return recursion, lemma1
+
 
 class TestDeterminism:
     def test_identical_seed_identical_trajectory(self):

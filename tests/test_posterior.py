@@ -264,9 +264,10 @@ class TestSimulateStationary:
             simulate_stationary(model, 1.0, kind, eta, burn_in=100000,
                                 samples=1000, rng=RngStream(10), chains=2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_names_step(self):
         # Stable dynamics fed infinite noise: the non-finite backstop fires
-        # on the first step.
+        # on the first step, without a numpy warning before it.
         model = QuadraticModel([0.0], [[1.0]])
         with pytest.raises(DivergenceError, match="pnm dynamics diverged at step 0"):
             simulate_stationary(model, math.inf, "pnm", 0.01, burn_in=10,

@@ -9,7 +9,6 @@ from .core import (
     GradientOracle,
     NonFiniteError,
     RngStream,
-    Trajectory,
     config_digest,
 )
 from .optim import (

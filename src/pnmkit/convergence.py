@@ -171,6 +171,7 @@ def empirical_rate(
     the seeds of one horizon run together on a stacked state, so the
     oracle must take a ``(len(seeds), dim)`` theta and give its gradient
     noise as ``oracle.noise`` (see :class:`~pnmkit.core.GradientOracle`).
+    A minimum that is not > 0 has no logarithm, so it fails the fit.
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
     if any(isinstance(T, bool) or not isinstance(T, Integral) or T < 1 for T in horizons):
@@ -194,5 +195,9 @@ def empirical_rate(
             acc += curve
         mins[i] = acc.min() / len(seeds)
         g_max = max(g_max, math.sqrt(float(curves.max())))
+    for T, m in zip(horizons, mins.tolist()):
+        if not m > 0:
+            raise ValueError(f"horizon {T} has minimum squared gradient norm {m!r}; no "
+                             "log-log slope can be fitted through a value that is not > 0")
     slope = float(np.polyfit(np.log(horizons), np.log(mins), 1)[0])
     return RateEstimate(horizons, mins, slope, g_max, steps)

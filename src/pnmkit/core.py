@@ -1,5 +1,5 @@
 """Shared numeric types: parameter vectors, gradient oracles, seeded RNG
-streams, and trajectory recording.
+streams, and trajectory records.
 
 All floating-point state is float64; the algebraic-identity tests in the
 suite rely on ~1e-10 agreement, which float32 cannot deliver.
@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -105,8 +105,8 @@ class GradientOracle(ABC):
     ``stochastic_gradient(theta, rng)``, an unbiased gradient sample;
     dataset problems draw minibatches with ``minibatch_gradient`` instead.
 
-    The analytic oracles (quadratic, Rosenbrock and the noise oracles)
-    write each formula once on a ``(..., dim)`` theta, checked by
+    The analytic oracles (quadratic, Rosenbrock and the additive-noise
+    oracle) write each formula once on a ``(..., dim)`` theta, checked by
     :meth:`_check_stack`: for ``(dim,)`` the loss is a float64 scalar;
     for a stacked ``(k, dim)`` theta it is a ``(k,)`` array and the
     gradient ``(k, dim)``. Their gradient noise is one map, ``noise(z)``,
@@ -143,45 +143,12 @@ class GradientOracle(ABC):
 
 @dataclass
 class TrajectoryRecord:
+    """One evaluation point of an optimization run."""
+
     step: int
     loss: float
     grad_norm_sq: float
     test_error: Optional[float] = None
-
-
-@dataclass
-class Trajectory:
-    """Ordered per-step records of one optimization run."""
-
-    records: list[TrajectoryRecord] = field(default_factory=list)
-
-    def append(
-        self,
-        step: int,
-        loss: float,
-        grad_norm_sq: float,
-        test_error: Optional[float] = None,
-    ) -> None:
-        if self.records and step <= self.records[-1].step:
-            raise ValueError(
-                f"step indices must strictly increase: got {step} after "
-                f"{self.records[-1].step}"
-            )
-        self.records.append(
-            TrajectoryRecord(step, float(loss), float(grad_norm_sq), test_error)
-        )
-
-    @property
-    def steps(self) -> np.ndarray:
-        return np.array([r.step for r in self.records], dtype=np.int64)
-
-    @property
-    def losses(self) -> np.ndarray:
-        return np.array([r.loss for r in self.records])
-
-    @property
-    def grad_norms_sq(self) -> np.ndarray:
-        return np.array([r.grad_norm_sq for r in self.records])
 
 
 def config_digest(config: dict) -> str:

@@ -31,7 +31,7 @@ from .core import (
     DivergenceError,
     NonFiniteError,
     RngStream,
-    Trajectory,
+    TrajectoryRecord,
     config_digest,
 )
 from .optim import Optimizer, WeightDecay, make_optimizer
@@ -181,18 +181,18 @@ class ClassificationTask:
     problem: TinyMlpProblem
     train: FiniteDataset
     test: FiniteDataset
-    clean_train: FiniteDataset
     corrupted_mask: np.ndarray
     theta0: np.ndarray
 
     def train_errors(self, theta) -> tuple[float, float]:
         """Error on the (possibly corrupted) training labels, and on the
-        training samples whose label was left intact."""
+        training samples whose label was left intact (label noise keeps
+        the features and leaves those labels as they were)."""
         corrupted = self.problem.error_rate(theta, self.train)
         clean_idx = np.flatnonzero(~self.corrupted_mask)
         if not clean_idx.size:
             return corrupted, corrupted
-        return corrupted, self.problem.error_rate(theta, self.clean_train.subset(clean_idx))
+        return corrupted, self.problem.error_rate(theta, self.train.subset(clean_idx))
 
 
 def _split(dataset: FiniteDataset, test_fraction: float, rng: RngStream):
@@ -224,14 +224,13 @@ def build_classification_task(cfg: dict, seed: int) -> ClassificationTask:
     else:
         raise ConfigError(f"not a classification problem: {p['name']!r}")
     train, test = _split(data, p["test_fraction"], root.spawn(4))
-    clean_train = train
     mask = np.zeros(train.n_samples, dtype=bool)
     if p["label_noise"] is not None:
         spec = LabelNoiseSpec(**read_config(p["label_noise"], LABEL_NOISE, "problem.label_noise"))
         train, mask = apply_label_noise(train, spec, root.spawn(1))
     problem = TinyMlpProblem(train, hidden=p["hidden"])
     theta0 = problem.init_params(root.spawn(2), scale=p["init_scale"])
-    return ClassificationTask(problem, train, test, clean_train, mask, theta0)
+    return ClassificationTask(problem, train, test, mask, theta0)
 
 
 def build_analytic_oracle(cfg: dict, seed: int):
@@ -282,7 +281,7 @@ class RunResult:
     best_test_error: Optional[float] = None
     final_corrupted_train_error: Optional[float] = None
     final_clean_train_error: Optional[float] = None
-    trajectory: Optional[Trajectory] = None
+    trajectory: Optional[list[TrajectoryRecord]] = None
 
     def summary_fields(self) -> dict:
         """The summary row: every metric the run has, without the trajectory."""
@@ -352,12 +351,12 @@ def run_seed(cfg: dict, seed: int) -> RunResult:
     if not decay["factor"] > 0:
         raise ConfigError(f"'lr_decay.factor' must be a number > 0, got {decay['factor']!r}")
     milestones = set(decay["milestones"])
-    traj = Trajectory()
+    traj = []
 
     def evaluate(step: int) -> None:
         loss, grad = oracle.full_gradient(theta)
         err = None if test_error is None else test_error(theta)
-        traj.append(step, loss, float(grad @ grad), test_error=err)
+        traj.append(TrajectoryRecord(step, float(loss), float(grad @ grad), err))
 
     evaluate(0)
     for step in range(1, steps + 1):
@@ -372,17 +371,17 @@ def run_seed(cfg: dict, seed: int) -> RunResult:
         if step % eval_every == 0 or step == steps:
             evaluate(step)
 
-    final = traj.records[-1]
+    final = traj[-1]
     result = RunResult(
         seed=seed,
         final_loss=final.loss,
-        min_grad_norm_sq=float(np.min(traj.grad_norms_sq)),
+        min_grad_norm_sq=min(r.grad_norm_sq for r in traj),
         trajectory=traj,
     )
     if test_error is not None:
         # The step-0 evaluation is the initialization, not a trained model.
         result.final_test_error = final.test_error
-        result.best_test_error = min(r.test_error for r in traj.records[1:])
+        result.best_test_error = min(r.test_error for r in traj[1:])
         (result.final_corrupted_train_error,
          result.final_clean_train_error) = train_errors(theta)
     return result
@@ -457,7 +456,7 @@ def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 def write_json(path: Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def write_report(out_dir, digest: str, json_files: dict[str, dict],
@@ -478,16 +477,14 @@ def write_report(out_dir, digest: str, json_files: dict[str, dict],
 
 
 def write_trajectory_csv(path: Path, result: RunResult, digest: str) -> None:
-    traj = result.trajectory
-    has_test = any(rec.test_error is not None for rec in traj.records)
+    has_test = result.final_test_error is not None
     lines = [f"# config_digest={digest} seed={result.seed} prng={RNG_ALGORITHM}"]
     header = "step,loss,grad_norm_sq" + (",test_error" if has_test else "")
     lines.append(header)
-    for rec in traj.records:
+    for rec in result.trajectory:
         row = f"{rec.step},{rec.loss!r},{rec.grad_norm_sq!r}"
         if has_test:
-            err = rec.test_error if rec.test_error is not None else float("nan")
-            row += f",{err!r}"
+            row += f",{rec.test_error!r}"
         lines.append(row)
     Path(path).write_text("\n".join(lines) + "\n")
 

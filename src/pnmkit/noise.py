@@ -125,7 +125,6 @@ class CovarianceEstimate:
     """Sample covariance of minibatch gradient noise at a fixed point."""
 
     matrix: np.ndarray
-    sample_count: int
     degenerate: bool = False
 
     def __post_init__(self):
@@ -158,7 +157,7 @@ def estimate_gradient_noise_covariance(
         raise ValueError("need at least 2 samples")
     theta = np.asarray(theta, dtype=np.float64)
     if batch_size == problem.dataset_size:
-        return CovarianceEstimate(np.zeros((problem.dim, problem.dim)), samples, True)
+        return CovarianceEstimate(np.zeros((problem.dim, problem.dim)), True)
     _, full = problem.full_gradient(theta)
     deltas = np.empty((samples, problem.dim))
     for i in range(samples):
@@ -166,4 +165,4 @@ def estimate_gradient_noise_covariance(
     deltas -= deltas.mean(axis=0)
     cov = deltas.T @ deltas / (samples - 1)
     cov = 0.5 * (cov + cov.T)
-    return CovarianceEstimate(cov, samples)
+    return CovarianceEstimate(cov)

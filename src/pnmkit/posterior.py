@@ -152,7 +152,7 @@ def simulate_stationary(
     keep at least 2 iterates (``samples > chains``). An unstable
     configuration (see :func:`check_stable`) and too few samples are
     rejected before the first step; a non-finite gradient aborts with the
-    offending step.
+    offending step, and a non-finite covariance names it, as divergences.
 
     The noise of a block of steps (at most ``_NOISE_BLOCK`` values, or one
     step's noise when that is more) is drawn at once, in the stream order
@@ -188,7 +188,8 @@ def simulate_stationary(
     kept = np.empty((per_chain, chains, n))
     k = 0
     # Infinite noise makes inf - inf; the optimizer's non-finite check
-    # reports it as a divergence, so numpy need not warn first.
+    # reports it as a divergence, and finite iterates too large to square
+    # give the non-finite covariance checked below, so numpy need not warn.
     with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, total_steps, block):
             noise = rng.standard_normal((min(block, total_steps - start), draws, chains, n)) @ L.T
@@ -207,20 +208,24 @@ def simulate_stationary(
                     kept[k] = dev
                     k += 1
 
-    flat = kept[:k].reshape(-1, n)
-    mean_dev = flat.mean(axis=0)
-    centered = flat - mean_dev
-    cov = centered.T @ centered / (flat.shape[0] - 1)
+        flat = kept[:k].reshape(-1, n)
+        mean_dev = flat.mean(axis=0)
+        centered = flat - mean_dev
+        cov = centered.T @ centered / (flat.shape[0] - 1)
+        cov = 0.5 * (cov + cov.T)
 
-    # SE of the mean from batch means along time, pooled over chains.
-    n_blocks = max(4, min(50, k // 50)) if k >= 8 else 2
-    usable = (k // n_blocks) * n_blocks
-    block_means = kept[:usable].reshape(n_blocks, -1, n).mean(axis=1)
-    mean_se = block_means.std(axis=0, ddof=1) / math.sqrt(n_blocks)
+        # SE of the mean from batch means along time, pooled over chains.
+        n_blocks = max(4, min(50, k // 50)) if k >= 8 else 2
+        usable = (k // n_blocks) * n_blocks
+        block_means = kept[:usable].reshape(n_blocks, -1, n).mean(axis=1)
+        mean_se = block_means.std(axis=0, ddof=1) / math.sqrt(n_blocks)
+    if not np.all(np.isfinite(cov)):
+        raise DivergenceError(f"{kind} dynamics: 'empirical_covariance' is not finite; "
+                              "the iterates are too large to square")
 
     return StationaryEstimate(
         mean=model.theta_star + mean_dev,
-        covariance=0.5 * (cov + cov.T),
+        covariance=cov,
         retained=flat.shape[0],
         mean_se=mean_se,
     )

@@ -1,9 +1,10 @@
 """Gradient oracles with known analytic structure.
 
 Quadratics and Rosenbrock give closed-form gradients for the optimizer
-identity and convergence checks; linear/logistic regression and a one-
-hidden-layer tanh MLP over finite datasets supply minibatch gradients with
-hand-derived backprop (no autodiff anywhere). A central-finite-difference
+identity and convergence checks, optionally with additive Gaussian noise;
+linear regression and a one-hidden-layer tanh MLP over finite datasets
+supply minibatch gradients with hand-derived backprop (no autodiff
+anywhere). A central-finite-difference
 checker verifies every analytic gradient in the tests.
 """
 
@@ -89,9 +90,6 @@ class QuadraticModel(GradientOracle):
         Hd = _matvec(self.H, d)
         return self.f0 + 0.5 * np.vecdot(d, Hd), Hd
 
-    def hessian(self, theta=None) -> np.ndarray:
-        return self.H
-
     def stochastic_gradient(self, theta, rng) -> np.ndarray:
         return self.full_gradient(theta)[1]
 
@@ -125,7 +123,7 @@ class RosenbrockProblem(GradientOracle):
 
 
 # ---------------------------------------------------------------------------
-# Noise wrappers
+# Noise wrapper
 # ---------------------------------------------------------------------------
 
 class AdditiveNoiseOracle(GradientOracle):
@@ -154,33 +152,6 @@ class AdditiveNoiseOracle(GradientOracle):
     def stochastic_gradient(self, theta, rng) -> np.ndarray:
         grad = self.base.full_gradient(theta)[1]
         return grad + self.noise(rng.standard_normal(grad.shape))
-
-
-class PureNoiseOracle(GradientOracle):
-    """Zero true gradient everywhere; stochastic gradients are pure noise.
-
-    The setting of ``noise.pair_amplification_ratio``'s buffer simulation,
-    where the update direction statistics must be isolated from any drift.
-    """
-
-    def __init__(self, dim: int, sigma2: float = 1.0):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
-        self.dim = int(dim)
-        self.sigma = float(np.sqrt(sigma2))
-
-    def full_gradient(self, theta):
-        theta = self._check_stack(theta)
-        return np.zeros(theta.shape[:-1])[()], np.zeros(theta.shape)
-
-    def noise(self, z: np.ndarray) -> np.ndarray:
-        """The gradient noise for standard normals ``z`` of shape ``(..., dim)``."""
-        return self.sigma * z
-
-    def stochastic_gradient(self, theta, rng) -> np.ndarray:
-        return self.noise(rng.standard_normal(self._check_stack(theta).shape))
 
 
 # ---------------------------------------------------------------------------
@@ -374,30 +345,6 @@ class LinearRegressionProblem(DatasetProblem):
 
     def hessian(self, theta=None):
         return self._H
-
-
-class LogisticRegressionProblem(DatasetProblem):
-    """Binary cross-entropy with sigmoid link; labels in {0, 1}."""
-
-    def __init__(self, dataset: FiniteDataset):
-        labels = np.asarray(dataset.labels)
-        uniq = np.unique(labels)
-        if not np.all(np.isin(uniq, [0, 1])):
-            raise ValueError("logistic regression requires labels in {0, 1}")
-        super().__init__(dataset)
-        self.dim = dataset.n_features
-
-    def batch_loss_gradient(self, theta, idx):
-        theta = self._check_dim(theta)
-        X = self.dataset.features[idx]
-        y = np.asarray(self.dataset.labels, dtype=np.float64)[idx]
-        z = X @ theta
-        # log(1 + exp(z)) evaluated stably for large |z|
-        softplus = np.logaddexp(0.0, z)
-        loss = float(np.mean(softplus - y * z))
-        p = 1.0 / (1.0 + np.exp(-z))
-        grad = X.T @ (p - y) / len(y)
-        return loss, grad
 
 
 class TinyMlpProblem(DatasetProblem):

@@ -326,6 +326,28 @@ class TestExitCodes:
                                       "burn_in": 1000, "samples": 6400, "chains": 64})
         assert main(["posterior", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
 
+    # Each exited 0 after numpy warnings, writing Infinity and NaN (posterior's
+    # iterates are too large to square) or a NaN slope (the minimum is 0 at
+    # every horizon when the start is the minimizer of a noiseless quadratic).
+    UNREPRESENTABLE = [
+        ("posterior", {"kind": "sgd", "eigenvalues": [1.0], "eta": 0.01, "noise_sigma2": 1e308,
+                       "burn_in": 100, "samples": 6400}, EXIT_DIVERGED, "'empirical_covariance'"),
+        ("convergence", {"problem": {"name": "quadratic", "dim": 2, "theta0": [0.0, 0.0]},
+                         "horizons": [10, 100], "seeds": 2}, EXIT_CONFIG,
+         "horizon 10 has minimum squared gradient norm 0.0; no log-log slope"),
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command,payload,code,message", UNREPRESENTABLE,
+                             ids=[c for c, *_ in UNREPRESENTABLE])
+    def test_unrepresentable_result_is_rejected(self, tmp_path, capsys, command, payload, code,
+                                                message):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     # NaN, Infinity and integers beyond the float range; json writes all three.
     NON_FINITE = [
         ("run", TINY["run"], "optimizer.lr", float("nan")),
@@ -491,6 +513,10 @@ JSON_VALUES = st.one_of(
     st.dictionaries(st.text(max_size=3), SMALL, max_size=2))
 
 
+def _reject_constant(name):
+    raise AssertionError(f"wrote {name}, which strict JSON has no token for")
+
+
 class TestFuzz:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -503,6 +529,8 @@ class TestFuzz:
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
+        for written in (tmp_path / "out").glob("*.json"):
+            json.loads(written.read_text(), parse_constant=_reject_constant)
         given_value = lookup(payload, path)
         if (isinstance(given_value, (int, float)) and not isinstance(given_value, bool)
                 and isinstance(value, (bool, str))):

@@ -4,7 +4,6 @@ import pytest
 from pnmkit.core import (
     NonFiniteError,
     RngStream,
-    Trajectory,
     as_param_vector,
     config_digest,
 )
@@ -57,23 +56,6 @@ class TestRngStream:
 
     def test_algorithm_identifier(self):
         assert RngStream(1).algorithm == "pcg64"
-
-
-class TestTrajectory:
-    def test_steps_strictly_increasing(self):
-        t = Trajectory()
-        t.append(0, 1.0, 2.0)
-        t.append(1, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            t.append(1, 0.4, 0.9)
-
-    def test_column_arrays(self):
-        t = Trajectory()
-        t.append(0, 1.0, 2.0)
-        t.append(5, 0.5, 1.5)
-        np.testing.assert_array_equal(t.steps, [0, 5])
-        np.testing.assert_array_equal(t.losses, [1.0, 0.5])
-        np.testing.assert_array_equal(t.grad_norms_sq, [2.0, 1.5])
 
 
 class TestConfigDigest:

@@ -20,7 +20,6 @@ from pnmkit.optim import (
 )
 from pnmkit.problems import (
     AdditiveNoiseOracle,
-    PureNoiseOracle,
     QuadraticModel,
     RosenbrockProblem,
     rosenbrock_eval,
@@ -243,7 +242,11 @@ class TestTrajectoryIdentities:
         assert pnm_lemma1_residuals(thetas, ms, grads, lr, beta0, beta1).max() <= 1e-10
 
     def test_identities_on_pure_noise(self):
-        oracle = PureNoiseOracle(1, 1.0)
+        class PureNoise:  # zero true gradient: every gradient is unit white noise
+            def stochastic_gradient(self, theta, rng):
+                return rng.standard_normal(theta.shape)
+
+        oracle = PureNoise()
         opt = Pnm(dim=1, lr=0.1, beta0=1.0, beta1=0.9)
         thetas, ms, grads = record_pnm_run(
             oracle, opt, np.zeros(1), 500, RngStream(123))

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from pnmkit.core import DimensionMismatchError, RngStream
+from pnmkit.core import DimensionMismatchError, GradientOracle, RngStream
 from pnmkit.problems import (
     AdditiveNoiseOracle,
     FiniteDataset,
     LabelNoiseSpec,
     LinearRegressionProblem,
-    LogisticRegressionProblem,
-    PureNoiseOracle,
     QuadraticModel,
     RosenbrockProblem,
     TinyMlpProblem,
@@ -81,7 +79,8 @@ class TestRosenbrock:
             assert fd_gradient_check(prob, theta, h=1e-6) < 1e-6
 
 
-class _LinearOracle(PureNoiseOracle):
+class _LinearOracle(GradientOracle):
+    dim = 3
     coef = np.array([2.0, -3.0, 0.5])
 
     def full_gradient(self, theta):
@@ -91,7 +90,7 @@ class _LinearOracle(PureNoiseOracle):
 class TestFdGradientCheck:
     def test_linear_function_exact(self):
         # quadratic FD error vanishes for a linear function
-        assert fd_gradient_check(_LinearOracle(3), np.array([1.0, 2.0, 3.0])) < 1e-10
+        assert fd_gradient_check(_LinearOracle(), np.array([1.0, 2.0, 3.0])) < 1e-10
 
     def test_planted_fault_detected(self):
         class Corrupted(QuadraticModel):
@@ -236,21 +235,6 @@ class TestMlpKernel:
         np.testing.assert_array_equal(pred, kept_pred)
 
 
-class TestLogisticRegression:
-    def test_fd_agreement(self):
-        rng = RngStream(8)
-        X = rng.standard_normal((40, 3))
-        y = (X[:, 0] + 0.2 * rng.standard_normal(40) > 0).astype(np.int64)
-        prob = LogisticRegressionProblem(FiniteDataset(X, y))
-        for _ in range(20):
-            theta = rng.standard_normal(3)
-            assert fd_gradient_check(prob, theta, h=1e-5) < 1e-7
-
-    def test_label_domain_enforced(self):
-        with pytest.raises(ValueError):
-            LogisticRegressionProblem(FiniteDataset(np.ones((3, 1)), [0, 1, 2]))
-
-
 class TestLinearRegression:
     def test_hessian_is_gram_matrix(self):
         rng = RngStream(9)
@@ -338,13 +322,6 @@ class TestNoiseOracles:
         np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.05)
         np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.08)
 
-    def test_pure_noise_zero_gradient(self):
-        oracle = PureNoiseOracle(3, 2.0)
-        _, full = oracle.full_gradient(np.zeros(3))
-        np.testing.assert_array_equal(full, 0.0)
-        g = oracle.stochastic_gradient(np.zeros(3), RngStream(1))
-        assert g.shape == (3,)
-
 
 class TestGradientArrays:
     """Every stochastic gradient is a plain float64 array of shape (dim,)."""
@@ -354,7 +331,6 @@ class TestGradientArrays:
         "rosenbrock": RosenbrockProblem,
         "additive_noise": lambda: AdditiveNoiseOracle(
             QuadraticModel([0.0, 0.0], np.eye(2)), 0.5),
-        "pure_noise": lambda: PureNoiseOracle(2, 1.0),
     }
 
     @pytest.mark.parametrize("name", sorted(ORACLES))
@@ -402,8 +378,6 @@ def _row_rosenbrock(theta):
 def _row_reference(name, oracle, theta, rng):
     """(loss, gradient, stochastic gradient) at a ``(dim,)`` theta, the
     noise drawn from ``rng``."""
-    if name == "pure_noise":
-        return 0.0, np.zeros(oracle.dim), oracle.sigma * rng.standard_normal(oracle.dim)
     base = getattr(oracle, "base", oracle)
     loss, grad = _row_quadratic(base, theta) if isinstance(base, QuadraticModel) \
         else _row_rosenbrock(theta)
@@ -432,7 +406,6 @@ class TestStackedOracles:
             _random_quadratic(RngStream(42), 5), NOISE_COVARIANCE["full_covariance_noise"]),
         "noisy_rosenbrock": lambda: AdditiveNoiseOracle(
             RosenbrockProblem(), NOISE_COVARIANCE["noisy_rosenbrock"]),
-        "pure_noise": lambda: PureNoiseOracle(3, 2.0),
     }
 
     # Rosenbrock's scalar ``** 2`` and an array's square disagree in the
@@ -482,7 +455,6 @@ class TestStackedOracles:
         classes = (X[:, 0] > 0).astype(np.int64)
         problems = [
             LinearRegressionProblem(FiniteDataset(X, X @ np.ones(2))),
-            LogisticRegressionProblem(FiniteDataset(X, classes)),
             TinyMlpProblem(FiniteDataset(X, classes), hidden=4),
         ]
         for problem in problems:

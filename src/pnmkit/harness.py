@@ -97,6 +97,11 @@ def list_of(kind, min_length: int = 1):
     return check
 
 
+def _key(context: str, key: str) -> str:
+    """``key`` of the section at dotted path ``context``, named from the root."""
+    return f"{context}.{key}" if context else key
+
+
 def read_config(cfg: dict, spec: dict, context: str = "") -> dict:
     """Check one config section against its key table; return it with
     every default filled in.
@@ -112,7 +117,7 @@ def read_config(cfg: dict, spec: dict, context: str = "") -> dict:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
     out = {}
     for key, (kind, default) in spec.items():
-        name = f"{context}.{key}" if context else key
+        name = _key(context, key)
         if cfg.get(key) is not None:
             out[key] = kind(cfg[key], name)
         elif default is REQUIRED:
@@ -159,14 +164,14 @@ ANALYTIC_PROBLEM = {
 }
 
 
-def build_optimizer(cfg: dict, dim: int) -> Optimizer:
-    opt = read_config(cfg, OPTIMIZER, "optimizer")
-    wd = read_config(opt.pop("weight_decay") or {}, WEIGHT_DECAY, "optimizer.weight_decay")
+def build_optimizer(cfg: dict, dim: int, context: str = "optimizer") -> Optimizer:
+    opt = read_config(cfg, OPTIMIZER, context)
+    wd = read_config(opt.pop("weight_decay") or {}, WEIGHT_DECAY, _key(context, "weight_decay"))
     hparams = {k: v for k, v in opt.items() if v is not None and k != "name"}
     try:
         return make_optimizer(opt["name"], dim=dim, weight_decay=WeightDecay(**wd), **hparams)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad optimizer config: {exc}") from exc
+        raise ConfigError(f"bad optimizer config '{context}': {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +200,17 @@ class ClassificationTask:
         return corrupted, self.problem.error_rate(theta, self.train.subset(clean_idx))
 
 
-def _split(dataset: FiniteDataset, test_fraction: float, rng: RngStream):
+def _split(dataset: FiniteDataset, test_fraction: float, rng: RngStream, name: str):
     n = dataset.n_samples
     n_test = int(round(test_fraction * n))
     if not 0 < n_test < n:
-        raise ConfigError("test_fraction must leave both splits nonempty")
+        raise ConfigError(f"'{name}' must leave both splits nonempty")
     perm = rng.permutation(n)
     return dataset.subset(perm[n_test:]), dataset.subset(perm[:n_test])
 
 
-def build_classification_task(cfg: dict, seed: int) -> ClassificationTask:
+def build_classification_task(cfg: dict, seed: int,
+                              context: str = "problem") -> ClassificationTask:
     """Materialize a dataset + MLP task for one seed.
 
     Stream layout: spawn(0) generates the data, spawn(1) corrupts labels,
@@ -212,31 +218,33 @@ def build_classification_task(cfg: dict, seed: int) -> ClassificationTask:
     The training loop owns spawn(3); distinct keys keep every source of
     randomness independent.
     """
-    p = read_config(cfg, CLASSIFICATION_PROBLEM, "problem")
+    p = read_config(cfg, CLASSIFICATION_PROBLEM, context)
     root = RngStream(seed)
     if p["name"] == "two_moons_mlp":
         data = make_two_moons(p["n"], p["noise"], root.spawn(0))
     elif p["name"] == "csv_mlp":
         if p["csv_path"] is None:
-            raise ConfigError("csv_mlp needs 'problem.csv_path'")
+            raise ConfigError(f"csv_mlp needs '{_key(context, 'csv_path')}'")
         data = load_csv_dataset(p["csv_path"], classification=True)
         data = data.subset(root.spawn(0).permutation(data.n_samples))
     else:
-        raise ConfigError(f"not a classification problem: {p['name']!r}")
-    train, test = _split(data, p["test_fraction"], root.spawn(4))
+        raise ConfigError(f"'{_key(context, 'name')}' is not a classification problem: "
+                          f"{p['name']!r}")
+    train, test = _split(data, p["test_fraction"], root.spawn(4), _key(context, "test_fraction"))
     mask = np.zeros(train.n_samples, dtype=bool)
     if p["label_noise"] is not None:
-        spec = LabelNoiseSpec(**read_config(p["label_noise"], LABEL_NOISE, "problem.label_noise"))
+        spec = LabelNoiseSpec(**read_config(p["label_noise"], LABEL_NOISE,
+                                            _key(context, "label_noise")))
         train, mask = apply_label_noise(train, spec, root.spawn(1))
     problem = TinyMlpProblem(train, hidden=p["hidden"])
     theta0 = problem.init_params(root.spawn(2), scale=p["init_scale"])
     return ClassificationTask(problem, train, test, mask, theta0)
 
 
-def build_analytic_oracle(cfg: dict, seed: int):
+def build_analytic_oracle(cfg: dict, seed: int, context: str = "problem"):
     """Quadratic / Rosenbrock / linear-regression oracles with optional
     additive noise, and the starting point ``theta0``."""
-    p = read_config(cfg, ANALYTIC_PROBLEM, "problem")
+    p = read_config(cfg, ANALYTIC_PROBLEM, context)
     if p["name"] == "quadratic":
         eigs = p["eigenvalues"]
         dim = p["dim"] or (len(eigs) if eigs else 2)
@@ -256,10 +264,10 @@ def build_analytic_oracle(cfg: dict, seed: int):
         base = LinearRegressionProblem(FiniteDataset(X, y))
         theta0 = np.zeros(dim)
     else:
-        raise ConfigError(f"unknown problem {p['name']!r}")
+        raise ConfigError(f"'{_key(context, 'name')}' is an unknown problem: {p['name']!r}")
     start = np.asarray(theta0 if p["theta0"] is None else p["theta0"], dtype=np.float64)
     if start.shape != (base.dim,):
-        raise ConfigError(f"'problem.theta0' must be a list of {base.dim} numbers, "
+        raise ConfigError(f"'{_key(context, 'theta0')}' must be a list of {base.dim} numbers, "
                           f"got {p['theta0']!r}")
     sigma2 = p["noise_sigma2"]
     oracle = AdditiveNoiseOracle(base, sigma2) if sigma2 > 0 else base
@@ -296,17 +304,17 @@ _DIVERGENCE_BOUND = 1e10
 _CLASSIFICATION_PROBLEMS = ("two_moons_mlp", "csv_mlp")
 
 
-def _require_test_error(cfg: dict) -> None:
+def _require_test_error(cfg: dict, context: str) -> None:
     """Fail before any training when a protocol that compares test errors
     is given a problem that has none."""
-    name = read_config(cfg, RUN)["problem"].get("name")
+    name = read_config(cfg, RUN, context)["problem"].get("name")
     if name not in _CLASSIFICATION_PROBLEMS:
         raise ConfigError(
-            f"'problem.name' must be one of {list(_CLASSIFICATION_PROBLEMS)} to report "
-            f"a test error, got {name!r}")
+            f"'{_key(context, 'problem.name')}' must be one of "
+            f"{list(_CLASSIFICATION_PROBLEMS)} to report a test error, got {name!r}")
 
 
-def run_seed(cfg: dict, seed: int) -> RunResult:
+def run_seed(cfg: dict, seed: int, context: str = "") -> RunResult:
     """Train one seed of a run config.
 
     The per-problem parts (gradient sampler, test-error evaluation,
@@ -315,12 +323,14 @@ def run_seed(cfg: dict, seed: int) -> RunResult:
     ``batch_size`` (default ``min(128, N)``), any other oracle supplies its
     own ``stochastic_gradient`` and rejects a ``batch_size``. One loop then
     steps every problem the same way. Parameters that turn non-finite or exceed 1e10 in magnitude
-    raise :class:`DivergenceError` naming the step and the seed.
+    raise :class:`DivergenceError` naming the step and the seed. A config
+    error names its key from the root of a config that holds ``cfg`` at
+    dotted path ``context``.
     """
-    run_cfg = read_config(cfg, RUN)
+    run_cfg = read_config(cfg, RUN, context)
     steps = run_cfg["steps"]
     if run_cfg["problem"].get("name") in _CLASSIFICATION_PROBLEMS:
-        task = build_classification_task(run_cfg["problem"], seed)
+        task = build_classification_task(run_cfg["problem"], seed, _key(context, "problem"))
         oracle, theta = task.problem, task.theta0
 
         def test_error(theta):
@@ -329,7 +339,7 @@ def run_seed(cfg: dict, seed: int) -> RunResult:
         train_errors = task.train_errors
         eval_every = run_cfg["eval_every"] or max(1, steps // 50)
     else:
-        oracle, theta = build_analytic_oracle(run_cfg["problem"], seed)
+        oracle, theta = build_analytic_oracle(run_cfg["problem"], seed, _key(context, "problem"))
         test_error = train_errors = None
         eval_every = run_cfg["eval_every"] or max(1, steps // 100)
     batch_size = run_cfg["batch_size"]
@@ -341,15 +351,17 @@ def run_seed(cfg: dict, seed: int) -> RunResult:
     else:
         if batch_size is not None:
             raise ConfigError(
-                f"'batch_size' is not read by problem {run_cfg['problem']['name']!r}: "
+                f"'{_key(context, 'batch_size')}' is not read by problem "
+                f"{run_cfg['problem']['name']!r}: "
                 "its stochastic gradient is the full gradient (plus noise_sigma2 noise)")
         sample = oracle.stochastic_gradient
-    opt = build_optimizer(run_cfg["optimizer"], theta.shape[0])
+    opt = build_optimizer(run_cfg["optimizer"], theta.shape[0], _key(context, "optimizer"))
     rng = RngStream(seed).spawn(3)
     # Piecewise-constant decay: lr is multiplied by the factor at each milestone.
-    decay = read_config(run_cfg["lr_decay"] or {}, LR_DECAY, "lr_decay")
+    decay = read_config(run_cfg["lr_decay"] or {}, LR_DECAY, _key(context, "lr_decay"))
     if not decay["factor"] > 0:
-        raise ConfigError(f"'lr_decay.factor' must be a number > 0, got {decay['factor']!r}")
+        raise ConfigError(f"'{_key(context, 'lr_decay.factor')}' must be a number > 0, "
+                          f"got {decay['factor']!r}")
     milestones = set(decay["milestones"])
     traj = []
 
@@ -403,20 +415,23 @@ def _summary(results: list[RunResult]) -> dict:
     return {"results": [r.summary_fields() for r in results], "aggregate": metrics}
 
 
-def run_arms(cfgs: list[dict], threads: int) -> list:
+def run_arms(cfgs: list[dict], threads: int, context: str = "") -> list:
     """Run every seed of every arm config as one job list on ``min(threads,
     jobs)`` threads (serially in this thread when that is 1), after building
     each arm's optimizer. Returns per arm its :class:`RunResult` list in seed
-    order, or the divergence error of its first diverging seed.
+    order, or the divergence error of its first diverging seed. Config
+    errors name keys as :func:`run_seed` does.
     """
-    runs = [read_config(cfg, RUN) for cfg in cfgs]
+    runs = [read_config(cfg, RUN, context) for cfg in cfgs]
     for run_cfg in runs:
-        build_optimizer(run_cfg["optimizer"], dim=1)  # a check; run_seed builds its own
-    jobs = [(cfg, seed) for cfg, run_cfg in zip(cfgs, runs) for seed in run_cfg["seeds"]]
+        # A check; run_seed builds its own.
+        build_optimizer(run_cfg["optimizer"], 1, _key(context, "optimizer"))
+    jobs = [(cfg, seed, context) for cfg, run_cfg in zip(cfgs, runs)
+            for seed in run_cfg["seeds"]]
 
-    def job(cfg_seed):
+    def job(args):
         try:
-            return run_seed(*cfg_seed)
+            return run_seed(*args)
         except (DivergenceError, NonFiniteError) as exc:
             return exc.with_traceback(None)  # frees the diverged run's frames
 
@@ -512,9 +527,12 @@ def label_noise_experiment(cfg: dict, optimizer_a: dict, optimizer_b: dict,
     corrupted-train error, and clean-subset train error per seed, plus the
     seed-majority outcome for A beating B on clean test error.
     """
+    # Each arm's optimizer is checked under its own name; the rest is 'base'.
+    build_optimizer(optimizer_a, 1, "optimizer_a")
+    build_optimizer(optimizer_b, 1, "optimizer_b")
     arms = [{**cfg, "optimizer": optimizer_a}, {**cfg, "optimizer": optimizer_b}]
-    _require_test_error(arms[0])
-    summary_a, summary_b = map(_summary, _completed(run_arms(arms, threads)))
+    _require_test_error(arms[0], "base")
+    summary_a, summary_b = map(_summary, _completed(run_arms(arms, threads, "base")))
     errs_a = [r["final_test_error"] for r in summary_a["results"]]
     errs_b = [r["final_test_error"] for r in summary_b["results"]]
     # The rate is reported as written, so an integer rate stays an integer.
@@ -551,14 +569,15 @@ def beta0_sweep(cfg: dict, beta0_grid, out_dir: Optional[Path] = None,
     paired per-seed errors.
     """
     beta0_grid = list_of(number)(beta0_grid, "beta0_grid")
-    _require_test_error(cfg)
-    name = read_config(cfg["optimizer"], OPTIMIZER, "optimizer")["name"]
+    _require_test_error(cfg, "base")
+    name = read_config(cfg["optimizer"], OPTIMIZER, "base.optimizer")["name"]
     if name.lower() not in ("pnm", "adapnm"):
-        raise ConfigError("beta0 sweep requires a pnm or adapnm optimizer")
+        raise ConfigError(f"'base.optimizer.name' must be pnm or adapnm for a beta0 sweep, "
+                          f"got {name!r}")
     arms = [{**cfg, "optimizer": {**cfg["optimizer"], "beta0": b0}} for b0 in beta0_grid]
     rows = []
     per_seed = {}
-    for b0, results in zip(beta0_grid, _completed(run_arms(arms, threads))):
+    for b0, results in zip(beta0_grid, _completed(run_arms(arms, threads, "base"))):
         errors = [r.final_test_error for r in results]
         per_seed[b0] = errors
         rows.append({"beta0": b0, **aggregate(errors)})
@@ -603,16 +622,16 @@ def lr_wd_grid(cfg: dict, lrs, lams, out_dir: Optional[Path] = None,
     lrs = list_of(number)(lrs, "lrs")
     lams = list_of(number)(lams, "lams")
     # The grid sets lr per cell, so the base optimizer may leave it out.
-    base = read_config(read_config(cfg, RUN)["optimizer"], {**OPTIMIZER, "lr": (number, None)},
-                       "optimizer")
+    base = read_config(read_config(cfg, RUN, "base")["optimizer"],
+                       {**OPTIMIZER, "lr": (number, None)}, "base.optimizer")
     # The grid sets lam per column, so its decay mode is decoupled unless given as l2.
     mode = _kind(str, "'l2' or 'decoupled' in a grid", lambda value: value in ("l2", "decoupled"))
     wd = read_config(base["weight_decay"] or {}, {**WEIGHT_DECAY, "mode": (mode, "decoupled")},
-                     "optimizer.weight_decay")
+                     "base.optimizer.weight_decay")
     arms = [{**cfg, "optimizer": {**cfg["optimizer"], "lr": lr,
                                   "weight_decay": {**wd, "lam": lam}}}
             for lr in lrs for lam in lams]
-    cells = map(_cell_mean, run_arms(arms, threads))
+    cells = map(_cell_mean, run_arms(arms, threads, "base"))
     matrix = [list(islice(cells, len(lams))) for _ in lrs]
     report = {
         "lrs": lrs,

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import RngStream
 from .optim import amplification_factor
@@ -50,6 +49,8 @@ def _simulate_buffers(beta1: float, steps: int, dim: int,
     other buffer's value (zero before the first step). Each parity track
     is an AR(1) in its own index, so lfilter computes the exact recursion.
     """
+    from scipy.signal import lfilter
+
     beta = beta1 * beta1
     xi = rng.standard_normal((steps, dim))
     m = np.empty_like(xi)

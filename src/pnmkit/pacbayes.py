@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import as_param_vector
 
@@ -51,6 +50,8 @@ class GaussianDist:
                 raise ValueError("covariance shape mismatch")
             if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, np.max(np.abs(cov)))):
                 raise ValueError("covariance must be symmetric")
+            from scipy.linalg import cho_factor
+
             try:
                 self._chol = cho_factor(cov, lower=True)
             except np.linalg.LinAlgError as exc:
@@ -74,6 +75,8 @@ class GaussianDist:
         """Sigma^{-1} x (columns of x if 2-D)."""
         if self.full is None:
             return x / (self.diag if x.ndim == 1 else self.diag[:, None])
+        from scipy.linalg import cho_solve
+
         return cho_solve(self._chol, x)
 
 

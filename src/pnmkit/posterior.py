@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .core import DivergenceError, NonFiniteError, RngStream
 from .optim import HeavyBall, Pnm, amplification_factor, pn_normalization
@@ -100,6 +99,8 @@ def stationary_covariance(kind: str, H, eta: float, C, beta0: float = 1.0,
     """Exact stationary covariance of theta under ``kind`` on a quadratic with
     symmetric Hessian H and gradient noise N(0, C): the theta block of the
     Lyapunov solution for A = kron(A0, I) + kron(A1, H), noise kron(B B^T, C)."""
+    from scipy.linalg import solve_discrete_lyapunov
+
     H = np.asarray(H, dtype=np.float64)
     check_stable(kind, np.linalg.eigvalsh(H), eta, beta0, beta1)
     A0, A1, B = _mode_system(kind, eta, beta0, beta1)
@@ -325,11 +326,21 @@ def lyapunov_residual(sigma, hessian, eta_c) -> float:
         scale = max(float(np.max(np.abs(M))), 1.0)
         if not np.allclose(M, M.T, atol=1e-10 * scale, rtol=0.0):
             raise ValueError(f"{name} must be symmetric")
-    num = np.linalg.norm(S @ H + H @ S - R)
-    den = np.linalg.norm(R)
+    num, num_exp = _frobenius(S @ H + H @ S - R)
+    den, den_exp = _frobenius(R)
     if den == 0.0:
-        return 0.0 if num < 1e-15 else math.inf
-    return float(num / den)
+        # num_exp > 0 means an entry >= 1, far above the tolerance; below
+        # that, ldexp cannot overflow.
+        return 0.0 if num_exp <= 0 and math.ldexp(num, num_exp) < 1e-15 else math.inf
+    return math.ldexp(num / den, num_exp - den_exp)
+
+
+def _frobenius(M: np.ndarray) -> tuple[float, int]:
+    """(f, e) with ||M||_F = f * 2**e. M is scaled by 2**-e, its largest
+    entry's binary exponent, before the norm squares it, so a finite M near
+    the float limit cannot overflow; power-of-two scaling is exact."""
+    e = int(np.frexp(np.max(np.abs(M)))[1])
+    return float(np.linalg.norm(np.ldexp(M, -e))), e
 
 
 def theoretical_posterior_covariance(

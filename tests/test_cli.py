@@ -1,12 +1,18 @@
+import ast
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import pnmkit
 from pnmkit import harness, noise, optim, pacbayes, posterior
 from pnmkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, build_parser, main
 
@@ -233,7 +239,7 @@ class TestExitCodes:
         payload["base"]["problem"] = problem
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "'problem.name'" in capsys.readouterr().err
+        assert "'base.problem.name'" in capsys.readouterr().err
 
     # Each breaks an arm other than the first; it used to fail only after the
     # arms before it had trained.
@@ -255,6 +261,21 @@ class TestExitCodes:
         cfg = write_config(tmp_path, with_value(TINY[command], key, value))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "optimizer" in capsys.readouterr().err
+
+    # Each used to be named from inside 'base', or as the arms' shared 'optimizer'.
+    WRAPPED = [
+        ("sweep-beta0", "base.steps", None),
+        ("label-noise", "base.problem.hidden", 4.7),
+        ("label-noise", "optimizer_b.lr", True),
+        ("grid", "base.optimizer.lr", True),
+    ]
+
+    @pytest.mark.parametrize("command,key,value", WRAPPED,
+                             ids=[f"{c} {k}={v!r}" for c, k, v in WRAPPED])
+    def test_wrapped_key_is_named_from_the_root(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path, with_value(TINY[command], key, value))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "convergence", "posterior"])
     def test_negative_noise_sigma2_fails_before_any_step(self, tmp_path, capsys, monkeypatch,
@@ -347,6 +368,17 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(out)]) == code
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    # The covariance is finite (near 5e297), but both Frobenius norms of the
+    # residual used to overflow when squared, so the residual was NaN.
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_covariance_has_finite_residual(self, tmp_path):
+        cfg = write_config(tmp_path, {"kind": "sgd", "eigenvalues": [1.0], "eta": 0.01,
+                                      "noise_sigma2": 1e300})
+        out = tmp_path / "out"
+        assert main(["posterior", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / "posterior.json").read_text())
+        assert 0.0 <= payload["lyapunov_residual"] < 0.1
 
     # NaN, Infinity and integers beyond the float range; json writes all three.
     NON_FINITE = [
@@ -535,8 +567,85 @@ class TestFuzz:
         if (isinstance(given_value, (int, float)) and not isinstance(given_value, bool)
                 and isinstance(value, (bool, str))):
             assert code == EXIT_CONFIG
-            # Keys inside a wrapped run config are named from that config's root.
-            assert re.search(rf"['.]{re.escape(leaf)}'", err)
+            assert f"'{path}'" in err
+
+
+SRC = Path(pnmkit.__file__).resolve().parents[1]
+
+
+def _import_time_imports(tree: ast.Module):
+    """(top-level package, line) of each absolute import that runs when the
+    module is imported: every import outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from ((alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0], node.lineno
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _fresh_python(tmp_path, code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports pnmkit from this tree."""
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+class TestStartup:
+    """Importing pnmkit loads the standard library and numpy only; scipy is
+    imported inside the few functions that call it."""
+
+    def test_modules_import_only_stdlib_and_numpy(self):
+        allowed = set(sys.stdlib_module_names) | {"numpy", "__future__"}
+        paths = sorted((SRC / "pnmkit").glob("*.py"))
+        assert paths
+        found = [f"{path.name}:{line} imports {name}" for path in paths
+                 for name, line in _import_time_imports(ast.parse(path.read_text()))
+                 if name not in allowed]
+        assert not found, found
+
+    def test_training_commands_never_import_scipy(self, tmp_path):
+        configs = {command: write_config(tmp_path, TINY[command], f"{command}.json")
+                   for command in ("run", "label-noise")}
+        proc = _fresh_python(tmp_path, f"""
+import sys
+from pnmkit.cli import main
+for command, cfg in {configs!r}.items():
+    assert main([command, "--config", cfg, "--out", "out"]) == 0, command
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+""")
+        assert proc.returncode == 0, proc.stderr
+
+    # Each reaches a function that imports scipy; the fresh interpreter shows
+    # the import resolves without any earlier test having loaded scipy.
+    COLD = {
+        "noise": ("assert main(['noise', '--config', CFG, '--out', 'out']) == 0",
+                  "scipy.signal"),
+        "posterior": ("assert main(['posterior', '--config', CFG, '--out', 'out']) == 0",
+                      "scipy.linalg"),
+        "pacbayes": ("from pnmkit.pacbayes import GaussianDist, gaussian_kl\n"
+                     "q = GaussianDist([0.0, 0.0], [[2.0, 0.5], [0.5, 1.0]])\n"
+                     "p = GaussianDist([1.0, 0.0], [[1.0, 0.2], [0.2, 1.0]])\n"
+                     "assert gaussian_kl(q, p) > 0", "scipy.linalg"),
+    }
+
+    @pytest.mark.parametrize("module", sorted(COLD))
+    def test_scipy_users_run_in_a_fresh_interpreter(self, tmp_path, module):
+        code, scipy_module = self.COLD[module]
+        cfg = write_config(tmp_path, TINY.get(module, {}))
+        proc = _fresh_python(tmp_path, f"""
+import sys
+from pnmkit.cli import main
+assert "scipy" not in sys.modules
+CFG = {cfg!r}
+{code}
+assert {scipy_module!r} in sys.modules
+""")
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestUsage:

@@ -322,7 +322,7 @@ class TestLrWdGrid:
     def test_no_decay_mode_is_config_error(self):
         cfg = analytic_config(optimizer={"name": "sgd", "lr": 0.1,
                                          "weight_decay": {"mode": "none", "lam": 0.0}})
-        with pytest.raises(ConfigError, match="'optimizer.weight_decay.mode'"):
+        with pytest.raises(ConfigError, match="'base.optimizer.weight_decay.mode'"):
             harness.lr_wd_grid(cfg, [0.1], [0.0, 0.5])
 
 

@@ -187,6 +187,14 @@ class TestLyapunovResidual:
         sigma = eta / (2 * B) * np.eye(3)
         assert lyapunov_residual(sigma, H, eta * H / B) < 1e-14
 
+    def test_scale_invariant_up_to_the_float_limit(self):
+        # Both norms used to overflow when squared, giving inf / inf = NaN.
+        H = _rotated_spd([1.0, 2.0, 5.0])
+        sigma, eta_c = 0.05 * np.eye(3) + 0.01 * H, 0.1 * H
+        expected = lyapunov_residual(sigma, H, eta_c)
+        assert 0.0 < expected < math.inf
+        assert lyapunov_residual(np.ldexp(sigma, 1000), H, np.ldexp(eta_c, 1000)) == expected
+
     def test_zero_over_zero_guard(self):
         assert lyapunov_residual(np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))) == 0.0
 

@@ -23,7 +23,7 @@ from . import harness, noise, pacbayes, posterior
 from .core import RNG_ALGORITHM, DivergenceError, NonFiniteError, RngStream, config_digest
 from .harness import (
     ANALYTIC_PROBLEM, REQUIRED, SEEDS, ConfigError, build_analytic_oracle, integer, list_of,
-    non_negative, number, read_config, section, string, write_report,
+    non_negative, number, positive, read_config, section, string, write_report,
 )
 from .problems import AdditiveNoiseOracle, QuadraticModel
 
@@ -40,7 +40,7 @@ GRID = {"base": (section, REQUIRED), "lrs": (list_of(number), REQUIRED),
         "lams": (list_of(number), REQUIRED)}
 
 POSTERIOR = {
-    "kind": (string, "sgd"), "eigenvalues": (list_of(number), [1.0]),
+    "kind": (string, "sgd"), "eigenvalues": (list_of(positive), [1.0]),
     "eta": (number, REQUIRED), "noise_sigma2": (non_negative, 1.0),
     "burn_in": (integer(0), 10000), "samples": (integer(1), 1000000),
     "thin": (integer(1), 1), "chains": (integer(1), 64),

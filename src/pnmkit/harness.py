@@ -17,6 +17,7 @@ share data, initialization, and minibatch sequence.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from .core import (
     TrajectoryRecord,
     config_digest,
 )
-from .optim import Optimizer, WeightDecay, make_optimizer
+from .optim import Optimizer, Pnm, WeightDecay, make_optimizer
 from .problems import (
     AdditiveNoiseOracle,
     DatasetProblem,
@@ -77,6 +78,8 @@ number = _kind((int, float), "a number in the finite float range",
                lambda value: abs(value) <= sys.float_info.max, float)
 non_negative = _kind((int, float), "a number >= 0 in the finite float range",
                      lambda value: 0 <= value <= sys.float_info.max, float)
+positive = _kind((int, float), "a number > 0 in the finite float range",
+                 lambda value: 0 < value <= sys.float_info.max, float)
 string = _kind(str, "a string")
 boolean = _kind(bool, "true or false")
 section = _kind(dict, "an object")
@@ -155,7 +158,10 @@ CLASSIFICATION_PROBLEM = {
     "label_noise": (section, None), "csv_path": (string, None),
 }
 
-LABEL_NOISE = {"kind": (string, "symmetric"), "rate": (number, 0.0)}
+LABEL_NOISE = {"kind": (_kind(str, "'symmetric' or 'asymmetric'",
+                              lambda value: value in ("symmetric", "asymmetric")), "symmetric"),
+               "rate": (_kind((int, float), "a number in [0, 1)",
+                              lambda value: 0 <= value < 1, float), 0.0)}
 
 ANALYTIC_PROBLEM = {
     "name": (string, REQUIRED), "dim": (integer(1), None), "n": (integer(1), 200),
@@ -221,7 +227,7 @@ def build_classification_task(cfg: dict, seed: int,
     p = read_config(cfg, CLASSIFICATION_PROBLEM, context)
     root = RngStream(seed)
     if p["name"] == "two_moons_mlp":
-        data = make_two_moons(p["n"], p["noise"], root.spawn(0))
+        data = make_two_moons(integer(2)(p["n"], _key(context, "n")), p["noise"], root.spawn(0))
     elif p["name"] == "csv_mlp":
         if p["csv_path"] is None:
             raise ConfigError(f"csv_mlp needs '{_key(context, 'csv_path')}'")
@@ -231,6 +237,9 @@ def build_classification_task(cfg: dict, seed: int,
         raise ConfigError(f"'{_key(context, 'name')}' is not a classification problem: "
                           f"{p['name']!r}")
     train, test = _split(data, p["test_fraction"], root.spawn(4), _key(context, "test_fraction"))
+    if train.labels.max() < 1:  # the MLP has labels.max() + 1 classes
+        source = _key(context, "csv_path" if p["name"] == "csv_mlp" else "n")
+        raise ConfigError(f"'{source}' gives a one-class training split; the MLP needs two")
     mask = np.zeros(train.n_samples, dtype=bool)
     if p["label_noise"] is not None:
         spec = LabelNoiseSpec(**read_config(p["label_noise"], LABEL_NOISE,
@@ -247,7 +256,13 @@ def build_analytic_oracle(cfg: dict, seed: int, context: str = "problem"):
     p = read_config(cfg, ANALYTIC_PROBLEM, context)
     if p["name"] == "quadratic":
         eigs = p["eigenvalues"]
+        if eigs is not None:
+            list_of(positive)(eigs, _key(context, "eigenvalues"))
         dim = p["dim"] or (len(eigs) if eigs else 2)
+        for key in ("eigenvalues", "theta_star"):
+            if p[key] is not None and len(p[key]) != dim:
+                raise ConfigError(f"'{_key(context, key)}' must be a list of "
+                                  f"'{_key(context, 'dim')}' = {dim} numbers, got {p[key]!r}")
         eigs = np.asarray(eigs if eigs is not None else np.ones(dim), dtype=np.float64)
         theta_star = np.asarray(p["theta_star"] or np.zeros(dim), dtype=np.float64)
         base = QuadraticModel(theta_star, np.diag(eigs), p["f0"])
@@ -345,6 +360,9 @@ def run_seed(cfg: dict, seed: int, context: str = "") -> RunResult:
     batch_size = run_cfg["batch_size"]
     if isinstance(oracle, DatasetProblem):
         batch_size = batch_size or min(128, oracle.dataset_size)
+        if batch_size > oracle.dataset_size:
+            raise ConfigError(f"'{_key(context, 'batch_size')}' must be at most the "
+                              f"{oracle.dataset_size} training samples, got {batch_size}")
 
         def sample(theta, rng):
             return oracle.minibatch_gradient(theta, batch_size, rng)
@@ -470,8 +488,29 @@ def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1) -> dict:
 # Persistence
 # ---------------------------------------------------------------------------
 
+def _non_finite_fields(value, name: str = ""):
+    """Dotted paths of the non-finite numbers in ``value``, in json's order."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield name
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            yield from _non_finite_fields(value[key], _key(name, str(key)))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _non_finite_fields(item, f"{name}[{i}]")
+
+
 def write_json(path: Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    """Write ``payload`` as strict JSON. A non-finite number has no JSON
+    token, so it raises a :class:`DivergenceError` naming file and field."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        field = next(_non_finite_fields(payload), None)
+        if field is None:
+            raise
+        raise DivergenceError(f"'{field}' is not finite, so {path} cannot be written") from None
+    Path(path).write_text(text + "\n")
 
 
 def write_report(out_dir, digest: str, json_files: dict[str, dict],
@@ -574,6 +613,11 @@ def beta0_sweep(cfg: dict, beta0_grid, out_dir: Optional[Path] = None,
     if name.lower() not in ("pnm", "adapnm"):
         raise ConfigError(f"'base.optimizer.name' must be pnm or adapnm for a beta0 sweep, "
                           f"got {name!r}")
+    for b0 in beta0_grid:  # named by its list here, not as the arm's 'base.optimizer'
+        try:
+            Pnm(1, 1.0, beta0=b0)
+        except ValueError as exc:
+            raise ConfigError(f"'beta0_grid' holds a bad entry {b0!r}: {exc}") from exc
     arms = [{**cfg, "optimizer": {**cfg["optimizer"], "beta0": b0}} for b0 in beta0_grid]
     rows = []
     per_seed = {}
@@ -619,8 +663,8 @@ def lr_wd_grid(cfg: dict, lrs, lams, out_dir: Optional[Path] = None,
 
     Diverging cells are marked, not reported as numbers.
     """
-    lrs = list_of(number)(lrs, "lrs")
-    lams = list_of(number)(lams, "lams")
+    lrs = list_of(positive)(lrs, "lrs")
+    lams = list_of(non_negative)(lams, "lams")
     # The grid sets lr per cell, so the base optimizer may leave it out.
     base = read_config(read_config(cfg, RUN, "base")["optimizer"],
                        {**OPTIMIZER, "lr": (number, None)}, "base.optimizer")

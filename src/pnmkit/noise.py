@@ -103,30 +103,11 @@ def pair_amplification_ratio(
     return ratio, se
 
 
-def pnm_buffer_correlation(
-    beta1: float, steps: int, rng: RngStream,
-) -> float:
-    """Empirical correlation between the two buffers under pure noise.
-
-    The buffers are driven by disjoint noise subsequences, so the
-    stationary correlation is zero; this measures how well the finite run
-    reflects that.
-    """
-    burn_in = min(default_burn_in(beta1), steps // 2)
-    m, m_prev = _simulate_buffers(beta1, steps, 1, rng)
-    a = m[burn_in:].ravel()
-    b = m_prev[burn_in:].ravel()
-    a = a - a.mean()
-    b = b - b.mean()
-    return float(a @ b / math.sqrt((a @ a) * (b @ b)))
-
-
 @dataclass
 class CovarianceEstimate:
     """Sample covariance of minibatch gradient noise at a fixed point."""
 
     matrix: np.ndarray
-    degenerate: bool = False
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -150,15 +131,12 @@ def estimate_gradient_noise_covariance(
 ) -> CovarianceEstimate:
     """Sample covariance of g - grad f over fresh minibatches at ``theta``.
 
-    With batch_size equal to the dataset size every minibatch reproduces
-    the full gradient, so the zero matrix is returned with the degeneracy
-    flag set.
+    With batch_size equal to the dataset size every minibatch is the full
+    gradient, so the estimate is the zero matrix.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     theta = np.asarray(theta, dtype=np.float64)
-    if batch_size == problem.dataset_size:
-        return CovarianceEstimate(np.zeros((problem.dim, problem.dim)), True)
     _, full = problem.full_gradient(theta)
     deltas = np.empty((samples, problem.dim))
     for i in range(samples):

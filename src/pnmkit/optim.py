@@ -308,7 +308,8 @@ def pnm_auxiliary_sequence(thetas, ms, lr, beta0) -> np.ndarray:
 
     Substituting the update rule shows x absorbs the pair's cross term:
     x_{t+1} = x_t - eta0 m_t, which yields the clean two-step recursion
-    x_{t+1} = x_t - alpha g_t + beta (x_{t-1} - x_{t-2}) checked below.
+    x_{t+1} = x_t - alpha g_t + beta (x_{t-1} - x_{t-2});
+    :func:`pnm_lemma1_residuals` checks it divided by (1 - beta).
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     ms = np.asarray(ms, dtype=np.float64)
@@ -318,18 +319,6 @@ def pnm_auxiliary_sequence(thetas, ms, lr, beta0) -> np.ndarray:
     x[2] = thetas[0]                 # x_0: m_{-1} = 0
     x[3:] = thetas[1:] + eta0 * beta0 * ms[:thetas.shape[0] - 1]
     return x
-
-
-def pnm_recursion_residuals(thetas, ms, grads, lr, beta0, beta1) -> np.ndarray:
-    """Per-step residuals of x_{t+1} = x_t - alpha g_t + beta (x_{t-1} - x_{t-2})."""
-    x = pnm_auxiliary_sequence(thetas, ms, lr, beta0)
-    beta = beta1 * beta1
-    alpha = (lr / pn_normalization(beta0)) * (1.0 - beta)
-    grads = np.asarray(grads, dtype=np.float64)
-    steps = grads.shape[0]
-    # x[t + 2] holds x_t
-    pred = x[2:steps + 2] - alpha * grads + beta * (x[1:steps + 1] - x[:steps])
-    return np.max(np.abs(x[3:steps + 3] - pred), axis=1)
 
 
 def pnm_lemma1_residuals(thetas, ms, grads, lr, beta0, beta1) -> np.ndarray:

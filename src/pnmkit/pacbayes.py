@@ -30,69 +30,27 @@ from .core import as_param_vector
 
 
 class GaussianDist:
-    """A Gaussian with full, diagonal, or isotropic SPD covariance."""
+    """A Gaussian with diagonal covariance, given as a 1-D positive diagonal."""
 
     def __init__(self, mean, cov):
         self.mean = as_param_vector(mean, name="mean")
-        n = self.mean.shape[0]
-        cov = np.asarray(cov, dtype=np.float64)
-        if cov.ndim == 0:
-            cov = np.full(n, float(cov))
-        if cov.ndim == 1:
-            if cov.shape[0] != n:
-                raise ValueError("diagonal covariance length mismatch")
-            if np.any(cov <= 0):
-                raise ValueError("covariance diagonal must be positive")
-            self.diag = cov
-            self.full = None
-        elif cov.ndim == 2:
-            if cov.shape != (n, n):
-                raise ValueError("covariance shape mismatch")
-            if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, np.max(np.abs(cov)))):
-                raise ValueError("covariance must be symmetric")
-            from scipy.linalg import cho_factor
-
-            try:
-                self._chol = cho_factor(cov, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("covariance must be positive definite") from exc
-            self.diag = None
-            self.full = cov
-        else:
-            raise ValueError("covariance must be scalar, 1-D, or 2-D")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    def log_det(self) -> float:
-        if self.full is None:
-            return float(np.sum(np.log(self.diag)))
-        L = self._chol[0]
-        return float(2.0 * np.sum(np.log(np.diag(L))))
-
-    def solve(self, x: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} x (columns of x if 2-D)."""
-        if self.full is None:
-            return x / (self.diag if x.ndim == 1 else self.diag[:, None])
-        from scipy.linalg import cho_solve
-
-        return cho_solve(self._chol, x)
+        self.dim = self.mean.shape[0]
+        self.diag = np.asarray(cov, dtype=np.float64)
+        if self.diag.shape != self.mean.shape:
+            raise ValueError("covariance must be a 1-D diagonal as long as the mean")
+        if np.any(self.diag <= 0):
+            raise ValueError("covariance diagonal must be positive")
 
 
 def gaussian_kl(q: GaussianDist, p: GaussianDist) -> float:
     """KL(Q || P) between Gaussians of equal dimension (always >= 0)."""
     if q.dim != p.dim:
         raise ValueError("dimension mismatch")
-    n = q.dim
-    if p.full is None and q.full is None:
-        trace = float(np.sum(q.diag / p.diag))
-    else:
-        q_full = q.full if q.full is not None else np.diag(q.diag)
-        trace = float(np.trace(p.solve(q_full)))
+    log_det_ratio = float(np.sum(np.log(p.diag)) - np.sum(np.log(q.diag)))
+    trace = float(np.sum(q.diag / p.diag))
     delta = q.mean - p.mean
-    quad = float(delta @ p.solve(delta))
-    return 0.5 * (p.log_det() - q.log_det() + trace + quad - n)
+    quad = float(delta @ (delta / p.diag))
+    return 0.5 * (log_det_ratio + trace + quad - q.dim)
 
 
 @dataclass

@@ -49,6 +49,8 @@ CONVERGENCE = {
 TINY_MLP = {"name": "two_moons_mlp", "n": 40, "noise": 0.2, "hidden": 2,
             "test_fraction": 0.5}
 
+QUADRATIC_RUN = run_config(problem={"name": "quadratic", "eigenvalues": [1.0, 4.0]})
+
 # One tiny valid config per command; each runs in well under a second.
 TINY = {
     "run": run_config(
@@ -84,12 +86,13 @@ TINY = {
 
 
 def with_value(payload, path, value):
-    """A deep copy of ``payload`` with the dotted key ``path`` set to ``value``."""
+    """A deep copy of ``payload`` with the dotted key ``path`` set to ``value``;
+    missing sections on the way are created."""
     payload = copy.deepcopy(payload)
     *parents, leaf = path.split(".")
     node = payload
     for key in parents:
-        node = node[key]
+        node = node.setdefault(key, {})
     node[leaf] = value
     return payload
 
@@ -205,7 +208,8 @@ class TestExitCodes:
         assert f"'{key}'" in capsys.readouterr().err
         assert not (out / "convergence_summary.json").exists()
 
-    # Each of these used to run on a value coerced by float() or int().
+    # The first ten used to run on a value coerced by float() or int(); the
+    # rest failed with a message that named no key (the batch size only at step 1).
     COERCED = [
         ("run", TINY["run"], "optimizer.lr", True),
         ("run", run_config(problem={"name": "quadratic", "dim": 2}), "problem.dim", True),
@@ -217,12 +221,23 @@ class TestExitCodes:
         ("posterior", TINY["posterior"], "seed", 1.5),
         ("noise", TINY["noise"], "beta0_values", [True]),
         ("sweep-beta0", TINY["sweep-beta0"], "beta0_grid", [True, "2"]),
+        ("run", TINY["run"], "problem.label_noise.rate", 1.5),
+        ("run", TINY["run"], "problem.label_noise.kind", "uniform"),
+        ("run", TINY["run"], "problem.n", 1),
+        ("run", TINY["run"], "batch_size", 21),
+        ("run", QUADRATIC_RUN, "problem.eigenvalues", [1.0, -1.0]),
+        ("run", QUADRATIC_RUN, "problem.dim", 3),
+        ("run", QUADRATIC_RUN, "problem.theta_star", [1.0]),
+        ("convergence", CONVERGENCE, "problem.eigenvalues", [1.0, 0.0]),
+        ("posterior", TINY["posterior"], "eigenvalues", [-1.0]),
     ]
 
     @pytest.mark.parametrize("command,payload,key,value", COERCED,
                              ids=[f"{c} {k}={v!r}" for c, _, k, v in COERCED])
-    def test_coerced_value_is_config_error(self, tmp_path, capsys, command, payload, key,
-                                           value):
+    def test_coerced_value_is_config_error(self, tmp_path, capsys, monkeypatch, command,
+                                           payload, key, value):
+        monkeypatch.setattr(optim.Optimizer, "step",
+                            lambda *a, **k: pytest.fail("stepped before failing"))
         cfg = write_config(tmp_path, with_value(payload, key, value))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"'{key}'" in capsys.readouterr().err
@@ -242,7 +257,8 @@ class TestExitCodes:
         assert "'base.problem.name'" in capsys.readouterr().err
 
     # Each breaks an arm other than the first; it used to fail only after the
-    # arms before it had trained.
+    # arms before it had trained. A bad list entry used to be named as the
+    # merged 'base.optimizer' instead of by its list.
     MALFORMED_ARM = [
         ("label-noise", "optimizer_b", {"name": "hb", "lr": True}),
         ("label-noise", "optimizer_b", {"name": "hb", "lr": 0.1, "beta1": 1.5}),
@@ -260,7 +276,8 @@ class TestExitCodes:
                             lambda *a, **k: pytest.fail("trained before failing"))
         cfg = write_config(tmp_path, with_value(TINY[command], key, value))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "optimizer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("'optimizer_b" if command == "label-noise" else f"'{key}'") in err
 
     # Each used to be named from inside 'base', or as the arms' shared 'optimizer'.
     WRAPPED = [
@@ -268,6 +285,8 @@ class TestExitCodes:
         ("label-noise", "base.problem.hidden", 4.7),
         ("label-noise", "optimizer_b.lr", True),
         ("grid", "base.optimizer.lr", True),
+        ("sweep-beta0", "base.problem.label_noise.rate", 1.5),
+        ("label-noise", "base.batch_size", 21),
     ]
 
     @pytest.mark.parametrize("command,key,value", WRAPPED,
@@ -368,6 +387,17 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(out)]) == code
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    # The strict JSON writer used to report a non-finite result as a config error.
+    def test_non_finite_result_is_divergence(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(posterior, "lyapunov_residual", lambda *a, **k: math.nan)
+        cfg = write_config(tmp_path, TINY["posterior"])
+        out = tmp_path / "out"
+        assert main(["posterior", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert "'lyapunov_residual' is not finite" in err
+        assert str(out / "posterior.json") in err
+        assert not (out / "posterior.json").exists()
 
     # The covariance is finite (near 5e297), but both Frobenius norms of the
     # residual used to overflow when squared, so the residual was NaN.
@@ -608,8 +638,10 @@ class TestStartup:
         assert not found, found
 
     def test_training_commands_never_import_scipy(self, tmp_path):
+        # Only noise and posterior load scipy; none of the other six commands may.
         configs = {command: write_config(tmp_path, TINY[command], f"{command}.json")
-                   for command in ("run", "label-noise")}
+                   for command in ("run", "label-noise", "sweep-beta0", "grid", "pacbayes",
+                                   "convergence")}
         proc = _fresh_python(tmp_path, f"""
 import sys
 from pnmkit.cli import main
@@ -627,10 +659,6 @@ assert not loaded, loaded
                   "scipy.signal"),
         "posterior": ("assert main(['posterior', '--config', CFG, '--out', 'out']) == 0",
                       "scipy.linalg"),
-        "pacbayes": ("from pnmkit.pacbayes import GaussianDist, gaussian_kl\n"
-                     "q = GaussianDist([0.0, 0.0], [[2.0, 0.5], [0.5, 1.0]])\n"
-                     "p = GaussianDist([1.0, 0.0], [[1.0, 0.2], [0.2, 1.0]])\n"
-                     "assert gaussian_kl(q, p) > 0", "scipy.linalg"),
     }
 
     @pytest.mark.parametrize("module", sorted(COLD))
@@ -823,3 +851,59 @@ class TestOutputs:
         report = json.loads((out / "lr_wd_grid.json").read_text())
         assert len(report["mean_test_error"]) == 2
         assert len(report["mean_test_error"][0]) == 2
+
+
+def write_csv(path, labels, bad_line=None):
+    """A two-feature CSV with a header and one row per label; the row on
+    file line ``bad_line`` gets a feature that is not a number."""
+    lines = ["x1,x2,label"]
+    for i, label in enumerate(labels):
+        x1 = "oops" if len(lines) + 1 == bad_line else repr((i % 7) / 7.0)
+        lines.append(f"{x1},{(3 * i % 5) / 5.0!r},{label}")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestCsvMlp:
+    """The MLP on samples read from a CSV file: feature columns, then an
+    integer class label."""
+
+    @staticmethod
+    def config(**problem):
+        return run_config(problem={"name": "csv_mlp", "hidden": 2, **problem},
+                          optimizer={"name": "pnm", "lr": 0.1}, steps=5, batch_size=8,
+                          seeds=[0, 1])
+
+    def test_run_is_reproducible(self, tmp_path):
+        data = write_csv(tmp_path / "data.csv", [i % 2 for i in range(30)])
+        cfg = write_config(tmp_path, self.config(csv_path=data))
+        written = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(written[0]) == 3  # the summary and one trajectory per seed
+        assert written[0] == written[1]
+
+    def test_missing_csv_path_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.config())
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "'problem.csv_path'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["absent.csv", "."], ids=["missing_file", "directory"])
+    def test_unreadable_csv_is_io_error(self, tmp_path, capsys, target):
+        cfg = write_config(tmp_path, self.config(csv_path=str(tmp_path / target)))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+
+    def test_malformed_row_names_its_line(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "data.csv", [i % 2 for i in range(30)], bad_line=5)
+        cfg = write_config(tmp_path, self.config(csv_path=data))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "malformed row at line 5" in capsys.readouterr().err
+
+    # It used to fail with "need at least two classes", which names no key.
+    def test_one_class_file_is_config_error(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "data.csv", [0] * 30)
+        cfg = write_config(tmp_path, self.config(csv_path=data))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "'problem.csv_path'" in capsys.readouterr().err

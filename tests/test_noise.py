@@ -12,7 +12,6 @@ from pnmkit.noise import (
     default_burn_in,
     estimate_gradient_noise_covariance,
     pair_amplification_ratio,
-    pnm_buffer_correlation,
     single_buffer_stationary_variance,
     _simulate_buffers,
 )
@@ -103,9 +102,6 @@ class TestPairRatio:
         with pytest.raises(ValueError, match="beta1"):
             pair_amplification_ratio(beta1, 1.0, 200, RngStream(0))
 
-    def test_buffers_uncorrelated(self):
-        assert abs(pnm_buffer_correlation(0.9, 1_000_000, RngStream(33))) < 0.01
-
 
 class TestNoiseCovariance:
     @pytest.fixture()
@@ -116,9 +112,9 @@ class TestNoiseCovariance:
         return LinearRegressionProblem(FiniteDataset(X, y))
 
     def test_full_batch_degenerate(self, problem):
+        # Every full-size minibatch is the full gradient, so no noise is left.
         est = estimate_gradient_noise_covariance(
             problem, np.zeros(6), 400, 10, RngStream(41))
-        assert est.degenerate
         np.testing.assert_array_equal(est.matrix, 0.0)
 
     def test_hessian_proportionality(self, problem):

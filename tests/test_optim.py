@@ -15,7 +15,6 @@ from pnmkit.optim import (
     momentum_recovery_beta0,
     pn_normalization,
     pnm_lemma1_residuals,
-    pnm_recursion_residuals,
     record_pnm_run,
 )
 from pnmkit.problems import (
@@ -238,7 +237,6 @@ class TestTrajectoryIdentities:
         opt = Pnm(dim=3, lr=lr, beta0=beta0, beta1=beta1)
         thetas, ms, grads = record_pnm_run(
             oracle, opt, np.ones(3), 1000, RngStream(99))
-        assert pnm_recursion_residuals(thetas, ms, grads, lr, beta0, beta1).max() <= 1e-10
         assert pnm_lemma1_residuals(thetas, ms, grads, lr, beta0, beta1).max() <= 1e-10
 
     def test_identities_on_pure_noise(self):
@@ -258,15 +256,13 @@ class TestTrajectoryIdentities:
         opt = Pnm(dim=dim, lr=lr, beta0=beta0, beta1=beta1)
         run = record_pnm_run(AdditiveNoiseOracle(quad, 1.0), opt, np.ones(dim), 1000,
                              RngStream(7))
-        want_recursion, want_lemma1 = _reference_residuals(*run, lr, beta0, beta1)
-        got = pnm_recursion_residuals(*run, lr, beta0, beta1)
-        assert got.tobytes() == want_recursion.tobytes()
-        assert pnm_lemma1_residuals(*run, lr, beta0, beta1).tobytes() == want_lemma1.tobytes()
+        want = _reference_residuals(*run, lr, beta0, beta1)
+        assert pnm_lemma1_residuals(*run, lr, beta0, beta1).tobytes() == want.tobytes()
 
 
 def _reference_residuals(thetas, ms, grads, lr, beta0, beta1):
-    """The step-by-step loops of the two identity residuals: the reference
-    their vectorized forms must equal bit for bit."""
+    """The step-by-step loop of the Lemma 1 residual: the reference its
+    vectorized form must equal bit for bit."""
     eta0 = lr / pn_normalization(beta0)
     x = np.empty((thetas.shape[0] + 2, thetas.shape[1]))
     x[0] = x[1] = x[2] = thetas[0]
@@ -275,12 +271,10 @@ def _reference_residuals(thetas, ms, grads, lr, beta0, beta1):
     beta = beta1 * beta1
     alpha = eta0 * (1.0 - beta)
     z = (x[2:] - beta * x[:-2]) / (1.0 - beta)
-    recursion, lemma1 = np.empty(len(grads)), np.empty(len(grads))
+    lemma1 = np.empty(len(grads))
     for t in range(len(grads)):
-        pred = x[t + 2] - alpha * grads[t] + beta * (x[t + 1] - x[t])
-        recursion[t] = np.max(np.abs(x[t + 3] - pred))
         lemma1[t] = np.max(np.abs(z[t + 1] - z[t] + alpha / (1.0 - beta) * grads[t]))
-    return recursion, lemma1
+    return lemma1
 
 
 class TestDeterminism:

@@ -32,22 +32,22 @@ def _random_setting(rng):
 
 class TestGaussianKl:
     def test_identical_distributions(self):
-        q = GaussianDist([1.0, -2.0], np.diag([0.5, 2.0]))
-        p = GaussianDist([1.0, -2.0], np.diag([0.5, 2.0]))
+        q = GaussianDist([1.0, -2.0], [0.5, 2.0])
+        p = GaussianDist([1.0, -2.0], [0.5, 2.0])
         assert gaussian_kl(q, p) == pytest.approx(0.0, abs=1e-14)
 
     def test_one_dimensional_closed_form(self):
         # 0.5 (sigma^2 + mu^2 - 1 - ln sigma^2) with sigma = 1, mu = 1
-        q = GaussianDist([1.0], [[1.0]])
-        p = GaussianDist([0.0], [[1.0]])
+        q = GaussianDist([1.0], [1.0])
+        p = GaussianDist([0.0], [1.0])
         assert gaussian_kl(q, p) == pytest.approx(0.5, rel=1e-12)
 
     def test_one_dimensional_monte_carlo(self):
         # E_q[log q - log p] estimated by sampling is the independent
         # cross-check for the closed form.
         q_mean, q_var, p_var = 0.7, 1.8, 0.9
-        q = GaussianDist([q_mean], [[q_var]])
-        p = GaussianDist([0.0], [[p_var]])
+        q = GaussianDist([q_mean], [q_var])
+        p = GaussianDist([0.0], [p_var])
         z = RngStream(2).standard_normal(200_000) * math.sqrt(q_var) + q_mean
         log_q = -0.5 * ((z - q_mean) ** 2 / q_var + math.log(2 * math.pi * q_var))
         log_p = -0.5 * (z ** 2 / p_var + math.log(2 * math.pi * p_var))
@@ -59,20 +59,20 @@ class TestGaussianKl:
         rng = np.random.default_rng(5)
         for _ in range(100):
             n = int(rng.integers(1, 6))
-            a = rng.standard_normal((n, n))
-            b = rng.standard_normal((n, n))
-            q = GaussianDist(rng.standard_normal(n), a @ a.T + np.eye(n))
-            p = GaussianDist(rng.standard_normal(n), b @ b.T + np.eye(n))
+            q = GaussianDist(rng.standard_normal(n), rng.uniform(0.1, 5.0, n))
+            p = GaussianDist(rng.standard_normal(n), rng.uniform(0.1, 5.0, n))
             assert gaussian_kl(q, p) >= -1e-12
 
     def test_non_spd_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianDist([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+        # Only a positive diagonal as long as the mean is a covariance.
+        for cov in ([1.0, 0.0], [1.0, -2.0], 1.0, [[1.0, 0.0], [0.0, 1.0]], [1.0]):
+            with pytest.raises(ValueError, match="covariance"):
+                GaussianDist([0.0, 0.0], cov)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            gaussian_kl(GaussianDist([0.0], [[1.0]]),
-                        GaussianDist([0.0, 0.0], np.eye(2)))
+            gaussian_kl(GaussianDist([0.0], [1.0]),
+                        GaussianDist([0.0, 0.0], [1.0, 1.0]))
 
 
 class TestKlQGamma:

@@ -22,8 +22,8 @@ from . import convergence as conv
 from . import harness, noise, pacbayes, posterior
 from .core import RNG_ALGORITHM, DivergenceError, NonFiniteError, RngStream, config_digest
 from .harness import (
-    ANALYTIC_PROBLEM, REQUIRED, SEEDS, ConfigError, build_analytic_oracle, integer, list_of,
-    non_negative, number, positive, read_config, section, string, write_report,
+    REQUIRED, SEEDS, ConfigError, build_analytic_oracle, integer, list_of, non_negative, number,
+    one_of, positive, read_config, read_problem, section, write_report,
 )
 from .problems import AdditiveNoiseOracle, QuadraticModel
 
@@ -40,7 +40,8 @@ GRID = {"base": (section, REQUIRED), "lrs": (list_of(number), REQUIRED),
         "lams": (list_of(number), REQUIRED)}
 
 POSTERIOR = {
-    "kind": (string, "sgd"), "eigenvalues": (list_of(positive), [1.0]),
+    "kind": (one_of("sgd", "hb", "pnm", "pnm_momentum"), "sgd"),
+    "eigenvalues": (list_of(positive), [1.0]),
     "eta": (number, REQUIRED), "noise_sigma2": (non_negative, 1.0),
     "burn_in": (integer(0), 10000), "samples": (integer(1), 1000000),
     "thin": (integer(1), 1), "chains": (integer(1), 64),
@@ -136,6 +137,8 @@ def _cmd_posterior(args) -> None:
     extra = {"closed_form_covariance": posterior.stationary_covariance(
         c["kind"], model.H, c["eta"], noise_cov, c["beta0"], c["beta1"]).ravel().tolist()}
     if c["batch_size"] is not None:
+        if c["kind"] == "pnm_momentum":
+            raise ConfigError("'batch_size' sets a theoretical_scale, which 'pnm_momentum' lacks")
         extra["theoretical_scale"] = posterior.theoretical_posterior_covariance(
             c["kind"], c["eta"], c["batch_size"], c["beta0"])
     dynamics = ("kind", "eta", "burn_in", "samples", "thin", "chains", "beta0", "beta1")
@@ -215,11 +218,9 @@ def _cmd_convergence(args) -> None:
     cfg = _load_config(args.config)
     c = read_config(cfg, CONVERGENCE)
     seeds = c["seeds"] if args.seed is None else [args.seed]
-    problem = read_config(c["problem"], ANALYTIC_PROBLEM, "problem")
+    problem = read_problem(c["problem"], "problem", ("quadratic",))
     oracle, theta0 = build_analytic_oracle(problem, seed=0)
     base = oracle.base if isinstance(oracle, AdditiveNoiseOracle) else oracle
-    if not isinstance(base, QuadraticModel):
-        raise ConfigError("convergence subcommand expects a quadratic problem")
     smoothness = base.lambda_max
     hparams = {key: c[key] for key in ("step_constant", "beta0", "beta1")}
     est = conv.empirical_rate(oracle, theta0, c["horizons"], seeds,

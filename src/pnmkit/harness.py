@@ -1,8 +1,8 @@
 """Experiment configuration, seed orchestration, and persistence.
 
 Configs are JSON dicts read by :func:`read_config`, one key table per
-section: an unknown key or a value of the wrong type is an error naming
-the key, never a silent default or coercion. Every output
+section and per problem name: an unknown key or a value of the wrong type
+is an error naming the key, never a silent default or coercion. Every output
 embeds the config digest, the seed, and the PRNG identifier; re-running a
 config produces byte-identical summaries. Trajectory CSVs use the fixed
 column order ``step,loss,grad_norm_sq[,test_error]``.
@@ -90,6 +90,11 @@ def integer(minimum: int):
     return _kind(int, f"an integer >= {minimum}", lambda value: value >= minimum)
 
 
+def one_of(*choices: str):
+    """Kind: one of the strings ``choices``."""
+    return _kind(str, f"one of {list(choices)}", lambda value: value in choices)
+
+
 def list_of(kind, min_length: int = 1):
     """Kind: a list of at least ``min_length`` values of ``kind``."""
     def check(value, name):
@@ -150,24 +155,37 @@ OPTIMIZER = {
 
 WEIGHT_DECAY = {"mode": (string, "none"), "lam": (number, 0.0)}
 
-LR_DECAY = {"milestones": (list_of(integer(1), min_length=0), []), "factor": (number, 0.1)}
+LR_DECAY = {"milestones": (list_of(integer(1), min_length=0), []), "factor": (positive, 0.1)}
 
-CLASSIFICATION_PROBLEM = {
-    "name": (string, REQUIRED), "n": (integer(1), 2000), "noise": (number, 0.2),
-    "hidden": (integer(1), 16), "test_fraction": (number, 0.5), "init_scale": (number, 0.5),
-    "label_noise": (section, None), "csv_path": (string, None),
-}
-
-LABEL_NOISE = {"kind": (_kind(str, "'symmetric' or 'asymmetric'",
-                              lambda value: value in ("symmetric", "asymmetric")), "symmetric"),
+LABEL_NOISE = {"kind": (one_of("symmetric", "asymmetric"), "symmetric"),
                "rate": (_kind((int, float), "a number in [0, 1)",
                               lambda value: 0 <= value < 1, float), 0.0)}
 
-ANALYTIC_PROBLEM = {
-    "name": (string, REQUIRED), "dim": (integer(1), None), "n": (integer(1), 200),
-    "eigenvalues": (list_of(number), None), "theta_star": (list_of(number), None),
-    "f0": (number, 0.0), "noise_sigma2": (non_negative, 0.0), "theta0": (list_of(number), None),
+_CLASSIFICATION_KEYS = {
+    "hidden": (integer(1), 16), "test_fraction": (number, 0.5), "init_scale": (number, 0.5),
+    "label_noise": (section, None),
 }
+_ANALYTIC_KEYS = {"noise_sigma2": (non_negative, 0.0), "theta0": (list_of(number), None)}
+
+#: Each problem name's key table: a problem accepts only the keys it reads.
+PROBLEMS = {
+    "two_moons_mlp": {"n": (integer(2), 2000), "noise": (non_negative, 0.2),
+                      **_CLASSIFICATION_KEYS},
+    "csv_mlp": {"csv_path": (string, REQUIRED), **_CLASSIFICATION_KEYS},
+    "quadratic": {"dim": (integer(1), None), "eigenvalues": (list_of(positive), None),
+                  "theta_star": (list_of(number), None), "f0": (number, 0.0), **_ANALYTIC_KEYS},
+    "rosenbrock": _ANALYTIC_KEYS,
+    "linear_regression": {"dim": (integer(1), 5), "n": (integer(1), 200), **_ANALYTIC_KEYS},
+}
+_CLASSIFICATION_PROBLEMS = ("two_moons_mlp", "csv_mlp")
+
+
+def read_problem(cfg: dict, context: str, names=tuple(PROBLEMS)) -> dict:
+    """Read the problem section at dotted path ``context`` against the key
+    table of its ``name``, which must be one of ``names``."""
+    spec = {"name": (one_of(*names), REQUIRED)}
+    name = read_config({"name": section(cfg, context).get("name")}, spec, context)["name"]
+    return read_config(cfg, {**spec, **PROBLEMS[name]}, context)
 
 
 def build_optimizer(cfg: dict, dim: int, context: str = "optimizer") -> Optimizer:
@@ -224,18 +242,13 @@ def build_classification_task(cfg: dict, seed: int,
     The training loop owns spawn(3); distinct keys keep every source of
     randomness independent.
     """
-    p = read_config(cfg, CLASSIFICATION_PROBLEM, context)
+    p = read_problem(cfg, context, _CLASSIFICATION_PROBLEMS)
     root = RngStream(seed)
     if p["name"] == "two_moons_mlp":
-        data = make_two_moons(integer(2)(p["n"], _key(context, "n")), p["noise"], root.spawn(0))
-    elif p["name"] == "csv_mlp":
-        if p["csv_path"] is None:
-            raise ConfigError(f"csv_mlp needs '{_key(context, 'csv_path')}'")
+        data = make_two_moons(p["n"], p["noise"], root.spawn(0))
+    else:
         data = load_csv_dataset(p["csv_path"], classification=True)
         data = data.subset(root.spawn(0).permutation(data.n_samples))
-    else:
-        raise ConfigError(f"'{_key(context, 'name')}' is not a classification problem: "
-                          f"{p['name']!r}")
     train, test = _split(data, p["test_fraction"], root.spawn(4), _key(context, "test_fraction"))
     if train.labels.max() < 1:  # the MLP has labels.max() + 1 classes
         source = _key(context, "csv_path" if p["name"] == "csv_mlp" else "n")
@@ -253,11 +266,9 @@ def build_classification_task(cfg: dict, seed: int,
 def build_analytic_oracle(cfg: dict, seed: int, context: str = "problem"):
     """Quadratic / Rosenbrock / linear-regression oracles with optional
     additive noise, and the starting point ``theta0``."""
-    p = read_config(cfg, ANALYTIC_PROBLEM, context)
+    p = read_problem(cfg, context, ("quadratic", "rosenbrock", "linear_regression"))
     if p["name"] == "quadratic":
         eigs = p["eigenvalues"]
-        if eigs is not None:
-            list_of(positive)(eigs, _key(context, "eigenvalues"))
         dim = p["dim"] or (len(eigs) if eigs else 2)
         for key in ("eigenvalues", "theta_star"):
             if p[key] is not None and len(p[key]) != dim:
@@ -270,16 +281,14 @@ def build_analytic_oracle(cfg: dict, seed: int, context: str = "problem"):
     elif p["name"] == "rosenbrock":
         base = RosenbrockProblem()
         theta0 = [-1.2, 1.0]
-    elif p["name"] == "linear_regression":
+    else:
         root = RngStream(seed).spawn(0)
-        dim, n = p["dim"] or 5, p["n"]
+        dim, n = p["dim"], p["n"]
         X = root.standard_normal((n, dim))
         w = root.standard_normal(dim)
         y = X @ w + 0.1 * root.standard_normal(n)
         base = LinearRegressionProblem(FiniteDataset(X, y))
         theta0 = np.zeros(dim)
-    else:
-        raise ConfigError(f"'{_key(context, 'name')}' is an unknown problem: {p['name']!r}")
     start = np.asarray(theta0 if p["theta0"] is None else p["theta0"], dtype=np.float64)
     if start.shape != (base.dim,):
         raise ConfigError(f"'{_key(context, 'theta0')}' must be a list of {base.dim} numbers, "
@@ -316,19 +325,6 @@ class RunResult:
 _DIVERGENCE_BOUND = 1e10
 
 
-_CLASSIFICATION_PROBLEMS = ("two_moons_mlp", "csv_mlp")
-
-
-def _require_test_error(cfg: dict, context: str) -> None:
-    """Fail before any training when a protocol that compares test errors
-    is given a problem that has none."""
-    name = read_config(cfg, RUN, context)["problem"].get("name")
-    if name not in _CLASSIFICATION_PROBLEMS:
-        raise ConfigError(
-            f"'{_key(context, 'problem.name')}' must be one of "
-            f"{list(_CLASSIFICATION_PROBLEMS)} to report a test error, got {name!r}")
-
-
 def run_seed(cfg: dict, seed: int, context: str = "") -> RunResult:
     """Train one seed of a run config.
 
@@ -344,8 +340,9 @@ def run_seed(cfg: dict, seed: int, context: str = "") -> RunResult:
     """
     run_cfg = read_config(cfg, RUN, context)
     steps = run_cfg["steps"]
-    if run_cfg["problem"].get("name") in _CLASSIFICATION_PROBLEMS:
-        task = build_classification_task(run_cfg["problem"], seed, _key(context, "problem"))
+    problem = read_problem(run_cfg["problem"], _key(context, "problem"))
+    if problem["name"] in _CLASSIFICATION_PROBLEMS:
+        task = build_classification_task(problem, seed, _key(context, "problem"))
         oracle, theta = task.problem, task.theta0
 
         def test_error(theta):
@@ -354,7 +351,7 @@ def run_seed(cfg: dict, seed: int, context: str = "") -> RunResult:
         train_errors = task.train_errors
         eval_every = run_cfg["eval_every"] or max(1, steps // 50)
     else:
-        oracle, theta = build_analytic_oracle(run_cfg["problem"], seed, _key(context, "problem"))
+        oracle, theta = build_analytic_oracle(problem, seed, _key(context, "problem"))
         test_error = train_errors = None
         eval_every = run_cfg["eval_every"] or max(1, steps // 100)
     batch_size = run_cfg["batch_size"]
@@ -370,16 +367,13 @@ def run_seed(cfg: dict, seed: int, context: str = "") -> RunResult:
         if batch_size is not None:
             raise ConfigError(
                 f"'{_key(context, 'batch_size')}' is not read by problem "
-                f"{run_cfg['problem']['name']!r}: "
+                f"{problem['name']!r}: "
                 "its stochastic gradient is the full gradient (plus noise_sigma2 noise)")
         sample = oracle.stochastic_gradient
     opt = build_optimizer(run_cfg["optimizer"], theta.shape[0], _key(context, "optimizer"))
     rng = RngStream(seed).spawn(3)
     # Piecewise-constant decay: lr is multiplied by the factor at each milestone.
     decay = read_config(run_cfg["lr_decay"] or {}, LR_DECAY, _key(context, "lr_decay"))
-    if not decay["factor"] > 0:
-        raise ConfigError(f"'{_key(context, 'lr_decay.factor')}' must be a number > 0, "
-                          f"got {decay['factor']!r}")
     milestones = set(decay["milestones"])
     traj = []
 
@@ -570,7 +564,9 @@ def label_noise_experiment(cfg: dict, optimizer_a: dict, optimizer_b: dict,
     build_optimizer(optimizer_a, 1, "optimizer_a")
     build_optimizer(optimizer_b, 1, "optimizer_b")
     arms = [{**cfg, "optimizer": optimizer_a}, {**cfg, "optimizer": optimizer_b}]
-    _require_test_error(arms[0], "base")
+    # Only a classification problem reports the test errors compared here.
+    read_problem(read_config(arms[0], RUN, "base")["problem"], "base.problem",
+                 _CLASSIFICATION_PROBLEMS)
     summary_a, summary_b = map(_summary, _completed(run_arms(arms, threads, "base")))
     errs_a = [r["final_test_error"] for r in summary_a["results"]]
     errs_b = [r["final_test_error"] for r in summary_b["results"]]
@@ -608,11 +604,11 @@ def beta0_sweep(cfg: dict, beta0_grid, out_dir: Optional[Path] = None,
     paired per-seed errors.
     """
     beta0_grid = list_of(number)(beta0_grid, "beta0_grid")
-    _require_test_error(cfg, "base")
-    name = read_config(cfg["optimizer"], OPTIMIZER, "base.optimizer")["name"]
-    if name.lower() not in ("pnm", "adapnm"):
-        raise ConfigError(f"'base.optimizer.name' must be pnm or adapnm for a beta0 sweep, "
-                          f"got {name!r}")
+    run_cfg = read_config(cfg, RUN, "base")
+    read_problem(run_cfg["problem"], "base.problem", _CLASSIFICATION_PROBLEMS)
+    pnm = _kind(str, "pnm or adapnm for a beta0 sweep",
+                lambda value: value.lower() in ("pnm", "adapnm"))
+    read_config(run_cfg["optimizer"], {**OPTIMIZER, "name": (pnm, REQUIRED)}, "base.optimizer")
     for b0 in beta0_grid:  # named by its list here, not as the arm's 'base.optimizer'
         try:
             Pnm(1, 1.0, beta0=b0)

@@ -50,6 +50,9 @@ TINY_MLP = {"name": "two_moons_mlp", "n": 40, "noise": 0.2, "hidden": 2,
             "test_fraction": 0.5}
 
 QUADRATIC_RUN = run_config(problem={"name": "quadratic", "eigenvalues": [1.0, 4.0]})
+LINEAR_RUN = run_config(problem={"name": "linear_regression", "dim": 4, "n": 50})
+# csv_path is set per test, to a file written by write_csv.
+CSV_RUN = run_config(problem={"name": "csv_mlp", "hidden": 2}, steps=5, batch_size=8, seeds=[0])
 
 # One tiny valid config per command; each runs in well under a second.
 TINY = {
@@ -209,7 +212,8 @@ class TestExitCodes:
         assert not (out / "convergence_summary.json").exists()
 
     # The first ten used to run on a value coerced by float() or int(); the
-    # rest failed with a message that named no key (the batch size only at step 1).
+    # rest failed with a message that named no key (the batch size only at
+    # step 1), or ran on a value their key now rejects (a negative noise).
     COERCED = [
         ("run", TINY["run"], "optimizer.lr", True),
         ("run", run_config(problem={"name": "quadratic", "dim": 2}), "problem.dim", True),
@@ -230,6 +234,9 @@ class TestExitCodes:
         ("run", QUADRATIC_RUN, "problem.theta_star", [1.0]),
         ("convergence", CONVERGENCE, "problem.eigenvalues", [1.0, 0.0]),
         ("posterior", TINY["posterior"], "eigenvalues", [-1.0]),
+        ("posterior", TINY["posterior"], "kind", "foo"),
+        ("run", TINY["run"], "problem.noise", -0.2),
+        ("convergence", CONVERGENCE, "problem.name", "rosenbrock"),
     ]
 
     @pytest.mark.parametrize("command,payload,key,value", COERCED,
@@ -241,6 +248,36 @@ class TestExitCodes:
         cfg = write_config(tmp_path, with_value(payload, key, value))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"'{key}'" in capsys.readouterr().err
+
+    # Each key is read only by another problem, and used to be ignored.
+    UNREAD = [
+        *[("run", run_config(), f"problem.{key}", value) for key, value in [
+            ("eigenvalues", [-1.0]), ("dim", 7), ("f0", 3.0), ("n", 5),
+            ("theta_star", [1.0, 1.0])]],
+        ("run", QUADRATIC_RUN, "problem.n", 3),
+        ("run", LINEAR_RUN, "problem.eigenvalues", [1.0]),
+        ("run", LINEAR_RUN, "problem.f0", 3.0),
+        ("run", CSV_RUN, "problem.n", 1),
+        ("run", CSV_RUN, "problem.noise", -5.0),
+        ("run", TINY["run"], "problem.csv_path", "absent.csv"),
+        ("sweep-beta0", TINY["sweep-beta0"], "base.problem.csv_path", "absent.csv"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command,payload,key,value", UNREAD,
+        ids=[f"{c} {p.get('base', p)['problem']['name']} {k}" for c, p, k, _ in UNREAD])
+    def test_key_the_problem_does_not_read_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                           command, payload, key, value):
+        monkeypatch.setattr(optim.Optimizer, "step",
+                            lambda *a, **k: pytest.fail("stepped before failing"))
+        payload = with_value(payload, key, value)
+        problem = payload.get("base", payload)["problem"]
+        if problem["name"] == "csv_mlp":
+            problem["csv_path"] = write_csv(tmp_path / "data.csv", [i % 2 for i in range(30)])
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        where, leaf = key.rsplit(".", 1)
+        assert f"unknown key(s) in {where}: ['{leaf}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["label-noise", "sweep-beta0"])
     @pytest.mark.parametrize("problem", [{"name": "rosenbrock"},
@@ -344,7 +381,8 @@ class TestExitCodes:
         })
         out = tmp_path / "out"
         assert main(["posterior", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-        assert "pnm_momentum" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "pnm_momentum" in err and "'batch_size'" in err
         assert not (out / "posterior.json").exists()
 
     @pytest.mark.parametrize("kind,eta", [("sgd", 2.5), ("pnm", 2.5), ("hb", 50.0),
@@ -561,7 +599,11 @@ def lookup(payload, path):
 FUZZ_BASES = [*TINY.items(), ("run", run_config(
     problem={"name": "quadratic", "dim": 2, "eigenvalues": [1.0, 2.0], "theta_star": [0.0, 0.0],
              "f0": 0.0, "noise_sigma2": 0.1, "theta0": [1.0, 1.0]},
-    optimizer={"name": "hb", "lr": 0.1, "beta1": 0.9, "beta3": 1.0}, steps=3, seeds=[0]))]
+    optimizer={"name": "hb", "lr": 0.1, "beta1": 0.9, "beta3": 1.0}, steps=3, seeds=[0])),
+    ("run", run_config(problem={"name": "linear_regression", "dim": 2, "n": 20},
+                       optimizer={"name": "sgd", "lr": 0.01}, steps=3, seeds=[0], batch_size=4)),
+    ("run", run_config(problem={"name": "rosenbrock", "noise_sigma2": 0.1, "theta0": [-1.2, 1.0]},
+                       steps=3, seeds=[0]))]
 FUZZ_CASES = [(command, payload, path) for command, payload in FUZZ_BASES
               for path in leaf_paths(payload)]
 # null reads as the default, which for these keys is a full-size run.

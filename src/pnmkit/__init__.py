@@ -19,7 +19,6 @@ from .optim import (
     Optimizer,
     Pnm,
     WeightDecay,
-    make_optimizer,
     momentum_recovery_beta0,
     pn_normalization,
 )

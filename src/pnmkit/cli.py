@@ -3,9 +3,9 @@
 Subcommands: ``run``, ``sweep-beta0``, ``label-noise``, ``grid``,
 ``posterior``, ``pacbayes``, ``noise``, ``convergence``. Each reads a JSON
 config against its key tables and writes CSV/JSON results into --out.
-Exit codes: 0 success, 1 config or usage error (any ``ValueError``, which
-includes :class:`ConfigError`), 2 numerical divergence, 3 I/O error; any
-other exception is a bug and propagates.
+Exit codes: 0 success, 1 config or usage error (a :class:`ConfigError`,
+which names the key at fault), 2 numerical divergence, 3 I/O error; any
+other exception, a plain ``ValueError`` included, is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from . import convergence as conv
 from . import harness, noise, pacbayes, posterior
 from .core import RNG_ALGORITHM, DivergenceError, NonFiniteError, RngStream, config_digest
 from .harness import (
-    REQUIRED, SEEDS, ConfigError, build_analytic_oracle, integer, list_of, non_negative, number,
-    one_of, positive, read_config, read_problem, section, write_report,
+    REQUIRED, SEEDS, ConfigError, beta0, build_analytic_oracle, integer, list_of, named,
+    non_negative, number, positive, probability, rate, read_config, section, write_report,
 )
 from .problems import AdditiveNoiseOracle, QuadraticModel
 
@@ -40,24 +40,26 @@ GRID = {"base": (section, REQUIRED), "lrs": (list_of(number), REQUIRED),
         "lams": (list_of(number), REQUIRED)}
 
 POSTERIOR = {
-    "kind": (one_of("sgd", "hb", "pnm", "pnm_momentum"), "sgd"),
     "eigenvalues": (list_of(positive), [1.0]),
-    "eta": (number, REQUIRED), "noise_sigma2": (non_negative, 1.0),
+    "eta": (positive, REQUIRED), "noise_sigma2": (non_negative, 1.0),
     "burn_in": (integer(0), 10000), "samples": (integer(1), 1000000),
     "thin": (integer(1), 1), "chains": (integer(1), 64),
-    "beta0": (number, 1.0), "beta1": (number, 0.9),
     "seed": (integer(0), 0), "batch_size": (integer(1), None),
 }
+_BETA0, _BETA1 = {"beta0": (beta0, 1.0)}, {"beta1": (rate, 0.9)}
+#: Each posterior kind's key table: a kind reads only the betas its dynamics take.
+POSTERIORS = {"sgd": POSTERIOR, "hb": {**POSTERIOR, **_BETA1}, "pnm": {**POSTERIOR, **_BETA0},
+              "pnm_momentum": {**POSTERIOR, **_BETA0, **_BETA1}}
 
 PACBAYES = {
-    "eta": (number, REQUIRED), "batch_size": (integer(1), REQUIRED),
-    "dataset_size": (integer(1), REQUIRED), "lam": (number, REQUIRED),
-    "dim": (integer(1), REQUIRED), "delta": (number, REQUIRED),
-    "theta_norm_sq": (number, 0.0), "gammas": (list_of(number), None),
+    "eta": (positive, REQUIRED), "batch_size": (integer(1), REQUIRED),
+    "dataset_size": (integer(2), REQUIRED), "lam": (positive, REQUIRED),
+    "dim": (integer(1), REQUIRED), "delta": (probability, REQUIRED),
+    "theta_norm_sq": (non_negative, 0.0), "gammas": (list_of(number), None),
 }
 
 NOISE = {
-    "beta1": (number, 0.9), "beta0_values": (list_of(number), [0.5, 1.0, 2.0]),
+    "beta1": (rate, 0.9), "beta0_values": (list_of(beta0), [0.5, 1.0, 2.0]),
     "steps": (integer(1), 1000000), "dim": (integer(1), 1), "seed": (integer(0), 0),
 }
 
@@ -70,19 +72,19 @@ def _seed_count_or_list(value, name) -> list[int]:
 
 
 CONVERGENCE = {
-    "problem": (section, REQUIRED),
+    "problem": (named(harness.PROBLEMS, names=("quadratic",)), REQUIRED),
     "horizons": (list_of(integer(1), min_length=2), [100, 1000, 10000]),
     "seeds": (_seed_count_or_list, list(range(20))),
-    "step_constant": (number, 1.0), "beta0": (number, 1.0), "beta1": (number, 0.9),
+    "step_constant": (positive, 1.0), **_BETA0, **_BETA1,
 }
 
 
 def _load_config(path: str) -> dict:
-    text = Path(path).read_text()  # an OSError names the path
-    try:
-        return section(json.loads(text), "config")
-    except json.JSONDecodeError as exc:
+    try:  # an OSError names the path and passes through
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer json cannot read
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    return section(payload, "config")
 
 
 def _apply_seed_override(cfg: dict, seed) -> dict:
@@ -128,22 +130,23 @@ def _cmd_grid(args) -> None:
 
 def _cmd_posterior(args) -> None:
     cfg = _load_config(args.config)
-    c = read_config(cfg, POSTERIOR)
+    c = harness.read_named(cfg, POSTERIORS, "", "kind", "sgd")
+    betas = {key: c[key] for key in ("beta0", "beta1") if key in c}
     eigs = np.asarray(c["eigenvalues"], dtype=np.float64)
     model = QuadraticModel(np.zeros(eigs.size), np.diag(eigs))
     seed = c["seed"] if args.seed is None else args.seed
     noise_cov = c["noise_sigma2"] * np.eye(eigs.size)
     # Before simulating, so an unstable config or a kind with no scale fails fast.
     extra = {"closed_form_covariance": posterior.stationary_covariance(
-        c["kind"], model.H, c["eta"], noise_cov, c["beta0"], c["beta1"]).ravel().tolist()}
+        c["kind"], model.H, c["eta"], noise_cov, **betas).ravel().tolist()}
     if c["batch_size"] is not None:
         if c["kind"] == "pnm_momentum":
             raise ConfigError("'batch_size' sets a theoretical_scale, which 'pnm_momentum' lacks")
         extra["theoretical_scale"] = posterior.theoretical_posterior_covariance(
-            c["kind"], c["eta"], c["batch_size"], c["beta0"])
-    dynamics = ("kind", "eta", "burn_in", "samples", "thin", "chains", "beta0", "beta1")
+            c["kind"], c["eta"], c["batch_size"], betas.get("beta0", 1.0))
+    dynamics = ("kind", "eta", "burn_in", "samples", "thin", "chains")
     est = posterior.simulate_stationary(model, c["noise_sigma2"], rng=RngStream(seed),
-                                        **{key: c[key] for key in dynamics})
+                                        **{key: c[key] for key in dynamics}, **betas)
     payload = {
         "config": cfg, "config_digest": config_digest(cfg), "prng": RNG_ALGORITHM,
         "empirical_mean": est.mean.tolist(),
@@ -218,8 +221,7 @@ def _cmd_convergence(args) -> None:
     cfg = _load_config(args.config)
     c = read_config(cfg, CONVERGENCE)
     seeds = c["seeds"] if args.seed is None else [args.seed]
-    problem = read_problem(c["problem"], "problem", ("quadratic",))
-    oracle, theta0 = build_analytic_oracle(problem, seed=0)
+    oracle, theta0 = build_analytic_oracle(c["problem"], seed=0)
     base = oracle.base if isinstance(oracle, AdditiveNoiseOracle) else oracle
     smoothness = base.lambda_max
     hparams = {key: c[key] for key in ("step_constant", "beta0", "beta1")}
@@ -228,7 +230,7 @@ def _cmd_convergence(args) -> None:
     loss0, _ = oracle.full_gradient(theta0)
     inputs = conv.ConvergenceBoundInputs(
         smoothness=smoothness, grad_bound=est.measured_grad_bound,
-        sigma2=problem["noise_sigma2"], loss_gap=loss0 - base.f0, **hparams)
+        sigma2=c["problem"]["noise_sigma2"], loss_gap=loss0 - base.f0, **hparams)
     bounds = est.bound_values(inputs)
     table = ["horizon,step_size,mean_min_grad_norm_sq,theorem_bound"]
     table += [f"{T},{eta0!r},{m!r},{b!r}" for T, eta0, m, b in
@@ -297,8 +299,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        # ConfigError, and the library's domain checks on configured values.
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

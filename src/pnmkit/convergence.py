@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DivergenceError, GradientOracle, RngStream
+from .core import ConfigError, DivergenceError, GradientOracle, RngStream
 from .optim import Pnm, pn_normalization
 from .posterior import _NOISE_BLOCK
 
@@ -177,18 +177,18 @@ def empirical_rate(
     if any(isinstance(T, bool) or not isinstance(T, Integral) or T < 1 for T in horizons):
         raise ValueError(f"horizons must be integers >= 1, got {list(horizons)}")
     if len(set(horizons)) < 2:
-        raise ValueError(f"'horizons' needs at least two distinct values to fit a slope, "
-                         f"got {list(horizons)}")
+        raise ConfigError(f"'horizons' needs at least two distinct values to fit a slope, "
+                          f"got {list(horizons)}")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     horizons = [int(T) for T in horizons]
+    steps = [theorem_step_size(smoothness, step_constant, T) for T in horizons]
+    if not min(steps) > 0:  # PNM needs a learning rate > 0
+        raise ConfigError(f"'step_constant' = {step_constant!r} underflows a step size to 0")
     mins = np.empty(len(horizons))
     g_max = 0.0
-    steps = []
-    for i, T in enumerate(horizons):
-        eta0 = theorem_step_size(smoothness, step_constant, T)
-        steps.append(eta0)
+    for i, (T, eta0) in enumerate(zip(horizons, steps)):
         curves = _grad_sq_curves(oracle, theta0, T, eta0, beta0, beta1, seeds, i)
         acc = np.zeros(T)
         for curve in curves:
@@ -197,7 +197,8 @@ def empirical_rate(
         g_max = max(g_max, math.sqrt(float(curves.max())))
     for T, m in zip(horizons, mins.tolist()):
         if not m > 0:
-            raise ValueError(f"horizon {T} has minimum squared gradient norm {m!r}; no "
-                             "log-log slope can be fitted through a value that is not > 0")
+            raise ConfigError(f"'horizons': horizon {T} has minimum squared gradient norm "
+                              f"{m!r}; no log-log slope can be fitted through a value that "
+                              "is not > 0")
     slope = float(np.polyfit(np.log(horizons), np.log(mins), 1)[0])
     return RateEstimate(horizons, mins, slope, g_max, steps)

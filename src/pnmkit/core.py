@@ -20,6 +20,10 @@ import numpy as np
 RNG_ALGORITHM = "pcg64"
 
 
+class ConfigError(ValueError):
+    """Invalid or unknown configuration content, named by its config key."""
+
+
 class DimensionMismatchError(ValueError):
     """Raised when two vectors (or a vector and a matrix) disagree in size."""
 

@@ -1,8 +1,8 @@
 """Experiment configuration, seed orchestration, and persistence.
 
 Configs are JSON dicts read by :func:`read_config`, one key table per
-section and per problem name: an unknown key or a value of the wrong type
-is an error naming the key, never a silent default or coercion. Every output
+section and per problem, optimizer, decay or noise name: an unknown key or
+bad value is an error naming the key, never coerced or defaulted. Every output
 embeds the config digest, the seed, and the PRNG identifier; re-running a
 config produces byte-identical summaries. Trajectory CSVs use the fixed
 column order ``step,loss,grad_norm_sq[,test_error]``.
@@ -29,13 +29,16 @@ import numpy as np
 
 from .core import (
     RNG_ALGORITHM,
+    ConfigError,
     DivergenceError,
     NonFiniteError,
     RngStream,
     TrajectoryRecord,
     config_digest,
 )
-from .optim import Optimizer, Pnm, WeightDecay, make_optimizer
+from .optim import (
+    AdaPnm, Adam, AmsGrad, HeavyBall, Optimizer, Pnm, WeightDecay, amplification_factor,
+)
 from .problems import (
     AdditiveNoiseOracle,
     DatasetProblem,
@@ -49,10 +52,6 @@ from .problems import (
     load_csv_dataset,
     make_two_moons,
 )
-
-
-class ConfigError(ValueError):
-    """Invalid or unknown configuration content."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +79,25 @@ non_negative = _kind((int, float), "a number >= 0 in the finite float range",
                      lambda value: 0 <= value <= sys.float_info.max, float)
 positive = _kind((int, float), "a number > 0 in the finite float range",
                  lambda value: 0 < value <= sys.float_info.max, float)
+#: A label-noise rate, or a moment decay such as ``beta1``.
+rate = _kind((int, float), "a number in [0, 1)", lambda value: 0 <= value < 1, float)
+probability = _kind((int, float), "a number in (0, 1)", lambda value: 0 < value < 1, float)
+beta3 = _kind((int, float), "a number in (0, 1]", lambda value: 0 < value <= 1, float)
 string = _kind(str, "a string")
 boolean = _kind(bool, "true or false")
 section = _kind(dict, "an object")
+
+
+def beta0(value, name):
+    """Kind: a beta0 >= -1 whose (1 + beta0)^2 + beta0^2 is finite."""
+    value = number(value, name)
+    try:
+        amplification_factor(value)
+    except ValueError as exc:  # the sum overflows
+        raise ConfigError(f"'{name}': {exc}") from None
+    if value < -1:
+        raise ConfigError(f"'{name}' must be a number >= -1, got {value!r}")
+    return value
 
 
 def integer(minimum: int):
@@ -135,35 +150,30 @@ def read_config(cfg: dict, spec: dict, context: str = "") -> dict:
     return out
 
 
+def read_named(cfg: dict, tables: dict, context: str, selector: str = "name",
+               default=REQUIRED, names=None) -> dict:
+    """Read the section at dotted path ``context`` against ``tables[choice]``: ``choice``
+    is its ``selector`` key (``default`` if absent), one of ``names`` (or of ``tables``)."""
+    spec = {selector: (one_of(*(names or tables)), default)}
+    choice = read_config({selector: section(cfg, context or "config").get(selector)},
+                         spec, context)[selector]
+    return read_config(cfg, {**spec, **tables[choice]}, context)
+
+
+def named(tables: dict, selector: str = "name", default=REQUIRED, names=None):
+    """Kind: a section read by :func:`read_named` against ``tables``."""
+    return lambda value, name: read_named(value, tables, name, selector, default, names)
+
+
 SEEDS = list_of(integer(0))
-
-# Defaults of None are worked out from the rest of the config where read.
-RUN = {
-    "problem": (section, REQUIRED), "optimizer": (section, REQUIRED),
-    "steps": (integer(1), REQUIRED), "seeds": (SEEDS, REQUIRED),
-    "batch_size": (integer(1), None), "eval_every": (integer(1), None),
-    "lr_decay": (section, None),
-}
-
-# An absent hyperparameter takes the named optimizer's own default.
-OPTIMIZER = {
-    "name": (string, REQUIRED), "lr": (number, REQUIRED),
-    "beta0": (number, None), "beta1": (number, None), "beta2": (number, None),
-    "beta3": (number, None), "eps": (number, None), "amsgrad": (boolean, None),
-    "weight_decay": (section, None),
-}
-
-WEIGHT_DECAY = {"mode": (string, "none"), "lam": (number, 0.0)}
 
 LR_DECAY = {"milestones": (list_of(integer(1), min_length=0), []), "factor": (positive, 0.1)}
 
-LABEL_NOISE = {"kind": (one_of("symmetric", "asymmetric"), "symmetric"),
-               "rate": (_kind((int, float), "a number in [0, 1)",
-                              lambda value: 0 <= value < 1, float), 0.0)}
+LABEL_NOISES = {"symmetric": {"rate": (rate, 0.0)}, "asymmetric": {"rate": (rate, 0.0)}}
 
 _CLASSIFICATION_KEYS = {
     "hidden": (integer(1), 16), "test_fraction": (number, 0.5), "init_scale": (number, 0.5),
-    "label_noise": (section, None),
+    "label_noise": (named(LABEL_NOISES, "kind", "symmetric"), None),
 }
 _ANALYTIC_KEYS = {"noise_sigma2": (non_negative, 0.0), "theta0": (list_of(number), None)}
 
@@ -179,23 +189,41 @@ PROBLEMS = {
 }
 _CLASSIFICATION_PROBLEMS = ("two_moons_mlp", "csv_mlp")
 
+_LAM = {"lam": (non_negative, 0.0)}
+#: Each weight-decay mode's key table: only a decay that acts reads a strength.
+WEIGHT_DECAYS = {"none": {}, "l2": _LAM, "decoupled": _LAM}
 
-def read_problem(cfg: dict, context: str, names=tuple(PROBLEMS)) -> dict:
-    """Read the problem section at dotted path ``context`` against the key
-    table of its ``name``, which must be one of ``names``."""
-    spec = {"name": (one_of(*names), REQUIRED)}
-    name = read_config({"name": section(cfg, context).get("name")}, spec, context)["name"]
-    return read_config(cfg, {**spec, **PROBLEMS[name]}, context)
+_HEAVY_BALL = {"lr": (positive, REQUIRED), "beta1": (rate, None), "beta3": (beta3, None)}
+_PNM = {"lr": (positive, REQUIRED), "beta0": (beta0, None), "beta1": (rate, None)}
+_ADAM = {"lr": (positive, REQUIRED), "beta1": (rate, None), "beta2": (rate, None),
+         "eps": (positive, None)}
+#: Each optimizer name's class and key table: its constructor's parameters but dim, weight_decay.
+OPTIMIZERS = {
+    "sgd": (HeavyBall, {**_HEAVY_BALL, "beta1": (rate, 0.0)}),
+    "hb": (HeavyBall, _HEAVY_BALL), "momentum": (HeavyBall, _HEAVY_BALL), "pnm": (Pnm, _PNM),
+    "adapnm": (AdaPnm, {**_PNM, **_ADAM, "amsgrad": (boolean, None)}),
+    "adam": (Adam, {**_ADAM, "amsgrad": (boolean, None)}), "amsgrad": (AmsGrad, _ADAM),
+}
+_OPTIMIZER_KEYS = {name: {**keys, "weight_decay": (named(WEIGHT_DECAYS, "mode", "none"), None)}
+                   for name, (_, keys) in OPTIMIZERS.items()}
+
+# Defaults of None are worked out from the rest of the config where read.
+RUN = {
+    "problem": (named(PROBLEMS), REQUIRED), "optimizer": (named(_OPTIMIZER_KEYS), REQUIRED),
+    "steps": (integer(1), REQUIRED), "seeds": (SEEDS, REQUIRED),
+    "batch_size": (integer(1), None), "eval_every": (integer(1), None),
+    "lr_decay": (section, None),
+}
+# The protocols that compare test errors: only a classification problem reports them.
+_COMPARED_RUN = {**RUN, "problem": (named(PROBLEMS, names=_CLASSIFICATION_PROBLEMS), REQUIRED)}
 
 
 def build_optimizer(cfg: dict, dim: int, context: str = "optimizer") -> Optimizer:
-    opt = read_config(cfg, OPTIMIZER, context)
-    wd = read_config(opt.pop("weight_decay") or {}, WEIGHT_DECAY, _key(context, "weight_decay"))
-    hparams = {k: v for k, v in opt.items() if v is not None and k != "name"}
-    try:
-        return make_optimizer(opt["name"], dim=dim, weight_decay=WeightDecay(**wd), **hparams)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad optimizer config '{context}': {exc}") from exc
+    """The optimizer of the section at dotted path ``context``, on ``dim`` parameters."""
+    opt = read_named(cfg, _OPTIMIZER_KEYS, context)
+    cls, _ = OPTIMIZERS[opt.pop("name")]
+    decay = WeightDecay(**(opt.pop("weight_decay") or {}))
+    return cls(dim=dim, weight_decay=decay, **{k: v for k, v in opt.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +270,15 @@ def build_classification_task(cfg: dict, seed: int,
     The training loop owns spawn(3); distinct keys keep every source of
     randomness independent.
     """
-    p = read_problem(cfg, context, _CLASSIFICATION_PROBLEMS)
+    p = read_named(cfg, PROBLEMS, context, names=_CLASSIFICATION_PROBLEMS)
     root = RngStream(seed)
     if p["name"] == "two_moons_mlp":
         data = make_two_moons(p["n"], p["noise"], root.spawn(0))
     else:
-        data = load_csv_dataset(p["csv_path"], classification=True)
+        try:
+            data = load_csv_dataset(p["csv_path"], classification=True)
+        except ValueError as exc:  # a malformed file; an OSError stays an I/O error
+            raise ConfigError(f"'{_key(context, 'csv_path')}': {exc}") from exc
         data = data.subset(root.spawn(0).permutation(data.n_samples))
     train, test = _split(data, p["test_fraction"], root.spawn(4), _key(context, "test_fraction"))
     if train.labels.max() < 1:  # the MLP has labels.max() + 1 classes
@@ -255,9 +286,7 @@ def build_classification_task(cfg: dict, seed: int,
         raise ConfigError(f"'{source}' gives a one-class training split; the MLP needs two")
     mask = np.zeros(train.n_samples, dtype=bool)
     if p["label_noise"] is not None:
-        spec = LabelNoiseSpec(**read_config(p["label_noise"], LABEL_NOISE,
-                                            _key(context, "label_noise")))
-        train, mask = apply_label_noise(train, spec, root.spawn(1))
+        train, mask = apply_label_noise(train, LabelNoiseSpec(**p["label_noise"]), root.spawn(1))
     problem = TinyMlpProblem(train, hidden=p["hidden"])
     theta0 = problem.init_params(root.spawn(2), scale=p["init_scale"])
     return ClassificationTask(problem, train, test, mask, theta0)
@@ -266,7 +295,8 @@ def build_classification_task(cfg: dict, seed: int,
 def build_analytic_oracle(cfg: dict, seed: int, context: str = "problem"):
     """Quadratic / Rosenbrock / linear-regression oracles with optional
     additive noise, and the starting point ``theta0``."""
-    p = read_problem(cfg, context, ("quadratic", "rosenbrock", "linear_regression"))
+    p = read_named(cfg, PROBLEMS, context,
+                   names=("quadratic", "rosenbrock", "linear_regression"))
     if p["name"] == "quadratic":
         eigs = p["eigenvalues"]
         dim = p["dim"] or (len(eigs) if eigs else 2)
@@ -340,7 +370,7 @@ def run_seed(cfg: dict, seed: int, context: str = "") -> RunResult:
     """
     run_cfg = read_config(cfg, RUN, context)
     steps = run_cfg["steps"]
-    problem = read_problem(run_cfg["problem"], _key(context, "problem"))
+    problem = run_cfg["problem"]
     if problem["name"] in _CLASSIFICATION_PROBLEMS:
         task = build_classification_task(problem, seed, _key(context, "problem"))
         oracle, theta = task.problem, task.theta0
@@ -429,15 +459,12 @@ def _summary(results: list[RunResult]) -> dict:
 
 def run_arms(cfgs: list[dict], threads: int, context: str = "") -> list:
     """Run every seed of every arm config as one job list on ``min(threads,
-    jobs)`` threads (serially in this thread when that is 1), after building
-    each arm's optimizer. Returns per arm its :class:`RunResult` list in seed
+    jobs)`` threads (serially in this thread when that is 1), after reading
+    every arm's config. Returns per arm its :class:`RunResult` list in seed
     order, or the divergence error of its first diverging seed. Config
     errors name keys as :func:`run_seed` does.
     """
     runs = [read_config(cfg, RUN, context) for cfg in cfgs]
-    for run_cfg in runs:
-        # A check; run_seed builds its own.
-        build_optimizer(run_cfg["optimizer"], 1, _key(context, "optimizer"))
     jobs = [(cfg, seed, context) for cfg, run_cfg in zip(cfgs, runs)
             for seed in run_cfg["seeds"]]
 
@@ -561,12 +588,10 @@ def label_noise_experiment(cfg: dict, optimizer_a: dict, optimizer_b: dict,
     seed-majority outcome for A beating B on clean test error.
     """
     # Each arm's optimizer is checked under its own name; the rest is 'base'.
-    build_optimizer(optimizer_a, 1, "optimizer_a")
-    build_optimizer(optimizer_b, 1, "optimizer_b")
+    read_named(optimizer_a, _OPTIMIZER_KEYS, "optimizer_a")
+    read_named(optimizer_b, _OPTIMIZER_KEYS, "optimizer_b")
     arms = [{**cfg, "optimizer": optimizer_a}, {**cfg, "optimizer": optimizer_b}]
-    # Only a classification problem reports the test errors compared here.
-    read_problem(read_config(arms[0], RUN, "base")["problem"], "base.problem",
-                 _CLASSIFICATION_PROBLEMS)
+    read_config(arms[0], _COMPARED_RUN, "base")
     summary_a, summary_b = map(_summary, _completed(run_arms(arms, threads, "base")))
     errs_a = [r["final_test_error"] for r in summary_a["results"]]
     errs_b = [r["final_test_error"] for r in summary_b["results"]]
@@ -603,17 +628,9 @@ def beta0_sweep(cfg: dict, beta0_grid, out_dir: Optional[Path] = None,
     whether some beta0 > 0 beats every beta0 <= 0 by seed majority on the
     paired per-seed errors.
     """
-    beta0_grid = list_of(number)(beta0_grid, "beta0_grid")
-    run_cfg = read_config(cfg, RUN, "base")
-    read_problem(run_cfg["problem"], "base.problem", _CLASSIFICATION_PROBLEMS)
-    pnm = _kind(str, "pnm or adapnm for a beta0 sweep",
-                lambda value: value.lower() in ("pnm", "adapnm"))
-    read_config(run_cfg["optimizer"], {**OPTIMIZER, "name": (pnm, REQUIRED)}, "base.optimizer")
-    for b0 in beta0_grid:  # named by its list here, not as the arm's 'base.optimizer'
-        try:
-            Pnm(1, 1.0, beta0=b0)
-        except ValueError as exc:
-            raise ConfigError(f"'beta0_grid' holds a bad entry {b0!r}: {exc}") from exc
+    beta0_grid = list_of(beta0)(beta0_grid, "beta0_grid")
+    pnm = named(_OPTIMIZER_KEYS, names=("pnm", "adapnm"))
+    read_config(cfg, {**_COMPARED_RUN, "optimizer": (pnm, REQUIRED)}, "base")
     arms = [{**cfg, "optimizer": {**cfg["optimizer"], "beta0": b0}} for b0 in beta0_grid]
     rows = []
     per_seed = {}
@@ -661,15 +678,13 @@ def lr_wd_grid(cfg: dict, lrs, lams, out_dir: Optional[Path] = None,
     """
     lrs = list_of(positive)(lrs, "lrs")
     lams = list_of(non_negative)(lams, "lams")
-    # The grid sets lr per cell, so the base optimizer may leave it out.
-    base = read_config(read_config(cfg, RUN, "base")["optimizer"],
-                       {**OPTIMIZER, "lr": (number, None)}, "base.optimizer")
-    # The grid sets lam per column, so its decay mode is decoupled unless given as l2.
-    mode = _kind(str, "'l2' or 'decoupled' in a grid", lambda value: value in ("l2", "decoupled"))
-    wd = read_config(base["weight_decay"] or {}, {**WEIGHT_DECAY, "mode": (mode, "decoupled")},
-                     "base.optimizer.weight_decay")
+    # Cells set lr and lam: the base may leave out lr, and decays decoupled unless l2.
+    decay = named(WEIGHT_DECAYS, "mode", "decoupled", ("l2", "decoupled"))
+    keys = {name: {**table, "lr": (positive, None), "weight_decay": (decay, {"mode": "decoupled"})}
+            for name, table in _OPTIMIZER_KEYS.items()}
+    base = read_config(cfg, {**RUN, "optimizer": (named(keys), REQUIRED)}, "base")["optimizer"]
     arms = [{**cfg, "optimizer": {**cfg["optimizer"], "lr": lr,
-                                  "weight_decay": {**wd, "lam": lam}}}
+                                  "weight_decay": {**base["weight_decay"], "lam": lam}}}
             for lr in lrs for lam in lams]
     cells = map(_cell_mean, run_arms(arms, threads, "base"))
     matrix = [list(islice(cells, len(lams))) for _ in lrs]

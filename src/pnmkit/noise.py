@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
+from .core import ConfigError, RngStream
 from .optim import amplification_factor
 from .problems import DatasetProblem
 
@@ -87,8 +87,8 @@ def pair_amplification_ratio(
     burn_in = min(default_burn_in(beta1), steps // 2)
     n_blocks = max(10, min(100, (steps - burn_in) // 1000))
     if (steps - burn_in) // n_blocks < 2:
-        raise ValueError(f"'steps' = {steps} leaves fewer than 2 samples in each of "
-                         f"{n_blocks} batches after a burn-in of {burn_in} steps")
+        raise ConfigError(f"'steps' = {steps} leaves fewer than 2 samples in each of "
+                          f"{n_blocks} batches after a burn-in of {burn_in} steps")
     m, m_prev = _simulate_buffers(beta1, steps, dim, rng)
     pair = (1.0 + beta0) * m - beta0 * m_prev
     m_tail = m[burn_in:]

@@ -249,30 +249,6 @@ class AdaPnm(Pnm):
         return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-_OPTIMIZERS = {
-    "sgd": HeavyBall,
-    "hb": HeavyBall,
-    "momentum": HeavyBall,
-    "pnm": Pnm,
-    "adapnm": AdaPnm,
-    "adam": Adam,
-    "amsgrad": AmsGrad,
-}
-
-
-def make_optimizer(name: str, dim: int, **hparams) -> Optimizer:
-    """Construct an optimizer by name; unknown names raise KeyError."""
-    try:
-        cls = _OPTIMIZERS[name.lower()]
-    except KeyError:
-        raise KeyError(
-            f"unknown optimizer {name!r}; known: {sorted(set(_OPTIMIZERS))}"
-        ) from None
-    if name.lower() == "sgd" and "beta1" not in hparams:
-        hparams["beta1"] = 0.0
-    return cls(dim=dim, **hparams)
-
-
 # ---------------------------------------------------------------------------
 # Trajectory identities
 # ---------------------------------------------------------------------------

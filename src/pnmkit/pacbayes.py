@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_param_vector
+from .core import ConfigError, as_param_vector
 
 
 class GaussianDist:
@@ -83,10 +83,12 @@ class PacBayesSetting:
         if self.theta_norm_sq < 0:
             raise ValueError("theta_norm_sq must be >= 0")
         if not 0.0 < critical_ratio(self.eta, self.batch_size, self.lam) < math.inf:
-            raise ValueError("eta / (2 batch_size lam) must be a positive finite number")
+            raise ConfigError("'eta', 'batch_size' and 'lam' must make eta / (2 batch_size lam) "
+                              "finite and > 0")
         r = self.lam * self.sigma_scale  # kl_q_gamma takes log(r), kl_minimizing_gamma 1 / r
         if not (r > 0.0 and 1.0 / r < math.inf):
-            raise ValueError("lam * eta / (2 batch_size) must be > 0 with a finite reciprocal")
+            raise ConfigError("'eta', 'batch_size' and 'lam' must give lam * eta / (2 batch_size) "
+                              "a finite reciprocal")
 
     @property
     def sigma_scale(self) -> float:

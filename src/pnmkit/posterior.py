@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DivergenceError, NonFiniteError, RngStream
+from .core import ConfigError, DivergenceError, NonFiniteError, RngStream
 from .optim import HeavyBall, Pnm, amplification_factor, pn_normalization
 from .problems import QuadraticModel, gaussian_factor
 
@@ -79,19 +79,20 @@ def _mode_system(kind: str, eta: float, beta0: float, beta1: float):
 
 def check_stable(kind: str, eigenvalues, eta: float, beta0: float = 1.0,
                  beta1: float = 0.9) -> None:
-    """Raise ``ValueError`` naming ``kind`` unless its noiseless dynamics
-    contract on every Hessian mode: the spectral radius of A0 + h A1 must
-    be < 1 for each eigenvalue h."""
+    """Raise a :class:`ConfigError` naming ``kind`` and ``'eta'`` unless its
+    noiseless dynamics contract on every Hessian mode: the spectral radius
+    of A0 + h A1 must be < 1 for each eigenvalue h."""
     A0, A1, _ = _mode_system(kind, eta, beta0, beta1)
     h = np.asarray(eigenvalues, dtype=np.float64).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         maps = A0 + h[:, None, None] * A1
-    for h_i, M in zip(h, maps):
-        # A map that overflowed to non-finite entries never contracts.
-        r = np.abs(np.linalg.eigvals(M)).max() if np.isfinite(M).all() else math.inf
-        if not r < 1.0:
-            raise ValueError(f"{kind} dynamics unstable at eta = {eta!r}: spectral radius "
-                             f"{r:.6g} >= 1 on the Hessian eigenvalue {h_i:.6g}")
+    finite = np.isfinite(maps).all(axis=(1, 2))  # a map that overflowed never contracts
+    radii = np.abs(np.linalg.eigvals(np.where(finite[:, None, None], maps, 0.0))).max(axis=1)
+    radii[~finite] = math.inf
+    if not (radii < 1.0).all():
+        i = int(np.argmin(radii < 1.0))  # the first unstable mode
+        raise ConfigError(f"{kind} dynamics unstable at 'eta' = {eta!r}: spectral radius "
+                          f"{radii[i]:.6g} >= 1 on the Hessian eigenvalue {h[i]:.6g}")
 
 
 def stationary_covariance(kind: str, H, eta: float, C, beta0: float = 1.0,
@@ -170,8 +171,8 @@ def simulate_stationary(
         L = L * np.eye(n)
     per_chain = -(-samples // chains)  # ceil
     if per_chain < 2:
-        raise ValueError(f"'samples' = {samples} over 'chains' = {chains} keeps fewer than "
-                         "2 iterates per chain; need samples > chains")
+        raise ConfigError(f"'samples' = {samples} over 'chains' = {chains} keeps fewer than "
+                          "2 iterates per chain; need samples > chains")
     total_steps = burn_in + per_chain * thin
 
     if kind == "hb":

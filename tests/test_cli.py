@@ -53,6 +53,10 @@ QUADRATIC_RUN = run_config(problem={"name": "quadratic", "eigenvalues": [1.0, 4.
 LINEAR_RUN = run_config(problem={"name": "linear_regression", "dim": 4, "n": 50})
 # csv_path is set per test, to a file written by write_csv.
 CSV_RUN = run_config(problem={"name": "csv_mlp", "hidden": 2}, steps=5, batch_size=8, seeds=[0])
+ADAM_RUN = run_config(optimizer={"name": "adam", "lr": 0.001})
+SGD_RUN = run_config(optimizer={"name": "sgd", "lr": 0.001})
+# A csv_path that a test replaces by a file whose line 5 is not numbers.
+MALFORMED_CSV = "malformed.csv"
 
 # One tiny valid config per command; each runs in well under a second.
 TINY = {
@@ -79,13 +83,21 @@ TINY = {
         "lrs": [0.001], "lams": [0.0],
     },
     "posterior": {"kind": "sgd", "eigenvalues": [1.0], "eta": 0.01, "noise_sigma2": 1.0,
-                  "burn_in": 10, "samples": 64, "thin": 1, "chains": 2, "beta0": 1.0,
-                  "beta1": 0.9, "seed": 0, "batch_size": 10},
+                  "burn_in": 10, "samples": 64, "thin": 1, "chains": 2, "seed": 0,
+                  "batch_size": 10},
     "pacbayes": PACBAYES,
     "noise": {"beta1": 0.9, "beta0_values": [1.0], "steps": 200, "dim": 1, "seed": 0},
     "convergence": {**CONVERGENCE, "horizons": [5, 10], "step_constant": 1.0, "beta0": 1.0,
                     "beta1": 0.9},
 }
+
+
+def table_name(payload, key):
+    """The problem name, optimizer name or posterior kind whose key table reads ``key``."""
+    payload = payload.get("base", payload)
+    if key.startswith("optimizer."):
+        return payload["optimizer"]["name"]
+    return payload["problem"]["name"] if "problem" in payload else payload["kind"]
 
 
 def with_value(payload, path, value):
@@ -237,6 +249,17 @@ class TestExitCodes:
         ("posterior", TINY["posterior"], "kind", "foo"),
         ("run", TINY["run"], "problem.noise", -0.2),
         ("convergence", CONVERGENCE, "problem.name", "rosenbrock"),
+        # A name in another case used to run; the rest failed in a constructor or a
+        # library check whose message did not quote the key.
+        ("run", TINY["run"], "optimizer.name", "PNM"),
+        ("run", TINY["run"], "optimizer.lr", 0),
+        ("run", ADAM_RUN, "optimizer.eps", 0),
+        ("run", run_config(), "optimizer.beta3", 0),
+        ("posterior", TINY["posterior"], "eta", -1),
+        ("pacbayes", PACBAYES, "lam", -1),
+        ("pacbayes", PACBAYES, "delta", 1.5),
+        ("convergence", CONVERGENCE, "step_constant", -1),
+        ("run", CSV_RUN, "problem.csv_path", MALFORMED_CSV),
     ]
 
     @pytest.mark.parametrize("command,payload,key,value", COERCED,
@@ -245,11 +268,14 @@ class TestExitCodes:
                                            payload, key, value):
         monkeypatch.setattr(optim.Optimizer, "step",
                             lambda *a, **k: pytest.fail("stepped before failing"))
+        if value == MALFORMED_CSV:
+            value = write_csv(tmp_path / value, [i % 2 for i in range(30)], bad_line=5)
         cfg = write_config(tmp_path, with_value(payload, key, value))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"'{key}'" in capsys.readouterr().err
 
-    # Each key is read only by another problem, and used to be ignored.
+    # Each key is read only by another problem, optimizer, weight-decay mode or
+    # posterior kind, and used to be ignored (or to fail in a constructor).
     UNREAD = [
         *[("run", run_config(), f"problem.{key}", value) for key, value in [
             ("eigenvalues", [-1.0]), ("dim", 7), ("f0", 3.0), ("n", 5),
@@ -261,23 +287,32 @@ class TestExitCodes:
         ("run", CSV_RUN, "problem.noise", -5.0),
         ("run", TINY["run"], "problem.csv_path", "absent.csv"),
         ("sweep-beta0", TINY["sweep-beta0"], "base.problem.csv_path", "absent.csv"),
+        ("run", run_config(), "optimizer.beta0", 3.0),
+        ("run", SGD_RUN, "optimizer.amsgrad", True),
+        ("run", ADAM_RUN, "optimizer.beta0", 1.0),
+        ("run", ADAM_RUN, "optimizer.weight_decay.lam", 0.5),
+        ("run", run_config(optimizer={"name": "hb", "lr": 0.001,
+                                      "weight_decay": {"mode": "none"}}),
+         "optimizer.weight_decay.lam", 0.1),
+        ("posterior", TINY["posterior"], "beta0", 5.0),
+        ("posterior", {**TINY["posterior"], "kind": "hb"}, "beta0", 1.0),
+        ("posterior", {**TINY["posterior"], "kind": "pnm"}, "beta1", 0.9),
     ]
 
-    @pytest.mark.parametrize(
-        "command,payload,key,value", UNREAD,
-        ids=[f"{c} {p.get('base', p)['problem']['name']} {k}" for c, p, k, _ in UNREAD])
+    @pytest.mark.parametrize("command,payload,key,value", UNREAD,
+                             ids=[f"{c} {table_name(p, k)} {k}" for c, p, k, _ in UNREAD])
     def test_key_the_problem_does_not_read_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                            command, payload, key, value):
         monkeypatch.setattr(optim.Optimizer, "step",
                             lambda *a, **k: pytest.fail("stepped before failing"))
         payload = with_value(payload, key, value)
-        problem = payload.get("base", payload)["problem"]
-        if problem["name"] == "csv_mlp":
+        problem = payload.get("base", payload).get("problem", {})
+        if problem.get("name") == "csv_mlp":
             problem["csv_path"] = write_csv(tmp_path / "data.csv", [i % 2 for i in range(30)])
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        where, leaf = key.rsplit(".", 1)
-        assert f"unknown key(s) in {where}: ['{leaf}']" in capsys.readouterr().err
+        where, _, leaf = key.rpartition(".")
+        assert f"unknown key(s) in {where or 'config'}: ['{leaf}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["label-noise", "sweep-beta0"])
     @pytest.mark.parametrize("problem", [{"name": "rosenbrock"},
@@ -370,6 +405,17 @@ class TestExitCodes:
         cfg = write_config(tmp_path, run_config())
         with pytest.raises(KeyError, match="internal"):
             main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+
+    # Any ValueError but a ConfigError used to be reported as a config error.
+    def test_library_value_error_is_not_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("library bug")
+
+        monkeypatch.setattr(harness, "run", broken)
+        cfg = write_config(tmp_path, run_config())
+        with pytest.raises(ValueError, match="library bug"):
+            main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert "config error" not in capsys.readouterr().err
 
     def test_posterior_without_closed_form_fails_before_simulating(
             self, tmp_path, capsys, monkeypatch):
@@ -603,7 +649,18 @@ FUZZ_BASES = [*TINY.items(), ("run", run_config(
     ("run", run_config(problem={"name": "linear_regression", "dim": 2, "n": 20},
                        optimizer={"name": "sgd", "lr": 0.01}, steps=3, seeds=[0], batch_size=4)),
     ("run", run_config(problem={"name": "rosenbrock", "noise_sigma2": 0.1, "theta0": [-1.2, 1.0]},
-                       steps=3, seeds=[0]))]
+                       steps=3, seeds=[0])),
+    ("run", run_config(optimizer={"name": "adapnm", "lr": 0.001, "beta0": 1.0, "beta1": 0.9,
+                                  "beta2": 0.999, "eps": 1e-8, "amsgrad": True},
+                       steps=3, seeds=[0])),
+    ("run", run_config(optimizer={"name": "adam", "lr": 0.001, "beta1": 0.9, "beta2": 0.999,
+                                  "eps": 1e-8, "amsgrad": False,
+                                  "weight_decay": {"mode": "l2", "lam": 0.01}},
+                       steps=3, seeds=[0])),
+    ("posterior", {**TINY["posterior"], "kind": "hb", "beta1": 0.9}),
+    ("posterior", {**TINY["posterior"], "kind": "pnm", "beta0": 1.0}),
+    ("posterior", {**TINY["posterior"], "kind": "pnm_momentum", "beta0": 1.0, "beta1": 0.9,
+                   "batch_size": None})]
 FUZZ_CASES = [(command, payload, path) for command, payload in FUZZ_BASES
               for path in leaf_paths(payload)]
 # null reads as the default, which for these keys is a full-size run.
@@ -633,6 +690,11 @@ class TestFuzz:
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
+        if code == EXIT_CONFIG:  # the message names a key of the config, or a missing one
+            keys = set(leaf_paths(with_value(payload, path, value)))
+            assert (any(key in keys or key.rpartition(".")[0] in keys
+                        for key in re.findall(r"'([\w.]+)'", err))
+                    or re.search(r"unknown key\(s\) in [\w.]+: ", err)), err
         for written in (tmp_path / "out").glob("*.json"):
             json.loads(written.read_text(), parse_constant=_reject_constant)
         given_value = lookup(payload, path)

@@ -1,12 +1,17 @@
+import inspect
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pnmkit import harness
 from pnmkit.core import DivergenceError, config_digest
 from pnmkit.harness import REQUIRED, ConfigError
-from pnmkit.optim import momentum_recovery_beta0, pn_normalization
+from pnmkit.optim import WeightDecay, momentum_recovery_beta0, pn_normalization
 
 
 def analytic_config(**overrides):
@@ -76,10 +81,55 @@ class TestConfigValidation:
         plain = mlp_config(seeds=[0])
         nulls = mlp_config(seeds=[0], batch_size=None, eval_every=None, lr_decay=None)
         nulls["problem"] = {**plain["problem"], "hidden": None, "label_noise": None}
-        nulls["optimizer"] = {**plain["optimizer"], "beta0": None, "weight_decay": None}
+        nulls["optimizer"] = {**plain["optimizer"], "beta3": None, "weight_decay": None}
         plain["problem"]["hidden"] = 16
         del plain["batch_size"], plain["eval_every"]
         assert harness.run(nulls)["results"] == harness.run(plain)["results"]
+
+
+# The ends of every range a kind checks, values just outside them, and the
+# overflow edge of (1 + beta0)^2 + beta0^2 (near 1.2e154).
+EDGES = [-2.0, -1.0, -0.5, 0.0, 5e-324, 0.5, 1.0 - 2 ** -53, 1.0, 1e154, 1.2e154,
+         sys.float_info.max, 10 ** 400, math.inf, math.nan]
+HYPERPARAMETERS = st.one_of(st.sampled_from(EDGES), st.floats(), st.integers(-2, 3),
+                            st.booleans())
+
+
+class TestOptimizerTable:
+    def test_every_name_builds(self):
+        for name, (cls, _) in harness.OPTIMIZERS.items():
+            opt = harness.build_optimizer({"name": name, "lr": 0.01}, 2)
+            assert type(opt) is cls and opt.dim == 2
+
+    def test_sgd_defaults_to_no_momentum(self):
+        assert harness.build_optimizer({"name": "sgd", "lr": 0.1}, 1).beta1 == 0.0
+        assert harness.build_optimizer({"name": "hb", "lr": 0.1}, 1).beta1 == 0.9
+
+    def test_unknown_name_is_config_error(self):
+        for name in ("adamw2", "PNM"):  # names are exact
+            with pytest.raises(ConfigError, match="'optimizer.name' must be one of"):
+                harness.build_optimizer({"name": name, "lr": 0.1}, 1)
+
+    @pytest.mark.parametrize("name", sorted(harness.OPTIMIZERS))
+    def test_keys_are_the_constructor_parameters(self, name):
+        cls, keys = harness.OPTIMIZERS[name]
+        assert set(keys) == set(inspect.signature(cls).parameters) - {"dim", "weight_decay"}
+
+    # The tables' kinds are the only check before a constructor runs, so a
+    # value they accept must never make the constructor raise.
+    @settings(max_examples=500, deadline=None)
+    @given(name=st.sampled_from(sorted(harness.OPTIMIZERS)),
+           mode=st.sampled_from(sorted(harness.WEIGHT_DECAYS)), data=st.data())
+    def test_accepted_values_construct(self, name, mode, data):
+        cls, keys = harness.OPTIMIZERS[name]
+        accepted, decay = {}, {}
+        for table, out in ((keys, accepted), (harness.WEIGHT_DECAYS[mode], decay)):
+            for key, (kind, default) in table.items():
+                try:
+                    out[key] = kind(data.draw(HYPERPARAMETERS, label=key), key)
+                except ConfigError:
+                    assume(default is not REQUIRED)
+        cls(dim=2, weight_decay=WeightDecay(mode, **decay), **accepted)
 
 
 SPEC = {

@@ -11,7 +11,6 @@ from pnmkit.optim import (
     HeavyBall,
     Pnm,
     WeightDecay,
-    make_optimizer,
     momentum_recovery_beta0,
     pn_normalization,
     pnm_lemma1_residuals,
@@ -334,17 +333,3 @@ class TestBatchAxis:
         with pytest.raises(ValueError, match="shape"):
             opt.step(np.zeros(theta_shape), np.zeros(grad_shape))
 
-
-class TestFactory:
-    def test_known_names(self):
-        for name in ("sgd", "hb", "pnm", "adapnm", "adam", "amsgrad"):
-            opt = make_optimizer(name, dim=2, lr=0.01)
-            assert opt.dim == 2
-
-    def test_sgd_defaults_to_no_momentum(self):
-        opt = make_optimizer("sgd", dim=1, lr=0.1)
-        assert opt.beta1 == 0.0
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            make_optimizer("adamw2", dim=1, lr=0.1)

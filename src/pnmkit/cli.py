@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="results", help="output directory")
         if name in ("run", "sweep-beta0", "label-noise", "grid"):
             p.add_argument("--threads", type=_flag_integer(1), default=1,
-                           help="run all seeds of all arms on one pool of up to this many threads")
+                           help="accepted; every seed of every arm runs serially for now")
         p.set_defaults(handler=fn)
     return parser
 

@@ -19,9 +19,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -172,7 +170,7 @@ LR_DECAY = {"milestones": (list_of(integer(1), min_length=0), []), "factor": (po
 LABEL_NOISES = {"symmetric": {"rate": (rate, 0.0)}, "asymmetric": {"rate": (rate, 0.0)}}
 
 _CLASSIFICATION_KEYS = {
-    "hidden": (integer(1), 16), "test_fraction": (number, 0.5), "init_scale": (number, 0.5),
+    "hidden": (integer(1), 16), "test_fraction": (probability, 0.5), "init_scale": (number, 0.5),
     "label_noise": (named(LABEL_NOISES, "kind", "symmetric"), None),
 }
 _ANALYTIC_KEYS = {"noise_sigma2": (non_negative, 0.0), "theta0": (list_of(number), None)}
@@ -355,6 +353,7 @@ class RunResult:
 _DIVERGENCE_BOUND = 1e10
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_seed(cfg: dict, seed: int, context: str = "") -> RunResult:
     """Train one seed of a run config.
 
@@ -363,8 +362,8 @@ def run_seed(cfg: dict, seed: int, context: str = "") -> RunResult:
     :class:`DatasetProblem` is minibatched with the config's
     ``batch_size`` (default ``min(128, N)``), any other oracle supplies its
     own ``stochastic_gradient`` and rejects a ``batch_size``. One loop then
-    steps every problem the same way. Parameters that turn non-finite or exceed 1e10 in magnitude
-    raise :class:`DivergenceError` naming the step and the seed. A config
+    steps every problem the same way. A non-finite gradient or parameters past 1e10 (or inf, nan)
+    raise :class:`DivergenceError` naming the step and the seed; numpy need not warn. A config
     error names its key from the root of a config that holds ``cfg`` at
     dotted path ``context``.
     """
@@ -416,12 +415,13 @@ def run_seed(cfg: dict, seed: int, context: str = "") -> RunResult:
     for step in range(1, steps + 1):
         if step in milestones:
             opt.lr *= decay["factor"]
-        theta = opt.step(theta, sample(theta, rng))
+        try:
+            theta = opt.step(theta, sample(theta, rng))
+        except NonFiniteError as exc:
+            raise DivergenceError(f"run diverged at step {step} for seed {seed}: {exc}") from exc
         if not np.abs(theta).max() <= _DIVERGENCE_BOUND:
-            raise DivergenceError(
-                f"run diverged at step {step} for seed {seed}: parameters non-finite or "
-                f"beyond {_DIVERGENCE_BOUND:g} in magnitude"
-            )
+            raise DivergenceError(f"run diverged at step {step} for seed {seed}: parameters "
+                                  f"non-finite or beyond {_DIVERGENCE_BOUND:g} in magnitude")
         if step % eval_every == 0 or step == steps:
             evaluate(step)
 
@@ -457,29 +457,24 @@ def _summary(results: list[RunResult]) -> dict:
     return {"results": [r.summary_fields() for r in results], "aggregate": metrics}
 
 
+def _outcome(cfg: dict, seed: int, context: str):
+    """One seed's :class:`RunResult`, or its :class:`DivergenceError` as a value."""
+    try:
+        return run_seed(cfg, seed, context)
+    except DivergenceError as exc:
+        return DivergenceError(*exc.args)  # a copy: the raised error holds the run's frames
+
+
 def run_arms(cfgs: list[dict], threads: int, context: str = "") -> list:
-    """Run every seed of every arm config as one job list on ``min(threads,
-    jobs)`` threads (serially in this thread when that is 1), after reading
-    every arm's config. Returns per arm its :class:`RunResult` list in seed
-    order, or the divergence error of its first diverging seed. Config
-    errors name keys as :func:`run_seed` does.
+    """Run every seed of every arm config in this thread, in order, after
+    reading every arm's config; ``threads`` has no effect until jobs run on
+    worker processes. Every job runs, even after a divergence. Returns per
+    arm its :class:`RunResult` list in seed order, or the divergence error
+    of its first diverging seed. Config errors name keys as :func:`run_seed` does.
     """
     runs = [read_config(cfg, RUN, context) for cfg in cfgs]
-    jobs = [(cfg, seed, context) for cfg, run_cfg in zip(cfgs, runs)
-            for seed in run_cfg["seeds"]]
-
-    def job(args):
-        try:
-            return run_seed(*args)
-        except (DivergenceError, NonFiniteError) as exc:
-            return exc.with_traceback(None)  # frees the diverged run's frames
-
-    if min(threads, len(jobs)) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            outcomes = pool.map(job, jobs)  # read in job order once the pool drains
-    else:
-        outcomes = map(job, jobs)
-    arms = [list(islice(outcomes, len(run_cfg["seeds"]))) for run_cfg in runs]
+    arms = [[_outcome(cfg, seed, context) for seed in run_cfg["seeds"]]
+            for cfg, run_cfg in zip(cfgs, runs)]
     return [next((r for r in results if isinstance(r, Exception)), results) for results in arms]
 
 
@@ -686,8 +681,8 @@ def lr_wd_grid(cfg: dict, lrs, lams, out_dir: Optional[Path] = None,
     arms = [{**cfg, "optimizer": {**cfg["optimizer"], "lr": lr,
                                   "weight_decay": {**base["weight_decay"], "lam": lam}}}
             for lr in lrs for lam in lams]
-    cells = map(_cell_mean, run_arms(arms, threads, "base"))
-    matrix = [list(islice(cells, len(lams))) for _ in lrs]
+    cells = [_cell_mean(outcome) for outcome in run_arms(arms, threads, "base")]
+    matrix = [cells[i:i + len(lams)] for i in range(0, len(cells), len(lams))]
     report = {
         "lrs": lrs,
         "lams": lams,

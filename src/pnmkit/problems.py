@@ -193,7 +193,7 @@ def load_csv_dataset(path, *, classification: bool = False) -> FiniteDataset:
     A single header row is allowed and detected by non-numeric cells.
     Malformed rows raise ValueError with the 1-based line number.
     """
-    rows = []
+    rows, linenos = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -211,6 +211,7 @@ def load_csv_dataset(path, *, classification: bool = False) -> FiniteDataset:
                     f"expected {len(rows[0])}"
                 )
             rows.append(values)
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=np.float64)
@@ -219,8 +220,11 @@ def load_csv_dataset(path, *, classification: bool = False) -> FiniteDataset:
     features, labels = data[:, :-1], data[:, -1]
     if classification:
         rounded = np.rint(labels)
-        if not np.allclose(labels, rounded, atol=1e-9):
-            raise ValueError(f"{path}: class labels must be integers")
+        bad = ~np.isclose(labels, rounded, atol=1e-9) | (rounded < 0) | (rounded >= len(rows))
+        if bad.any():
+            i = bad.argmax()
+            raise ValueError(f"{path}: class label {labels[i]} at line {linenos[i]} must be an "
+                             f"integer in [0, {len(rows)}), the number of data rows")
         labels = rounded.astype(np.int64)
     return FiniteDataset(features, labels)
 

@@ -146,6 +146,13 @@ class TestExitCodes:
         ))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DIVERGED
 
+    # It used to overflow with a RuntimeWarning instead of ending as 1e20 does.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_init_scale_is_divergence(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, with_value(TINY["run"], "problem.init_scale", 1e308))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DIVERGED
+        assert re.search(r"diverged at step 1 for seed 0:", capsys.readouterr().err)
+
     MALFORMED = [
         ("eval_every", 0),
         ("eval_every", -3),
@@ -260,6 +267,10 @@ class TestExitCodes:
         ("pacbayes", PACBAYES, "delta", 1.5),
         ("convergence", CONVERGENCE, "step_constant", -1),
         ("run", CSV_RUN, "problem.csv_path", MALFORMED_CSV),
+        # 1e308 escaped as an OverflowError; the others named no range.
+        ("run", TINY["run"], "problem.test_fraction", 1e308),
+        ("run", TINY["run"], "problem.test_fraction", 1.5),
+        ("run", TINY["run"], "problem.test_fraction", -0.2),
     ]
 
     @pytest.mark.parametrize("command,payload,key,value", COERCED,
@@ -1004,6 +1015,24 @@ class TestCsvMlp:
         cfg = write_config(tmp_path, self.config(csv_path=data))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "malformed row at line 5" in capsys.readouterr().err
+
+    # 1e300 hit an invalid cast and -1 read as a one-class split.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("label", [-1, 1e300, 30])
+    def test_label_outside_row_range_names_its_line(self, tmp_path, capsys, label):
+        data = write_csv(tmp_path / "data.csv", [i % 2 for i in range(29)] + [label])
+        cfg = write_config(tmp_path, self.config(csv_path=data))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'problem.csv_path'" in err and "at line 31" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_feature_trains_without_warning(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"{1e308 if i == 3 else i / 30!r},{(3 * i % 5) / 5},{i % 2}\n"
+                                for i in range(30)))
+        cfg = write_config(tmp_path, self.config(csv_path=str(data)))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
 
     # It used to fail with "need at least two classes", which names no key.
     def test_one_class_file_is_config_error(self, tmp_path, capsys):

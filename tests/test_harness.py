@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -211,6 +212,21 @@ class TestRun:
                     == (tmp_path / "pool" / name).read_bytes())
         if protocol == "lr_wd_grid":
             assert serial["mean_test_error"][1] == ["diverged", "diverged"]
+
+    def test_jobs_run_serially_in_the_calling_thread(self, monkeypatch):
+        # A thread pool ran these jobs on worker threads, slower than serial.
+        idents = []
+        run_seed = harness.run_seed
+
+        def recording(*args):
+            idents.append(threading.get_ident())
+            return run_seed(*args)
+
+        monkeypatch.setattr(harness, "run_seed", recording)
+        cfg = analytic_config(steps=20)
+        arms = harness.run_arms([cfg, {**cfg, "seeds": [4, 5]}], threads=3)
+        assert idents == [threading.get_ident()] * 5
+        assert [[r.seed for r in results] for results in arms] == [[1, 2, 3], [4, 5]]
 
     def test_trajectory_csv_schema(self, tmp_path):
         cfg = mlp_config(seeds=[0])

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, DivergenceError, GradientOracle, RngStream
+from .core import ConfigError, DivergenceError, GradientOracle, NonFiniteError, RngStream
 from .optim import Pnm, pn_normalization
 from .posterior import _NOISE_BLOCK
 
@@ -66,16 +66,22 @@ def theorem1_bound(inputs: ConvergenceBoundInputs, t: int) -> float:
         raise ValueError("t must be >= 0")
     L, C = inputs.smoothness, inputs.step_constant
     beta, beta0 = inputs.beta, inputs.beta0
-    g2s2 = inputs.grad_bound ** 2 + inputs.sigma2
-    c1 = C * (
-        L * (beta + beta0 * (1.0 - beta)) ** 2 * g2s2
-        + L * (1.0 - beta) ** 2 * inputs.sigma2
-    ) / (1.0 - beta) ** 2
-    sqrt_t1 = math.sqrt(t + 1.0)
-    return (
-        2.0 * inputs.loss_gap / (t + 1.0) * max(2.0 * L, sqrt_t1 / C)
-        + c1 / sqrt_t1
-    )
+    # Huge constants overflow to inf, checked below, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g2s2 = inputs.grad_bound ** 2 + inputs.sigma2
+        c1 = C * (
+            L * (beta + beta0 * (1.0 - beta)) ** 2 * g2s2
+            + L * (1.0 - beta) ** 2 * inputs.sigma2
+        ) / (1.0 - beta) ** 2
+        sqrt_t1 = math.sqrt(t + 1.0)
+        bound = (
+            2.0 * inputs.loss_gap / (t + 1.0) * max(2.0 * L, sqrt_t1 / C)
+            + c1 / sqrt_t1
+        )
+    if not math.isfinite(bound):
+        raise DivergenceError(f"theorem 1 bound at horizon {t + 1} is not finite: "
+                              "its constants overflow")
+    return bound
 
 
 def theorem_step_size(L: float, C: float, horizon: int) -> float:
@@ -103,6 +109,7 @@ class RateEstimate:
         return np.array([theorem1_bound(inputs, T - 1) for T in self.horizons])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _grad_sq_curves(
     oracle: GradientOracle,
     theta0: np.ndarray,
@@ -122,7 +129,16 @@ def _grad_sq_curves(
     ``oracle.noise`` is None). Each stream draws its normals for a block
     of steps at once, in stream order, so the values equal those of one
     ``stochastic_gradient`` call per step.
+
+    Iterates beyond 1e8, a non-finite gradient and a squared gradient norm
+    that overflows raise :class:`DivergenceError` naming the step, the
+    seed and the horizon; numpy need not warn.
     """
+
+    def diverged(k: int, ok: np.ndarray, why: str = "") -> DivergenceError:
+        return DivergenceError(f"PNM diverged at step {k} for seed {seeds[int(np.argmin(ok))]} "
+                               f"(horizon {horizon}, eta0 {eta0:g}){why}")
+
     streams = [RngStream(seed).spawn(key) for seed in seeds]
     lr = eta0 * pn_normalization(beta0)
     dim = theta0.shape[0]
@@ -142,14 +158,17 @@ def _grad_sq_curves(
             _, full = oracle.full_gradient(theta)
             curves[:, k] = np.vecdot(full, full)
             grad = full if noise is None else full + block_noise[:, k - start]
-            theta = opt.step(theta, grad)
+            try:
+                theta = opt.step(theta, grad)
+            except NonFiniteError as exc:
+                raise diverged(k, np.isfinite(grad).all(axis=1), ": non-finite gradient") from exc
             # NaN fails ``<=`` too, so one comparison catches every divergence.
             if not np.abs(theta).max() <= 1e8:
-                first = int(np.argmin(np.abs(theta).max(axis=1) <= 1e8))
-                raise DivergenceError(
-                    f"PNM diverged at step {k} for seed {seeds[first]} "
-                    f"(horizon {horizon}, eta0 {eta0:g})"
-                )
+                raise diverged(k, np.abs(theta).max(axis=1) <= 1e8)
+    finite = np.isfinite(curves)
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=0)))
+        raise diverged(k, finite[:, k], ": squared gradient norm overflows")
     return curves
 
 

@@ -245,7 +245,7 @@ class ClassificationTask:
         the features and leaves those labels as they were)."""
         corrupted = self.problem.error_rate(theta, self.train)
         clean_idx = np.flatnonzero(~self.corrupted_mask)
-        if not clean_idx.size:
+        if clean_idx.size in (0, self.train.n_samples):  # no clean rows, or all of them
             return corrupted, corrupted
         return corrupted, self.problem.error_rate(theta, self.train.subset(clean_idx))
 

@@ -191,7 +191,8 @@ def load_csv_dataset(path, *, classification: bool = False) -> FiniteDataset:
     """Read a dataset from CSV: numeric feature columns, label last.
 
     A single header row is allowed and detected by non-numeric cells.
-    Malformed rows raise ValueError with the 1-based line number.
+    Malformed rows, and ``inf``/``nan`` cells, raise ValueError with the
+    1-based line number.
     """
     rows, linenos = [], []
     with open(path, newline="") as fh:
@@ -217,6 +218,9 @@ def load_csv_dataset(path, *, classification: bool = False) -> FiniteDataset:
     data = np.asarray(rows, dtype=np.float64)
     if data.shape[1] < 2:
         raise ValueError(f"{path}: need at least one feature column plus a label")
+    bad = ~np.isfinite(data).all(axis=1)  # float() parses 'inf' and 'nan'
+    if bad.any():
+        raise ValueError(f"{path}: non-finite value at line {linenos[bad.argmax()]}")
     features, labels = data[:, :-1], data[:, -1]
     if classification:
         rounded = np.rint(labels)
@@ -414,19 +418,36 @@ class TinyMlpProblem(DatasetProblem):
         """Hidden activations ``A1``, max-shifted logits ``Z2``, softmax
         ``P`` and its exp row sums ``s``, all scratch views. ``weights``
         is ``_unpack(theta)``. Reductions call ``ufunc.reduce`` directly,
-        as ``np.sum``/``np.max``/``mean`` do after their Python wrappers."""
+        as ``np.sum``/``np.max``/``mean`` do after their Python wrappers.
+
+        The class axis is short, so its steps (bias, row max, shift, row
+        sum, divide) run as one elementwise ufunc call per class column
+        rather than one inner loop per row. The max is exact in any order;
+        the row sum adds the columns left to right, which is numpy's own
+        row-reduce order for fewer than 8 classes (from 8 on numpy sums
+        pairwise, so the last bits of ``s`` may differ from it)."""
         W1, b1, W2, b2 = weights
         n, h, k = X.shape[0], self.hidden, self.n_classes
         A1 = np.matmul(X, W1, out=self._rows("A1", n, h))
         np.add(A1, b1, out=A1)
         np.tanh(A1, out=A1)
         Z2 = np.matmul(A1, W2, out=self._rows("Z2", n, k))
-        np.add(Z2, b2, out=Z2)
-        s = self._rows("s", n, 1)
-        np.subtract(Z2, np.maximum.reduce(Z2, axis=1, keepdims=True, out=s), out=Z2)
+        s = self._rows("s", n, 1)[:, 0]
+        logits = [Z2[:, j] for j in range(k)]
+        for j, z in enumerate(logits):
+            np.add(z, b2[j], out=z)
+        np.maximum(logits[0], logits[1], out=s)
+        for z in logits[2:]:
+            np.maximum(s, z, out=s)
+        for z in logits:
+            np.subtract(z, s, out=z)
         P = np.exp(Z2, out=self._rows("P", n, k))
-        np.add.reduce(P, axis=1, keepdims=True, out=s)
-        np.divide(P, s, out=P)
+        probs = [P[:, j] for j in range(k)]
+        np.add(probs[0], probs[1], out=s)
+        for p in probs[2:]:
+            np.add(s, p, out=s)
+        for p in probs:
+            np.divide(p, s, out=p)
         return A1, Z2, P, s
 
     def batch_loss_gradient(self, theta, idx):
@@ -437,13 +458,14 @@ class TinyMlpProblem(DatasetProblem):
                     out=self._rows("X", n, self.in_dim))
         weights = self._unpack(theta)
         A1, Z2, P, s = self._forward(weights, X)
-        rows = np.arange(n)
-        loss = -float(np.add.reduce(Z2[rows, y] - np.log(s[:, 0])) / n)
+        # Flat indices of each row's label entry in the (n, k) scratch rows.
+        flat = np.arange(0, n * self.n_classes, self.n_classes) + y
+        loss = -float(np.add.reduce(np.take(Z2, flat) - np.log(s)) / n)
 
         grad = np.empty(self.dim)
         dW1, db1, dW2, db2 = self._unpack(grad)
         dZ2 = P
-        dZ2[rows, y] -= 1.0
+        dZ2.reshape(-1)[flat] -= 1.0
         dZ2 /= n
         np.matmul(A1.T, dZ2, out=dW2)
         np.add.reduce(dZ2, axis=0, out=db2)

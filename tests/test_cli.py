@@ -918,6 +918,27 @@ class TestOutputs:
         assert summary["slope"] < 0
         assert summary["bound_satisfied"]
 
+    # Each printed numpy overflow warnings; the first and third then failed
+    # in the JSON writer, the second as a bare non-finite gradient.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eigenvalue,theta0,reason", [
+        (1e300, -2.0, "(horizon 5, eta0 5e-301): squared gradient norm overflows"),
+        (1e307, -20.0, "(horizon 5, eta0 5e-308): non-finite gradient"),
+        (1e150, -2.0, "theorem 1 bound at horizon 5 is not finite"),
+    ], ids=["norm", "gradient", "bound"])
+    def test_convergence_overflow_is_divergence(self, tmp_path, capsys, eigenvalue, theta0,
+                                                reason):
+        cfg = write_config(tmp_path, {
+            "problem": {"name": "quadratic", "eigenvalues": [1.0, eigenvalue],
+                        "theta0": [3.0, theta0], "noise_sigma2": 1.0},
+            "horizons": [5, 10], "seeds": [4, 2]})
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "bound" in reason or "PNM diverged at step 0 for seed 4 " in err
+        assert not out.exists()
+
     def test_sweep_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, {
             "base": {
@@ -1033,6 +1054,18 @@ class TestCsvMlp:
                                 for i in range(30)))
         cfg = write_config(tmp_path, self.config(csv_path=str(data)))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    # It used to train and exit 2 as a divergence at step 1.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_feature_names_its_line(self, tmp_path, capsys, cell):
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"{cell if i == 3 else repr(i / 30)},{(3 * i % 5) / 5},{i % 2}\n"
+                                for i in range(30)))
+        cfg = write_config(tmp_path, self.config(csv_path=str(data)))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'problem.csv_path'" in err and "non-finite value at line 4" in err
 
     # It used to fail with "need at least two classes", which names no key.
     def test_one_class_file_is_config_error(self, tmp_path, capsys):

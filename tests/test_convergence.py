@@ -53,6 +53,14 @@ class TestTheorem1Bound:
         with pytest.raises(ValueError):
             theorem1_bound(inputs, -1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_is_divergence(self):
+        inputs = ConvergenceBoundInputs(
+            smoothness=1e300, grad_bound=1e10, sigma2=1.0, step_constant=1.0,
+            loss_gap=1.0, beta1=0.9, beta0=1.0)
+        with pytest.raises(DivergenceError, match="bound at horizon 100 is not finite"):
+            theorem1_bound(inputs, 99)
+
 
 class TestStepRule:
     def test_saturates_at_inverse_smoothness(self):
@@ -239,6 +247,14 @@ class TestSeedStacking:
                            step_constant=20.0)
         assert str(info.value) == (
             f"PNM diverged at step {step} for seed {culprit} (horizon 60, eta0 {eta0:g})")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gradient_norm_is_divergence(self):
+        # The iterates stay tiny; only ||grad||^2 ~ 4e600 leaves the floats.
+        oracle = QuadraticModel([0.0, 0.0], np.diag([1.0, 1e300]))
+        with pytest.raises(DivergenceError,
+                           match=r"at step 0 for seed 3 \(horizon 7, .*norm overflows"):
+            empirical_rate(oracle, [3.0, -2.0], [7, 8], [3, 1], smoothness=1e300)
 
 
 def _divergence_step(oracle, eta0, horizon, seed):

@@ -285,6 +285,27 @@ class TestAggregate:
         assert agg["std"] == pytest.approx(0.816497, abs=1e-6)
 
 
+class TestTrainErrors:
+    """``train_errors`` evaluates the clean rows separately only when some
+    training label was corrupted."""
+
+    @pytest.mark.parametrize("rate,calls", [(0.0, 1), (0.3, 2)])
+    def test_error_rate_calls(self, monkeypatch, rate, calls):
+        cfg = mlp_config()["problem"]
+        cfg["label_noise"] = {"kind": "symmetric", "rate": rate}
+        task = harness.build_classification_task(cfg, 0)
+        assert task.corrupted_mask.any() == (rate > 0)
+        expected = (task.problem.error_rate(task.theta0, task.train),
+                    task.problem.error_rate(task.theta0, task.train.subset(
+                        np.flatnonzero(~task.corrupted_mask))))
+        seen = []
+        error_rate = type(task.problem).error_rate
+        monkeypatch.setattr(type(task.problem), "error_rate",
+                            lambda self, *a: seen.append(a) or error_rate(self, *a))
+        assert task.train_errors(task.theta0) == expected
+        assert len(seen) == calls
+
+
 class TestSeedMajority:
     def test_counts(self):
         out = harness.seed_majority_wins([0.1, 0.2, 0.3], [0.2, 0.2, 0.5])

@@ -186,7 +186,10 @@ def _reference_loss_gradient(problem, theta, idx):
 class TestMlpKernel:
     """The buffered kernel reproduces the allocating one bit for bit while
     its scratch arrays grow (a predict on more rows than the dataset) and
-    are reused at smaller row counts."""
+    are reused at smaller row counts, for two moons and for random data
+    with 3 and 7 classes. From 8 classes numpy's row sum (in the
+    reference) adds pairwise while the kernel adds column by column, so
+    there the two agree to a few ulps."""
 
     N = 90
 
@@ -196,27 +199,60 @@ class TestMlpKernel:
         big = make_two_moons(250, 0.2, RngStream(71))
         return train, big
 
-    @pytest.mark.parametrize("hidden", [7, 16, 256])
-    def test_matches_reference_bit_for_bit(self, data, hidden):
-        train, big = data
-        problem = TinyMlpProblem(train, hidden=hidden)
-        rng = RngStream(72 + hidden)
+    @staticmethod
+    def classes(k, n, seed):
+        """``n`` random 3-feature samples; every one of the ``k`` labels occurs."""
+        rng = RngStream(seed)
+        return FiniteDataset(rng.standard_normal((n, 3)), rng.permutation(np.arange(n) % k))
+
+    def check(self, problem, big, rng, exact):
+        def same(loss, grad, ref_loss, ref_grad):
+            if exact:
+                assert loss == ref_loss
+                assert grad.tobytes() == ref_grad.tobytes()
+            else:
+                assert loss == pytest.approx(ref_loss, rel=1e-13)
+                np.testing.assert_allclose(grad, ref_grad, rtol=0,
+                                           atol=1e-13 * np.abs(ref_grad).max())
+
         for scale in (0.5, 4.0):
             theta = scale * rng.standard_normal(problem.dim)
             for batch in (1, 17, 64, self.N, 17, 1):
                 idx = rng.choice_without_replacement(self.N, batch)
-                loss, grad = problem.batch_loss_gradient(theta, idx)
-                ref_loss, ref_grad = _reference_loss_gradient(problem, theta, idx)
-                assert loss == ref_loss
-                assert grad.tobytes() == ref_grad.tobytes()
+                same(*problem.batch_loss_gradient(theta, idx),
+                     *_reference_loss_gradient(problem, theta, idx))
                 for X in (big.features, big.features[:batch]):
                     np.testing.assert_array_equal(
                         problem.predict(theta, X),
                         _reference_forward(problem, theta, X)[3].argmax(axis=1))
-            loss, grad = problem.full_gradient(theta)
-            ref_loss, ref_grad = _reference_loss_gradient(problem, theta, np.arange(self.N))
-            assert loss == ref_loss
-            assert grad.tobytes() == ref_grad.tobytes()
+            same(*problem.full_gradient(theta),
+                 *_reference_loss_gradient(problem, theta, np.arange(self.N)))
+
+    @pytest.mark.parametrize("hidden", [7, 16, 256])
+    def test_matches_reference_bit_for_bit(self, data, hidden):
+        train, big = data
+        self.check(TinyMlpProblem(train, hidden=hidden), big, RngStream(72 + hidden), exact=True)
+        for k in (3, 7):
+            problem = TinyMlpProblem(self.classes(k, self.N, 90 + k), hidden=hidden)
+            big = self.classes(k, 250, 100 + k)
+            self.check(problem, big, RngStream(72 + hidden + k), exact=True)
+
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_eight_or_more_classes_match_reference_closely(self, k):
+        problem = TinyMlpProblem(self.classes(k, self.N, 90 + k), hidden=16)
+        self.check(problem, self.classes(k, 250, 100 + k), RngStream(110 + k), exact=False)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_column_sum_is_numpys_row_reduce(self, k):
+        # The kernel's softmax denominator adds the class columns left to
+        # right; numpy's row reduce does the same for fewer than 8 columns.
+        # A numpy that changes that order fails here instead of moving bytes.
+        for n in (1, 17, 2000):
+            P = np.exp(RngStream(120 + k).standard_normal((n, k)))
+            acc = P[:, 0] + P[:, 1]
+            for j in range(2, k):
+                acc += P[:, j]
+            assert acc.tobytes() == np.add.reduce(P, axis=1).tobytes()
 
     def test_results_survive_later_calls(self, data):
         train, big = data
@@ -538,6 +574,17 @@ class TestCsv:
         path.write_text("1.0,2.0,0\n3.0,oops,1\n")
         with pytest.raises(ValueError, match="line 2"):
             load_csv_dataset(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_non_finite_cell_names_its_line(self, tmp_path, cell, column):
+        path = tmp_path / "data.csv"
+        row = ["3.0", "1.0", "1"]
+        row[column] = cell
+        path.write_text("x1,x2,label\n1.0,2.0,0\n" + ",".join(row) + "\n")
+        with pytest.raises(ValueError, match="non-finite value at line 3"):
+            load_csv_dataset(path, classification=True)
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "data.csv"

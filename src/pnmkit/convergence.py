@@ -131,11 +131,18 @@ def _grad_sq_curves(
     ``stochastic_gradient`` call per step.
 
     Iterates beyond 1e8, a non-finite gradient and a squared gradient norm
-    that overflows raise :class:`DivergenceError` naming the step, the
-    seed and the horizon; numpy need not warn.
+    that overflows raise :class:`DivergenceError` naming the first step
+    where one of them happened, the seed and the horizon; numpy need not
+    warn. The norms are checked for overflow only when the run stops, at
+    a divergence or at the horizon, so the hot loop carries no check.
     """
 
-    def diverged(k: int, ok: np.ndarray, why: str = "") -> DivergenceError:
+    def diverged(k: int, ok, why: str = "") -> DivergenceError:
+        # A squared norm that overflowed before step k is the first divergence.
+        finite = np.isfinite(curves[:, :k])
+        if not finite.all():
+            k = int(np.argmin(finite.all(axis=0)))
+            ok, why = finite[:, k], ": squared gradient norm overflows"
         return DivergenceError(f"PNM diverged at step {k} for seed {seeds[int(np.argmin(ok))]} "
                                f"(horizon {horizon}, eta0 {eta0:g}){why}")
 
@@ -165,10 +172,8 @@ def _grad_sq_curves(
             # NaN fails ``<=`` too, so one comparison catches every divergence.
             if not np.abs(theta).max() <= 1e8:
                 raise diverged(k, np.abs(theta).max(axis=1) <= 1e8)
-    finite = np.isfinite(curves)
-    if not finite.all():
-        k = int(np.argmin(finite.all(axis=0)))
-        raise diverged(k, finite[:, k], ": squared gradient norm overflows")
+    if not np.isfinite(curves).all():
+        raise diverged(horizon, None)  # names the overflow it finds
     return curves
 
 

@@ -415,40 +415,33 @@ class TinyMlpProblem(DatasetProblem):
         return np.concatenate([W1.ravel(), np.zeros(h), W2.ravel(), np.zeros(k)])
 
     def _forward(self, weights, X):
-        """Hidden activations ``A1``, max-shifted logits ``Z2``, softmax
-        ``P`` and its exp row sums ``s``, all scratch views. ``weights``
-        is ``_unpack(theta)``. Reductions call ``ufunc.reduce`` directly,
-        as ``np.sum``/``np.max``/``mean`` do after their Python wrappers.
+        """Hidden activations ``A1``, then the max-shifted logits ``Z``,
+        their softmax ``P`` and its exp sums ``s`` over the classes, all
+        scratch views. ``Z`` and ``P`` are class-major ``(k, n)``: row j
+        holds class j for every sample. ``weights`` is ``_unpack(theta)``.
+        Reductions call ``ufunc.reduce`` directly, as
+        ``np.sum``/``np.max``/``mean`` do after their Python wrappers.
 
-        The class axis is short, so its steps (bias, row max, shift, row
-        sum, divide) run as one elementwise ufunc call per class column
-        rather than one inner loop per row. The max is exact in any order;
-        the row sum adds the columns left to right, which is numpy's own
-        row-reduce order for fewer than 8 classes (from 8 on numpy sums
-        pairwise, so the last bits of ``s`` may differ from it)."""
+        Class-major, numpy runs each class-axis step as one inner loop
+        per class over the samples, not one per sample over the short
+        class axis; the number of ufunc calls does not grow with k. The
+        max is exact in any order; the sum over several samples adds the
+        classes left to right, which is numpy's row-reduce order for
+        fewer than 8 classes (from 8 on its row reduce is pairwise, so
+        the last bits of ``s`` may differ)."""
         W1, b1, W2, b2 = weights
         n, h, k = X.shape[0], self.hidden, self.n_classes
         A1 = np.matmul(X, W1, out=self._rows("A1", n, h))
         np.add(A1, b1, out=A1)
         np.tanh(A1, out=A1)
         Z2 = np.matmul(A1, W2, out=self._rows("Z2", n, k))
-        s = self._rows("s", n, 1)[:, 0]
-        logits = [Z2[:, j] for j in range(k)]
-        for j, z in enumerate(logits):
-            np.add(z, b2[j], out=z)
-        np.maximum(logits[0], logits[1], out=s)
-        for z in logits[2:]:
-            np.maximum(s, z, out=s)
-        for z in logits:
-            np.subtract(z, s, out=z)
-        P = np.exp(Z2, out=self._rows("P", n, k))
-        probs = [P[:, j] for j in range(k)]
-        np.add(probs[0], probs[1], out=s)
-        for p in probs[2:]:
-            np.add(s, p, out=s)
-        for p in probs:
-            np.divide(p, s, out=p)
-        return A1, Z2, P, s
+        Z = np.add(Z2.T, b2[:, None], out=self._rows("Z", n, k).reshape(k, n))
+        s = np.maximum.reduce(Z, axis=0, out=self._rows("s", n, 1)[:, 0])
+        np.subtract(Z, s, out=Z)
+        P = np.exp(Z, out=self._rows("P", n, k).reshape(k, n))
+        np.add.reduce(P, axis=0, out=s)
+        np.divide(P, s, out=P)
+        return A1, Z, P, s
 
     def batch_loss_gradient(self, theta, idx):
         theta = self._check_dim(theta)
@@ -457,16 +450,15 @@ class TinyMlpProblem(DatasetProblem):
         X = np.take(self.dataset.features, idx, axis=0,
                     out=self._rows("X", n, self.in_dim))
         weights = self._unpack(theta)
-        A1, Z2, P, s = self._forward(weights, X)
-        # Flat indices of each row's label entry in the (n, k) scratch rows.
-        flat = np.arange(0, n * self.n_classes, self.n_classes) + y
-        loss = -float(np.add.reduce(np.take(Z2, flat) - np.log(s)) / n)
+        A1, Z, P, s = self._forward(weights, X)
+        # Flat indices of each sample's label entry in the (k, n) views.
+        flat = y * n + np.arange(n)
+        loss = -float(np.add.reduce(np.take(Z, flat) - np.log(s)) / n)
 
         grad = np.empty(self.dim)
         dW1, db1, dW2, db2 = self._unpack(grad)
-        dZ2 = P
-        dZ2.reshape(-1)[flat] -= 1.0
-        dZ2 /= n
+        P.reshape(-1)[flat] -= 1.0
+        dZ2 = np.divide(P.T, n, out=self._rows("dZ2", n, self.n_classes))
         np.matmul(A1.T, dZ2, out=dW2)
         np.add.reduce(dZ2, axis=0, out=db2)
         dZ1 = np.matmul(dZ2, weights[2].T, out=self._rows("dZ1", n, self.hidden))
@@ -480,7 +472,7 @@ class TinyMlpProblem(DatasetProblem):
 
     def predict(self, theta, X) -> np.ndarray:
         P = self._forward(self._unpack(self._check_dim(theta)), X)[2]
-        return P.argmax(axis=1)
+        return P.argmax(axis=0)
 
     def error_rate(self, theta, dataset: FiniteDataset) -> float:
         pred = self.predict(theta, dataset.features)

@@ -256,6 +256,16 @@ class TestSeedStacking:
                            match=r"at step 0 for seed 3 \(horizon 7, .*norm overflows"):
             empirical_rate(oracle, [3.0, -2.0], [7, 8], [3, 1], smoothness=1e300)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_earlier_norm_overflow_is_named_before_iterate_divergence(self):
+        # ||grad||^2 ~ 1e320 overflows at step 0; the step, ten times too
+        # large for the 1e160 eigenvalue, takes the iterates past 1e8 only
+        # at step 27.
+        oracle = QuadraticModel([0.0, 0.0], np.diag([1.0, 1e160]))
+        with pytest.raises(DivergenceError,
+                           match=r"at step 0 for seed 3 \(horizon 30, .*norm overflows"):
+            empirical_rate(oracle, [1.0, 1.0], [30, 31], [3, 1], smoothness=1e159)
+
 
 def _divergence_step(oracle, eta0, horizon, seed):
     """First step at which a lone ``(1,)`` PNM run from 0 on the first

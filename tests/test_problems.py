@@ -188,8 +188,8 @@ class TestMlpKernel:
     its scratch arrays grow (a predict on more rows than the dataset) and
     are reused at smaller row counts, for two moons and for random data
     with 3 and 7 classes. From 8 classes numpy's row sum (in the
-    reference) adds pairwise while the kernel adds column by column, so
-    there the two agree to a few ulps."""
+    reference) adds pairwise while the kernel's class-major sum adds
+    class by class, so there the two agree to a few ulps."""
 
     N = 90
 
@@ -243,16 +243,20 @@ class TestMlpKernel:
         self.check(problem, self.classes(k, 250, 100 + k), RngStream(110 + k), exact=False)
 
     @pytest.mark.parametrize("k", range(2, 8))
-    def test_column_sum_is_numpys_row_reduce(self, k):
-        # The kernel's softmax denominator adds the class columns left to
-        # right; numpy's row reduce does the same for fewer than 8 columns.
-        # A numpy that changes that order fails here instead of moving bytes.
+    def test_class_major_sum_is_numpys_row_reduce(self, k):
+        # The kernel's softmax denominator reduces a class-major (k, n)
+        # array over its first axis, adding the classes left to right;
+        # numpy's row reduce of the (n, k) array does the same for fewer
+        # than 8 classes. A numpy that changes either order fails here
+        # instead of moving bytes.
         for n in (1, 17, 2000):
             P = np.exp(RngStream(120 + k).standard_normal((n, k)))
             acc = P[:, 0] + P[:, 1]
             for j in range(2, k):
                 acc += P[:, j]
-            assert acc.tobytes() == np.add.reduce(P, axis=1).tobytes()
+            class_major = np.add.reduce(np.ascontiguousarray(P.T), axis=0)
+            assert class_major.tobytes() == acc.tobytes()
+            assert class_major.tobytes() == np.add.reduce(P, axis=1).tobytes()
 
     def test_results_survive_later_calls(self, data):
         train, big = data

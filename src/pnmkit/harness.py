@@ -624,6 +624,8 @@ def beta0_sweep(cfg: dict, beta0_grid, out_dir: Optional[Path] = None,
     paired per-seed errors.
     """
     beta0_grid = list_of(beta0)(beta0_grid, "beta0_grid")
+    if len(set(beta0_grid)) < len(beta0_grid):  # the report is keyed by beta0; 0.0 == -0.0
+        raise ConfigError(f"'beta0_grid' = {beta0_grid!r} repeats a value")
     pnm = named(_OPTIMIZER_KEYS, names=("pnm", "adapnm"))
     read_config(cfg, {**_COMPARED_RUN, "optimizer": (pnm, REQUIRED)}, "base")
     arms = [{**cfg, "optimizer": {**cfg["optimizer"], "beta0": b0}} for b0 in beta0_grid]

@@ -9,8 +9,8 @@ Lyapunov relation
 with H the Hessian and C the gradient-noise covariance. This module
 simulates the discrete dynamics directly (no SDE solver), estimates the
 empirical posterior mean/covariance, and provides the oracles: the exact
-finite-step stationary covariance of every dynamics kind, from one
-linear-Gaussian state-space solve, and the eta/(2B)-type identity-matrix
+finite-step stationary covariance of every dynamics kind, from per-mode
+linear-Gaussian state-space solves, and the eta/(2B)-type identity-matrix
 covariances that follow from the C = H/B noise structure.
 
 The dynamics are the package's own optimizers stepping a (chains, dim)
@@ -78,10 +78,10 @@ def _mode_system(kind: str, eta: float, beta0: float, beta1: float):
 
 
 def check_stable(kind: str, eigenvalues, eta: float, beta0: float = 1.0,
-                 beta1: float = 0.9) -> None:
-    """Raise a :class:`ConfigError` naming ``kind`` and ``'eta'`` unless its
-    noiseless dynamics contract on every Hessian mode: the spectral radius
-    of A0 + h A1 must be < 1 for each eigenvalue h."""
+                 beta1: float = 0.9) -> np.ndarray:
+    """``kind``'s per-mode maps A0 + h A1, shape (n, k, k), one per Hessian eigenvalue
+    h. Raise a :class:`ConfigError` naming ``kind`` and ``'eta'`` unless its noiseless
+    dynamics contract on every mode: each map's spectral radius must be < 1."""
     A0, A1, _ = _mode_system(kind, eta, beta0, beta1)
     h = np.asarray(eigenvalues, dtype=np.float64).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -93,21 +93,25 @@ def check_stable(kind: str, eigenvalues, eta: float, beta0: float = 1.0,
         i = int(np.argmin(radii < 1.0))  # the first unstable mode
         raise ConfigError(f"{kind} dynamics unstable at 'eta' = {eta!r}: spectral radius "
                           f"{radii[i]:.6g} >= 1 on the Hessian eigenvalue {h[i]:.6g}")
+    return maps
 
 
 def stationary_covariance(kind: str, H, eta: float, C, beta0: float = 1.0,
                           beta1: float = 0.9) -> np.ndarray:
     """Exact stationary covariance of theta under ``kind`` on a quadratic with
-    symmetric Hessian H and gradient noise N(0, C): the theta block of the
-    Lyapunov solution for A = kron(A0, I) + kron(A1, H), noise kron(B B^T, C)."""
-    from scipy.linalg import solve_discrete_lyapunov
-
-    H = np.asarray(H, dtype=np.float64)
-    check_stable(kind, np.linalg.eigvalsh(H), eta, beta0, beta1)
-    A0, A1, B = _mode_system(kind, eta, beta0, beta1)
-    A = np.kron(A0, np.eye(len(H))) + np.kron(A1, H)
-    S = solve_discrete_lyapunov(A, np.kron(B @ B.T, np.asarray(C, dtype=np.float64)))
-    return S[:len(H), :len(H)]
+    symmetric Hessian H = Q diag(h) Q^T and gradient noise N(0, C). The states of
+    modes i and j have the cross-covariance S_ij = M_i S_ij M_j^T + B B^T (Q^T C Q)_ij,
+    M_i = A0 + h_i A1; row i is one batched k^2 x k^2 solve over j >= i, exact also
+    where M_i is defective, in O(n k^4) memory. theta's part is Q [S_ij]_00 Q^T."""
+    h, Q = np.linalg.eigh(np.asarray(H, dtype=np.float64))
+    M = check_stable(kind, h, eta, beta0, beta1)
+    (n, k, _), B = M.shape, _mode_system(kind, eta, beta0, beta1)[2]
+    BB, Ct = (B @ B.T).ravel(), Q.T @ np.asarray(C, dtype=np.float64) @ Q
+    S, eye = np.empty((n, n)), np.eye(k * k)
+    for i in range(n):
+        MM = (M[i, None, :, None, :, None] * M[i:, None, :, None, :]).reshape(n - i, k * k, -1)
+        S[i, i:] = S[i:, i] = np.linalg.solve(eye - MM, (Ct[i, i:, None] * BB)[..., None])[:, 0, 0]
+    return Q @ S @ Q.T
 
 
 def discrete_ou_variance(h: float, eta: float, sigma2: float) -> float:
@@ -272,9 +276,8 @@ def simulate_sgd_spectral(
         raise ValueError("thin must be >= 1")
     n = model.dim
     lam, Q = np.linalg.eigh(model.H)
-    check_stable("sgd", lam, eta)
+    phi = check_stable("sgd", lam, eta)[:, 0, 0]
     sigma = math.sqrt(sigma2)
-    phi = 1.0 - eta * lam
     phi_s = phi ** thin
     # Exact noise std of the stride-thin subsampled chain per mode.
     step_var = (eta * sigma) ** 2

@@ -10,6 +10,7 @@ from pnmkit.core import DivergenceError, NonFiniteError, RngStream
 from pnmkit.optim import HeavyBall, Pnm, amplification_factor
 from pnmkit.posterior import (
     _NOISE_BLOCK,
+    _mode_system,
     check_stable,
     discrete_ou_variance,
     lyapunov_residual,
@@ -88,6 +89,14 @@ def _pnm_momentum_reference(h, eta, beta0, beta1, sigma2):
     return solve_discrete_lyapunov(A, sigma2 * (b @ b.T))[0, 0]
 
 
+def _dense_reference(kind, H, eta, C, beta0, beta1):
+    """The lifted law the per-mode solver replaced: the theta block of one
+    Lyapunov solve for A = kron(A0, I) + kron(A1, H), noise kron(B B^T, C)."""
+    A0, A1, B = _mode_system(kind, eta, beta0, beta1)
+    A = np.kron(A0, np.eye(len(H))) + np.kron(A1, H)
+    return solve_discrete_lyapunov(A, np.kron(B @ B.T, C))[:len(H), :len(H)]
+
+
 def _outcome(fn, *args):
     """``fn(*args)``, or None where it rejects the configuration as unstable."""
     try:
@@ -95,6 +104,8 @@ def _outcome(fn, *args):
     except ValueError:
         return None
 
+
+KINDS = ["sgd", "pnm", "hb", "pnm_momentum"]
 
 # (h, eta, beta0, beta1, sigma2): stable and unstable points for every kind.
 GRID = list(product([0.5, 1.0, 4.0], [0.01, 0.3, 0.9, 2.5], [-0.4, 0.0, 1.0, 3.0],
@@ -160,6 +171,37 @@ class TestStateSpaceSolver:
                                   chains=64, beta0=1.0, beta1=0.9)
         np.testing.assert_allclose(est.covariance, exact, rtol=0.0,
                                    atol=0.05 * np.max(np.abs(exact)))
+
+    # Where k n >= 10 (dims 12 and 30, and 5 for 'hb' and 'pnm_momentum') the
+    # dense side runs scipy's bilinear solver, else its direct one.
+    @pytest.mark.parametrize("kind,dim", list(product(KINDS, [2, 5, 12, 30])))
+    def test_matches_the_dense_lift(self, kind, dim):
+        H = _rotated_spd(np.linspace(0.3, 2.0, dim), seed=dim)
+        G = np.random.default_rng(dim + 100).standard_normal((dim, dim))
+        C = G @ G.T + 0.1 * np.eye(dim)
+        got = stationary_covariance(kind, H, 0.3, C, 0.8, 0.7)
+        ref = _dense_reference(kind, H, 0.3, C, 0.8, 0.7)
+        assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-11
+
+    def test_critically_damped_hb_mode(self):
+        # Here A0 + h A1 has the double eigenvalue sqrt(beta1) and no
+        # eigenbasis, which a solve per pair of modes does not need.
+        beta1, eta = 0.9, 0.5
+        h = (1.0 - math.sqrt(beta1)) ** 2 / (eta * (1.0 - beta1))
+        assert h == pytest.approx(0.0526681, rel=1e-6)
+        H = _rotated_spd([h, 0.3, 1.0])
+        C = np.eye(3) + 0.2
+        got = stationary_covariance("hb", H, eta, C, 1.0, beta1)
+        ref = _dense_reference("hb", H, eta, C, 1.0, beta1)
+        assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-11
+
+    @pytest.mark.parametrize("kind,dim", list(product(KINDS, [3, 5, 12, 50])))
+    def test_diagonal_hessian_is_the_one_dimensional_law_per_mode(self, kind, dim):
+        h = np.linspace(0.5, 3.0, dim)[::-1]
+        S = stationary_covariance(kind, np.diag(h), 0.1, np.eye(dim), 0.8, 0.7)
+        assert np.all(S[~np.eye(dim, dtype=bool)] == 0.0)
+        one_d = [stationary_covariance(kind, [[x]], 0.1, [[1.0]], 0.8, 0.7)[0, 0] for x in h]
+        assert np.diag(S).tobytes() == np.array(one_d).tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="nag"):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import convergence as conv
 from . import harness, noise, pacbayes, posterior
-from .core import RNG_ALGORITHM, DivergenceError, NonFiniteError, RngStream, config_digest
+from .core import DivergenceError, NonFiniteError, RngStream
 from .harness import (
     REQUIRED, SEEDS, ConfigError, beta0, build_analytic_oracle, integer, list_of, named,
     non_negative, number, positive, probability, rate, read_config, section, write_report,
@@ -79,62 +79,65 @@ CONVERGENCE = {
 }
 
 
-def _load_config(path: str) -> dict:
+def _load_config(args) -> dict:
+    """The ``--config`` file, with ``--seed`` (if given) written at its command's seed key."""
     try:  # an OSError names the path and passes through
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(args.config).read_text())
     except ValueError as exc:  # not UTF-8, not JSON, or an integer json cannot read
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return section(payload, "config")
+        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+    cfg = section(payload, "config")
+    return cfg if args.seed is None else _with_seed(cfg, args.seed_key, args.seed)
 
 
-def _apply_seed_override(cfg: dict, seed) -> dict:
-    return cfg if seed is None else {**cfg, "seeds": [seed]}
+def _with_seed(cfg: dict, key: str, seed: int) -> dict:
+    """``cfg`` with ``seed`` written at the dotted ``key``, as a list at ``seeds``; a
+    section on the way that is not an object is left for the key tables to name."""
+    head, _, rest = key.partition(".")
+    if not rest:
+        return {**cfg, key: [seed] if key == "seeds" else seed}
+    if not isinstance(cfg.get(head), dict):
+        return cfg
+    return {**cfg, head: _with_seed(cfg[head], rest, seed)}
 
 
-def _cmd_run(args) -> None:
-    cfg = _apply_seed_override(_load_config(args.config), args.seed)
+def _cmd_run(cfg, args) -> None:
     summary = harness.run(cfg, Path(args.out), args.threads)
     agg = summary["aggregate"]
     print(f"config {summary['config_digest']}: "
           + ", ".join(f"{k} = {v['mean']:.6g} +- {v['std']:.3g}" for k, v in agg.items()))
 
 
-def _cmd_sweep_beta0(args) -> None:
-    cfg = read_config(_load_config(args.config), SWEEP)
-    base = _apply_seed_override(cfg["base"], args.seed)
-    report = harness.beta0_sweep(base, cfg["beta0_grid"], Path(args.out), args.threads)
+def _cmd_sweep_beta0(cfg, args) -> None:
+    cfg = read_config(cfg, SWEEP)
+    report = harness.beta0_sweep(cfg["base"], cfg["beta0_grid"], Path(args.out), args.threads)
     for row in report["table"]:
         print(f"beta0 = {row['beta0']:+.4f}: test error "
               f"{row['mean']:.4f} +- {row['std']:.4f}")
     print(f"some beta0 > 0 dominates all beta0 <= 0: {report['positive_beta0_dominates']}")
 
 
-def _cmd_label_noise(args) -> None:
-    cfg = read_config(_load_config(args.config), LABEL_NOISE_ARMS)
-    base = _apply_seed_override(cfg["base"], args.seed)
+def _cmd_label_noise(cfg, args) -> None:
+    cfg = read_config(cfg, LABEL_NOISE_ARMS)
     report = harness.label_noise_experiment(
-        base, cfg["optimizer_a"], cfg["optimizer_b"], Path(args.out), args.threads)
+        cfg["base"], cfg["optimizer_a"], cfg["optimizer_b"], Path(args.out), args.threads)
     comp = report["test_error_comparison"]
     print(f"A beats B on clean test error in {comp['wins']}/"
           f"{comp['wins'] + comp['losses'] + comp['ties']} seeds")
 
 
-def _cmd_grid(args) -> None:
-    cfg = read_config(_load_config(args.config), GRID)
-    base = _apply_seed_override(cfg["base"], args.seed)
-    report = harness.lr_wd_grid(base, cfg["lrs"], cfg["lams"], Path(args.out), args.threads)
-    for lr, row in zip(report["lrs"], report["mean_test_error"]):
+def _cmd_grid(cfg, args) -> None:
+    cfg = read_config(cfg, GRID)
+    report = harness.lr_wd_grid(cfg["base"], cfg["lrs"], cfg["lams"], Path(args.out), args.threads)
+    for lr, row in zip(report["config"]["lrs"], report["mean_test_error"]):
         cells = ", ".join(c if isinstance(c, str) else f"{c:.4f}" for c in row)
         print(f"lr = {lr:g}: {cells}")
 
 
-def _cmd_posterior(args) -> None:
-    cfg = _load_config(args.config)
+def _cmd_posterior(cfg, args) -> None:
     c = harness.read_named(cfg, POSTERIORS, "", "kind", "sgd")
     betas = {key: c[key] for key in ("beta0", "beta1") if key in c}
     eigs = np.asarray(c["eigenvalues"], dtype=np.float64)
     model = QuadraticModel(np.zeros(eigs.size), np.diag(eigs))
-    seed = c["seed"] if args.seed is None else args.seed
     noise_cov = c["noise_sigma2"] * np.eye(eigs.size)
     # Before simulating, so an unstable config or a kind with no scale fails fast.
     extra = {"closed_form_covariance": posterior.stationary_covariance(
@@ -145,10 +148,10 @@ def _cmd_posterior(args) -> None:
         extra["theoretical_scale"] = posterior.theoretical_posterior_covariance(
             c["kind"], c["eta"], c["batch_size"], betas.get("beta0", 1.0))
     dynamics = ("kind", "eta", "burn_in", "samples", "thin", "chains")
-    est = posterior.simulate_stationary(model, c["noise_sigma2"], rng=RngStream(seed),
+    est = posterior.simulate_stationary(model, c["noise_sigma2"], rng=RngStream(c["seed"]),
                                         **{key: c[key] for key in dynamics}, **betas)
     payload = {
-        "config": cfg, "config_digest": config_digest(cfg), "prng": RNG_ALGORITHM,
+        **harness.provenance(cfg),
         "empirical_mean": est.mean.tolist(),
         "empirical_covariance": est.covariance.ravel().tolist(),
         "dim": eigs.size,
@@ -163,8 +166,7 @@ def _cmd_posterior(args) -> None:
           f"lyapunov residual {payload['lyapunov_residual']:.4g}")
 
 
-def _cmd_pacbayes(args) -> None:
-    cfg = _load_config(args.config)
+def _cmd_pacbayes(cfg, args) -> None:
     c = read_config(cfg, PACBAYES)
     gammas = c.pop("gammas")
     setting = pacbayes.PacBayesSetting(**c)
@@ -183,9 +185,9 @@ def _cmd_pacbayes(args) -> None:
     table += [f"{row['gamma']!r},{row['kl']!r},{row['kl_grad']!r},{row['bound']!r}"
               for row in rows]
     ratio = pacbayes.critical_ratio(setting.eta, setting.batch_size, setting.lam)
-    digest = config_digest(cfg)
-    write_report(args.out, digest, {"pacbayes_summary.json": {
-        "config": cfg, "config_digest": digest, "prng": RNG_ALGORITHM,
+    header = harness.provenance(cfg)
+    write_report(args.out, header["config_digest"], {"pacbayes_summary.json": {
+        **header,
         "critical_ratio": ratio,
         "optimal_gamma": choice.gamma,
         "improvement_predicted": choice.improvement_predicted,
@@ -196,18 +198,16 @@ def _cmd_pacbayes(args) -> None:
           f"(predicted: {choice.improvement_predicted})")
 
 
-def _cmd_noise(args) -> None:
-    cfg = _load_config(args.config)
+def _cmd_noise(cfg, args) -> None:
     c = read_config(cfg, NOISE)
-    seed = c["seed"] if args.seed is None else args.seed
     results = []
     for b0 in c["beta0_values"]:
         ratio, se = noise.pair_amplification_ratio(
-            c["beta1"], b0, c["steps"], RngStream(seed), c["dim"])
+            c["beta1"], b0, c["steps"], RngStream(c["seed"]), c["dim"])
         results.append({"beta0": b0, "predicted": noise.amplification_factor(b0),
                         "measured_ratio": ratio, "standard_error": se})
     payload = {
-        "config": cfg, "config_digest": config_digest(cfg), "prng": RNG_ALGORITHM,
+        **harness.provenance(cfg),
         "buffer_variance_closed_form": noise.single_buffer_stationary_variance(c["beta1"]),
         "ratios": results,
     }
@@ -217,15 +217,13 @@ def _cmd_noise(args) -> None:
               f"predicted {row['predicted']:.4f} (se {row['standard_error']:.4f})")
 
 
-def _cmd_convergence(args) -> None:
-    cfg = _load_config(args.config)
+def _cmd_convergence(cfg, args) -> None:
     c = read_config(cfg, CONVERGENCE)
-    seeds = c["seeds"] if args.seed is None else [args.seed]
     oracle, theta0 = build_analytic_oracle(c["problem"], seed=0)
     base = oracle.base if isinstance(oracle, AdditiveNoiseOracle) else oracle
     smoothness = base.lambda_max
     hparams = {key: c[key] for key in ("step_constant", "beta0", "beta1")}
-    est = conv.empirical_rate(oracle, theta0, c["horizons"], seeds,
+    est = conv.empirical_rate(oracle, theta0, c["horizons"], c["seeds"],
                               smoothness=smoothness, **hparams)
     loss0, _ = oracle.full_gradient(theta0)
     inputs = conv.ConvergenceBoundInputs(
@@ -235,9 +233,9 @@ def _cmd_convergence(args) -> None:
     table = ["horizon,step_size,mean_min_grad_norm_sq,theorem_bound"]
     table += [f"{T},{eta0!r},{m!r},{b!r}" for T, eta0, m, b in
               zip(est.horizons, est.step_sizes, est.mean_min_grad_sq, bounds)]
-    digest = config_digest(cfg)
-    write_report(args.out, digest, {"convergence_summary.json": {
-        "config": cfg, "config_digest": digest, "prng": RNG_ALGORITHM,
+    header = harness.provenance(cfg)
+    write_report(args.out, header["config_digest"], {"convergence_summary.json": {
+        **header,
         "slope": est.slope,
         "horizons": est.horizons,
         "mean_min_grad_norm_sq": est.mean_min_grad_sq.tolist(),
@@ -264,23 +262,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Positive-negative momentum optimizers and analysis harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each command's handler and the config key its --seed writes, if it takes one.
     commands = {
-        "run": _cmd_run, "sweep-beta0": _cmd_sweep_beta0, "label-noise": _cmd_label_noise,
-        "grid": _cmd_grid, "posterior": _cmd_posterior, "pacbayes": _cmd_pacbayes,
-        "noise": _cmd_noise, "convergence": _cmd_convergence,
+        "run": (_cmd_run, "seeds"), "sweep-beta0": (_cmd_sweep_beta0, "base.seeds"),
+        "label-noise": (_cmd_label_noise, "base.seeds"), "grid": (_cmd_grid, "base.seeds"),
+        "posterior": (_cmd_posterior, "seed"), "pacbayes": (_cmd_pacbayes, None),
+        "noise": (_cmd_noise, "seed"), "convergence": (_cmd_convergence, "seeds"),
     }
     # Each command registers only the flags its handler reads.
-    for name, fn in commands.items():
+    for name, (fn, seed_key) in commands.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
-        if name != "pacbayes":
-            p.add_argument("--seed", type=_flag_integer(0), default=None,
-                           help="override the config's seed list with one seed")
+        if seed_key:
+            p.add_argument("--seed", type=_flag_integer(0),
+                           help=f"write this one seed into the config as '{seed_key}'")
         p.add_argument("--out", default="results", help="output directory")
         if name in ("run", "sweep-beta0", "label-noise", "grid"):
             p.add_argument("--threads", type=_flag_integer(1), default=1,
                            help="accepted; every seed of every arm runs serially for now")
-        p.set_defaults(handler=fn)
+        p.set_defaults(handler=fn, seed_key=seed_key, seed=None)
     return parser
 
 
@@ -292,7 +292,7 @@ def main(argv=None) -> int:
         # here; --help exits 0.
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
-        args.handler(args)
+        args.handler(_load_config(args), args)
     except (DivergenceError, NonFiniteError) as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

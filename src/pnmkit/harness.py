@@ -2,10 +2,11 @@
 
 Configs are JSON dicts read by :func:`read_config`, one key table per
 section and per problem, optimizer, decay or noise name: an unknown key or
-bad value is an error naming the key, never coerced or defaulted. Every output
-embeds the config digest, the seed, and the PRNG identifier; re-running a
-config produces byte-identical summaries. Trajectory CSVs use the fixed
-column order ``step,loss,grad_norm_sq[,test_error]``.
+bad value is an error naming the key, never coerced or defaulted. Every JSON
+output starts from :func:`provenance` (the config as run, its digest, the PRNG
+identifier) and every CSV from the digest and PRNG; re-running a config gives
+byte-identical outputs. Trajectory CSVs, whose provenance line adds the seed,
+use the fixed column order ``step,loss,grad_norm_sq[,test_error]``.
 
 Comparative experiments (label-noise robustness, the beta0 sweep, the
 lr x weight-decay grid) report seed-majority directional outcomes rather
@@ -404,6 +405,9 @@ def run_seed(cfg: dict, seed: int, context: str = "") -> RunResult:
     # Piecewise-constant decay: lr is multiplied by the factor at each milestone.
     decay = read_config(run_cfg["lr_decay"] or {}, LR_DECAY, _key(context, "lr_decay"))
     milestones = set(decay["milestones"])
+    if len(milestones) < len(decay["milestones"]) or max(milestones, default=1) > steps:
+        raise ConfigError(f"'{_key(context, 'lr_decay.milestones')}' must be distinct steps "
+                          f"of the {steps}-step run, got {decay['milestones']!r}")
     traj = []
 
     def evaluate(step: int) -> None:
@@ -490,10 +494,9 @@ def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1) -> dict:
     """Execute one config over its seeds; returns (and writes) a summary.
     A diverging seed raises its error."""
     (results,) = _completed(run_arms([cfg], threads))
-    digest = config_digest(cfg)
-    summary = {"config": cfg, "config_digest": digest, "prng": RNG_ALGORITHM,
-               **_summary(results)}
+    summary = {**provenance(cfg), **_summary(results)}
     if out_dir is not None:
+        digest = summary["config_digest"]
         out_dir = write_report(out_dir, digest, {f"summary_{digest}.json": summary})
         for r in results:
             write_trajectory_csv(out_dir / f"trajectory_{digest}_seed{r.seed}.csv", r, digest)
@@ -503,6 +506,12 @@ def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
+
+def provenance(cfg: dict) -> dict:
+    """The keys every JSON output starts from: the config as run, its digest
+    and the PRNG algorithm, which together reproduce every other byte."""
+    return {"config": cfg, "config_digest": config_digest(cfg), "prng": RNG_ALGORITHM}
+
 
 def _non_finite_fields(value, name: str = ""):
     """Dotted paths of the non-finite numbers in ``value``, in json's order."""
@@ -582,21 +591,20 @@ def label_noise_experiment(cfg: dict, optimizer_a: dict, optimizer_b: dict,
     corrupted-train error, and clean-subset train error per seed, plus the
     seed-majority outcome for A beating B on clean test error.
     """
-    # Each arm's optimizer is checked under its own name; the rest is 'base'.
+    # Each optimizer is read under its own name, the base's too though the arms replace it.
     read_named(optimizer_a, _OPTIMIZER_KEYS, "optimizer_a")
     read_named(optimizer_b, _OPTIMIZER_KEYS, "optimizer_b")
+    read_config(cfg, {**_COMPARED_RUN, "optimizer": (named(_OPTIMIZER_KEYS), None)}, "base")
     arms = [{**cfg, "optimizer": optimizer_a}, {**cfg, "optimizer": optimizer_b}]
-    read_config(arms[0], _COMPARED_RUN, "base")
     summary_a, summary_b = map(_summary, _completed(run_arms(arms, threads, "base")))
     errs_a = [r["final_test_error"] for r in summary_a["results"]]
     errs_b = [r["final_test_error"] for r in summary_b["results"]]
     # The rate is reported as written, so an integer rate stays an integer.
     rate = (cfg["problem"].get("label_noise") or {}).get("rate")
     report = {
+        **provenance({"base": cfg, "optimizer_a": optimizer_a, "optimizer_b": optimizer_b}),
         "label_noise_rate": 0.0 if rate is None else rate,
         "no_corruption": not rate,
-        "optimizer_a": optimizer_a,
-        "optimizer_b": optimizer_b,
         "per_seed": {
             "a": summary_a["results"],
             "b": summary_b["results"],
@@ -606,9 +614,6 @@ def label_noise_experiment(cfg: dict, optimizer_a: dict, optimizer_b: dict,
             "b": summary_b["aggregate"],
         },
         "test_error_comparison": seed_majority_wins(errs_a, errs_b),
-        "config_digest": config_digest(
-            {"base": cfg, "optimizer_a": optimizer_a, "optimizer_b": optimizer_b}),
-        "prng": RNG_ALGORITHM,
     }
     if out_dir is not None:
         write_report(out_dir, report["config_digest"], {"label_noise_report.json": report})
@@ -644,12 +649,11 @@ def beta0_sweep(cfg: dict, beta0_grid, out_dir: Optional[Path] = None,
                for bn in nonpositive):
             dominating.append(bp)
     report = {
+        **provenance({"base": cfg, "beta0_grid": beta0_grid}),
         "table": rows,
         "per_seed_errors": {str(k): v for k, v in per_seed.items()},
         "positive_beta0_dominates": bool(dominating) if nonpositive else False,
         "dominating_beta0": dominating,
-        "config_digest": config_digest({"base": cfg, "beta0_grid": beta0_grid}),
-        "prng": RNG_ALGORITHM,
     }
     if out_dir is not None:
         table = ["beta0,mean_test_error,std_test_error"]
@@ -685,13 +689,7 @@ def lr_wd_grid(cfg: dict, lrs, lams, out_dir: Optional[Path] = None,
             for lr in lrs for lam in lams]
     cells = [_cell_mean(outcome) for outcome in run_arms(arms, threads, "base")]
     matrix = [cells[i:i + len(lams)] for i in range(0, len(cells), len(lams))]
-    report = {
-        "lrs": lrs,
-        "lams": lams,
-        "mean_test_error": matrix,
-        "config_digest": config_digest({"base": cfg, "lrs": lrs, "lams": lams}),
-        "prng": RNG_ALGORITHM,
-    }
+    report = {**provenance({"base": cfg, "lrs": lrs, "lams": lams}), "mean_test_error": matrix}
     if out_dir is not None:
         table = ["lr\\lam," + ",".join(repr(l) for l in lams)]
         for lr, row in zip(lrs, matrix):

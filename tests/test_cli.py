@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import pnmkit
 from pnmkit import harness, noise, optim, pacbayes, posterior
 from pnmkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, build_parser, main
+from pnmkit.core import config_digest
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -379,6 +380,39 @@ class TestExitCodes:
                              ids=[f"{c} {k}={v!r}" for c, k, v in WRAPPED])
     def test_wrapped_key_is_named_from_the_root(self, tmp_path, capsys, command, key, value):
         cfg = write_config(tmp_path, with_value(TINY[command], key, value))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
+
+    # The arms replace the base's optimizer, which used to go unread: both exited 0.
+    @pytest.mark.parametrize("optimizer,key", [
+        ({"name": "bogus", "lr": -5}, "base.optimizer.name"),
+        ({"name": "hb", "lr": -5}, "base.optimizer.lr"),
+    ], ids=["name", "lr"])
+    def test_label_noise_base_optimizer_is_read(self, tmp_path, capsys, monkeypatch, optimizer,
+                                                key):
+        out = str(tmp_path / "out")
+        valid = with_value(TINY["label-noise"], "base.optimizer", {"name": "hb", "lr": 0.1})
+        cfg = write_config(tmp_path, valid)
+        assert main(["label-noise", "--config", cfg, "--out", out]) == EXIT_OK
+        monkeypatch.setattr(harness, "run_seed",
+                            lambda *a, **k: pytest.fail("trained before failing"))
+        cfg = write_config(tmp_path, with_value(TINY["label-noise"], "base.optimizer", optimizer))
+        assert main(["label-noise", "--config", cfg, "--out", out]) == EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
+
+    # Milestones were read as a set: a repeated one decayed the lr once, and
+    # one past the last step never did, both without a word.
+    INEFFECTIVE = [("run", [2, 2]), ("run", [4]), ("sweep-beta0", [1, 1]),
+                   ("label-noise", [4]), ("grid", [5000])]
+
+    @pytest.mark.parametrize("command,milestones", INEFFECTIVE,
+                             ids=[f"{c} {m}" for c, m in INEFFECTIVE])
+    def test_ineffective_milestone_fails_before_any_step(self, tmp_path, capsys, monkeypatch,
+                                                         command, milestones):
+        monkeypatch.setattr(optim.Optimizer, "step",
+                            lambda *a, **k: pytest.fail("stepped before failing"))
+        key = "lr_decay.milestones" if command == "run" else "base.lr_decay.milestones"
+        cfg = write_config(tmp_path, with_value(TINY[command], key, milestones))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"'{key}'" in capsys.readouterr().err
 
@@ -755,6 +789,17 @@ class TestStartup:
                  if name not in allowed]
         assert not found, found
 
+    def test_only_core_and_harness_name_the_output_header(self):
+        # The digest and the PRNG name are written by harness.provenance; the
+        # package root only re-exports core's public names.
+        names = {"RNG_ALGORITHM", "config_digest"}
+        field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+        found = [f"{path.name}:{node.lineno}" for path in sorted((SRC / "pnmkit").glob("*.py"))
+                 if path.stem not in ("core", "harness", "__init__")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if getattr(node, field.get(type(node), ""), None) in names]
+        assert not found, found
+
     def test_training_commands_never_import_scipy(self, tmp_path):
         # Only noise loads scipy; none of the other seven commands may.
         configs = {command: write_config(tmp_path, TINY[command], f"{command}.json")
@@ -840,12 +885,61 @@ class TestUsage:
         assert "--threads" in capsys.readouterr().err
         assert main([command, "--config", cfg, "--out", out, "--threads", "1"]) == EXIT_OK
 
+    # --seed is written inside 'base', so a base that is not there is named as before.
+    @pytest.mark.parametrize("base,message", [
+        (None, "config needs 'base'"), (3, "'base' must be an object, got 3"),
+    ], ids=["missing", "number"])
+    @pytest.mark.parametrize("command", ["sweep-beta0", "label-noise", "grid"])
+    def test_seed_over_a_bad_base_names_it(self, tmp_path, capsys, command, base, message):
+        payload = {**TINY[command], "base": base}
+        if base is None:
+            del payload["base"]
+        cfg = write_config(tmp_path, payload)
+        for flags in ([], ["--seed", "1"]):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                         *flags]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+
     def test_missing_config_is_usage_error(self):
         assert main(["run"]) == EXIT_CONFIG
 
     def test_help_exits_zero(self, capsys):
         assert main(["run", "--help"]) == EXIT_OK
         assert "--config" in capsys.readouterr().out
+
+
+# The config key each command's --seed is written to.
+SEED_KEYS = {"run": "seeds", "sweep-beta0": "base.seeds", "label-noise": "base.seeds",
+             "grid": "base.seeds", "posterior": "seed", "noise": "seed", "convergence": "seeds"}
+
+
+class TestProvenance:
+    """Every JSON output starts with the config as run, its digest and the PRNG,
+    and every CSV leads with that digest; a --seed run is a config of its own."""
+
+    @pytest.mark.parametrize("command", sorted(TINY))
+    def test_every_output_records_the_config_it_ran(self, tmp_path, command):
+        cfg = write_config(tmp_path, TINY[command])
+        seeds = [None] if command == "pacbayes" else [None, 1, 2]
+        digests = []
+        for seed in seeds:
+            out = tmp_path / f"out{seed}"
+            flags = [] if seed is None else ["--seed", str(seed)]
+            assert main([command, "--config", cfg, "--out", str(out), *flags]) == EXIT_OK
+            (written,) = out.glob("*.json")
+            payload = json.loads(written.read_text())
+            assert payload["config_digest"] == config_digest(payload["config"])
+            assert payload["prng"] == "pcg64"
+            if seed is None:
+                assert payload["config"] == TINY[command]
+            else:
+                key = SEED_KEYS[command]
+                assert lookup(payload["config"], key) == ([seed] if key.endswith("s") else seed)
+            for csv in out.glob("*.csv"):
+                header = csv.read_text().splitlines()[0]
+                assert header.startswith(f"# config_digest={payload['config_digest']} ")
+            digests.append(payload["config_digest"])
+        assert len(set(digests)) == len(seeds)
 
 
 class TestOutputs:

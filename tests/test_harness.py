@@ -277,6 +277,13 @@ class TestRun:
             seeds=[1], lr_decay={"milestones": [1], "factor": 0.1}))
         assert base["results"][0]["final_loss"] != decayed["results"][0]["final_loss"]
 
+    def test_lr_decay_at_the_last_step_applies(self):
+        # The last step is the latest milestone that still decays a step.
+        base = harness.run(analytic_config(seeds=[1]))
+        decayed = harness.run(analytic_config(
+            seeds=[1], lr_decay={"milestones": [200], "factor": 0.1}))
+        assert base["results"][0]["final_loss"] != decayed["results"][0]["final_loss"]
+
 
 class TestAggregate:
     def test_population_std_convention(self):

@@ -359,9 +359,11 @@ class TinyMlpProblem(DatasetProblem):
     """One-hidden-layer tanh network with softmax cross-entropy.
 
     Weights live in a single flat vector laid out as
-    ``[W1 (d*h), b1 (h), W2 (h*k), b2 (k)]``. The backward pass is written
-    out by hand so the gradients stay independently checkable against
-    finite differences.
+    ``[W1 (d*h), b1 (h), W2 (h*k), b2 (k)]``, so ``[W1; b1]`` is one
+    ``(d+1, h)`` block. The problem copies the features when it is built,
+    as ``[X | 1]``, so b1 rides in the matmuls ``[X|1] @ [W1; b1]`` and
+    ``[X|1]^T dZ1``. The backward pass is written out by hand so the
+    gradients stay independently checkable against finite differences.
 
     The forward and backward passes run in scratch arrays that the
     instance owns, grown to the largest row count seen and used as
@@ -379,6 +381,9 @@ class TinyMlpProblem(DatasetProblem):
         labels = np.asarray(dataset.labels)
         if labels.dtype.kind not in "iu":
             raise ValueError("MLP requires integer class labels")
+        if labels.min() < 0:
+            i = int(np.argmax(labels < 0))
+            raise ValueError(f"class label {labels[i]} at row {i} must be >= 0")
         super().__init__(dataset)
         self.hidden = int(hidden)
         self.n_classes = int(labels.max() + 1)
@@ -388,6 +393,7 @@ class TinyMlpProblem(DatasetProblem):
         d, h, k = self.in_dim, self.hidden, self.n_classes
         self.dim = d * h + h + h * k + k
         self._labels = labels.astype(np.int64)
+        self._X1 = np.concatenate([dataset.features, np.ones((dataset.n_samples, 1))], axis=1)
         self._scratch: dict[str, np.ndarray] = {}
 
     def _rows(self, name: str, n: int, cols: int) -> np.ndarray:
@@ -400,12 +406,8 @@ class TinyMlpProblem(DatasetProblem):
 
     def _unpack(self, theta):
         d, h, k = self.in_dim, self.hidden, self.n_classes
-        i = 0
-        W1 = theta[i : i + d * h].reshape(d, h); i += d * h
-        b1 = theta[i : i + h]; i += h
-        W2 = theta[i : i + h * k].reshape(h, k); i += h * k
-        b2 = theta[i : i + k]
-        return W1, b1, W2, b2
+        i = (d + 1) * h
+        return theta[:i].reshape(d + 1, h), theta[i : i + h * k].reshape(h, k), theta[i + h * k :]
 
     def init_params(self, rng: RngStream, scale: float = 0.5) -> np.ndarray:
         """Gaussian init scaled by 1/sqrt(fan-in); biases start at zero."""
@@ -415,12 +417,12 @@ class TinyMlpProblem(DatasetProblem):
         return np.concatenate([W1.ravel(), np.zeros(h), W2.ravel(), np.zeros(k)])
 
     def _forward(self, weights, X):
-        """Hidden activations ``A1``, then the max-shifted logits ``Z``,
-        their softmax ``P`` and its exp sums ``s`` over the classes, all
-        scratch views. ``Z`` and ``P`` are class-major ``(k, n)``: row j
-        holds class j for every sample. ``weights`` is ``_unpack(theta)``.
-        Reductions call ``ufunc.reduce`` directly, as
-        ``np.sum``/``np.max``/``mean`` do after their Python wrappers.
+        """Hidden activations ``A1`` of the ``[X | 1]`` rows ``X``, then
+        the max-shifted logits ``Z``, their softmax ``P`` and its exp sums
+        ``s`` over the classes, all scratch views. ``Z`` and ``P`` are
+        class-major ``(k, n)``: row j holds class j for every sample.
+        ``weights`` is ``_unpack(theta)``. Reductions call ``ufunc.reduce``
+        directly, as ``np.sum``/``np.max``/``mean`` do after their wrappers.
 
         Class-major, numpy runs each class-axis step as one inner loop
         per class over the samples, not one per sample over the short
@@ -429,10 +431,9 @@ class TinyMlpProblem(DatasetProblem):
         classes left to right, which is numpy's row-reduce order for
         fewer than 8 classes (from 8 on its row reduce is pairwise, so
         the last bits of ``s`` may differ)."""
-        W1, b1, W2, b2 = weights
+        W1, W2, b2 = weights
         n, h, k = X.shape[0], self.hidden, self.n_classes
         A1 = np.matmul(X, W1, out=self._rows("A1", n, h))
-        np.add(A1, b1, out=A1)
         np.tanh(A1, out=A1)
         Z2 = np.matmul(A1, W2, out=self._rows("Z2", n, k))
         Z = np.add(Z2.T, b2[:, None], out=self._rows("Z", n, k).reshape(k, n))
@@ -447,8 +448,7 @@ class TinyMlpProblem(DatasetProblem):
         theta = self._check_dim(theta)
         y = self._labels[idx]
         n = len(y)
-        X = np.take(self.dataset.features, idx, axis=0,
-                    out=self._rows("X", n, self.in_dim))
+        X = np.take(self._X1, idx, axis=0, out=self._rows("X", n, self.in_dim + 1))
         weights = self._unpack(theta)
         A1, Z, P, s = self._forward(weights, X)
         # Flat indices of each sample's label entry in the (k, n) views.
@@ -456,23 +456,26 @@ class TinyMlpProblem(DatasetProblem):
         loss = -float(np.add.reduce(np.take(Z, flat) - np.log(s)) / n)
 
         grad = np.empty(self.dim)
-        dW1, db1, dW2, db2 = self._unpack(grad)
+        dW1, dW2, db2 = self._unpack(grad)
         P.reshape(-1)[flat] -= 1.0
         dZ2 = np.divide(P.T, n, out=self._rows("dZ2", n, self.n_classes))
         np.matmul(A1.T, dZ2, out=dW2)
         np.add.reduce(dZ2, axis=0, out=db2)
-        dZ1 = np.matmul(dZ2, weights[2].T, out=self._rows("dZ1", n, self.hidden))
+        dZ1 = np.matmul(dZ2, weights[1].T, out=self._rows("dZ1", n, self.hidden))
         # A1 is spent after dW2: it becomes tanh' = 1 - A1^2 in place.
         np.multiply(A1, A1, out=A1)
         np.subtract(1.0, A1, out=A1)
         np.multiply(dZ1, A1, out=dZ1)
         np.matmul(X.T, dZ1, out=dW1)
-        np.add.reduce(dZ1, axis=0, out=db1)
         return loss, grad
 
     def predict(self, theta, X) -> np.ndarray:
-        P = self._forward(self._unpack(self._check_dim(theta)), X)[2]
-        return P.argmax(axis=0)
+        theta, X = self._check_dim(theta), np.asarray(X)
+        if X.ndim != 2 or X.shape[1] != self.in_dim:
+            raise DimensionMismatchError(f"X must be (n, {self.in_dim}), got shape {X.shape}")
+        X1 = self._rows("X", X.shape[0], self.in_dim + 1)
+        X1[:, :-1], X1[:, -1] = X, 1.0
+        return self._forward(self._unpack(theta), X1)[2].argmax(axis=0)
 
     def error_rate(self, theta, dataset: FiniteDataset) -> float:
         pred = self.predict(theta, dataset.features)

@@ -147,6 +147,17 @@ class TestTinyMlp:
         with pytest.raises(DimensionMismatchError):
             problem.error_rate(theta, problem.dataset)
 
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 1), (2,), (5, 2, 1), ()])
+    def test_predict_checks_feature_shape(self, problem, shape):
+        with pytest.raises(DimensionMismatchError, match=r"X must be \(n, 2\)"):
+            problem.predict(np.zeros(problem.dim), np.zeros(shape))
+
+    def test_negative_labels_rejected(self):
+        # A label of -1 would index the last class through the flat
+        # (k, n) label indices.
+        with pytest.raises(ValueError, match="label -1 at row 2 "):
+            TinyMlpProblem(FiniteDataset(np.zeros((5, 2)), [0, 1, -1, 1, -2]))
+
 
 def _reference_forward(problem, theta, X):
     """The allocating forward pass the buffered kernel replaced."""
@@ -189,7 +200,15 @@ class TestMlpKernel:
     are reused at smaller row counts, for two moons and for random data
     with 3 and 7 classes. From 8 classes numpy's row sum (in the
     reference) adds pairwise while the kernel's class-major sum adds
-    class by class, so there the two agree to a few ulps."""
+    class by class, so there the two agree to a few ulps.
+
+    The kernel's ``[X|1]`` matmuls sum in another order than the
+    reference's ``X @ W1 + b1`` and ``dZ1.sum(axis=0)`` in two regions of
+    OpenBLAS 0.3.31's dispatch, where the two also agree to a few ulps:
+    a one-row ``[X|1] @ [W1; b1]`` goes to gemv, which pairs the d + 1
+    terms, so a 1-row batch differs for odd d; and above
+    (d+1)*h*n = 10^6 the blocked gemm splits the n terms of
+    ``[X|1]^T dZ1``. The predictions stay the same."""
 
     N = 90
 
@@ -206,7 +225,7 @@ class TestMlpKernel:
         return FiniteDataset(rng.standard_normal((n, 3)), rng.permutation(np.arange(n) % k))
 
     def check(self, problem, big, rng, exact):
-        def same(loss, grad, ref_loss, ref_grad):
+        def same(loss, grad, ref_loss, ref_grad, exact=exact):
             if exact:
                 assert loss == ref_loss
                 assert grad.tobytes() == ref_grad.tobytes()
@@ -215,21 +234,24 @@ class TestMlpKernel:
                 np.testing.assert_allclose(grad, ref_grad, rtol=0,
                                            atol=1e-13 * np.abs(ref_grad).max())
 
+        n = problem.dataset_size
         for scale in (0.5, 4.0):
             theta = scale * rng.standard_normal(problem.dim)
-            for batch in (1, 17, 64, self.N, 17, 1):
-                idx = rng.choice_without_replacement(self.N, batch)
+            for batch in (1, 17, 64, n, 17, 1):
+                idx = rng.choice_without_replacement(n, batch)
+                gemv_pairs = batch == 1 and problem.in_dim % 2 == 1
                 same(*problem.batch_loss_gradient(theta, idx),
-                     *_reference_loss_gradient(problem, theta, idx))
+                     *_reference_loss_gradient(problem, theta, idx), exact and not gemv_pairs)
                 for X in (big.features, big.features[:batch]):
                     np.testing.assert_array_equal(
                         problem.predict(theta, X),
                         _reference_forward(problem, theta, X)[3].argmax(axis=1))
             same(*problem.full_gradient(theta),
-                 *_reference_loss_gradient(problem, theta, np.arange(self.N)))
+                 *_reference_loss_gradient(problem, theta, np.arange(n)))
 
     @pytest.mark.parametrize("hidden", [7, 16, 256])
     def test_matches_reference_bit_for_bit(self, data, hidden):
+        # Except for 1-row batches of the 3-feature data, checked closely.
         train, big = data
         self.check(TinyMlpProblem(train, hidden=hidden), big, RngStream(72 + hidden), exact=True)
         for k in (3, 7):
@@ -257,6 +279,40 @@ class TestMlpKernel:
             class_major = np.add.reduce(np.ascontiguousarray(P.T), axis=0)
             assert class_major.tobytes() == acc.tobytes()
             assert class_major.tobytes() == np.add.reduce(P, axis=1).tobytes()
+
+    def test_blocked_gemm_and_one_row_gemv_match_reference_closely(self, data):
+        # 2 * 256 * 1,400 rows is under 10^6 and 3 * 256 * 1,400 is over, so
+        # this full gradient takes the blocked gemm and the reference not.
+        big = data[1]
+        wide = TinyMlpProblem(make_two_moons(1400, 0.2, RngStream(73)), hidden=256)
+        self.check(wide, big, RngStream(74), exact=False)
+        odd = TinyMlpProblem(self.classes(3, self.N, 93), hidden=256)
+        self.check(odd, self.classes(3, 250, 103), RngStream(75), exact=False)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_ones_column_row_is_numpys_row_reduce(self, d):
+        # db1 is row d of [X|1]^T dZ1. While (d+1)*h*n <= 10^6 OpenBLAS
+        # 0.3.31 takes its small-matrix gemm, which adds the n terms in
+        # order, as np.add.reduce(dZ1, axis=0) does. A BLAS that changes
+        # this fails here instead of moving bytes.
+        rng = RngStream(130 + d)
+        for h, n in ((7, 1), (16, 17), (32, 2000), (256, 200), (256, 1302)):
+            if (d + 1) * h * n > 10**6:
+                continue
+            X1 = np.concatenate([rng.standard_normal((n, d)), np.ones((n, 1))], axis=1)
+            dZ1 = rng.standard_normal((n, h))
+            assert np.matmul(X1.T, dZ1)[d].tobytes() == np.add.reduce(dZ1, axis=0).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_ones_column_adds_b1_last(self, d):
+        # [X|1] @ [W1; b1] adds its d + 1 terms in order, so b1 comes last,
+        # as in X @ W1 + b1. One row goes to gemv instead, which pairs them.
+        rng = RngStream(140 + d)
+        for h, n in ((7, 2), (16, 17), (32, 2000), (256, 1400)):
+            X = rng.standard_normal((n, d))
+            W1b1 = rng.standard_normal((d + 1, h))
+            X1 = np.concatenate([X, np.ones((n, 1))], axis=1)
+            assert np.matmul(X1, W1b1).tobytes() == (X @ W1b1[:d] + W1b1[d]).tobytes()
 
     def test_results_survive_later_calls(self, data):
         train, big = data

@@ -240,13 +240,16 @@ class ClassificationTask:
     corrupted_mask: np.ndarray
     theta0: np.ndarray
 
-    def train_errors(self, theta) -> tuple[float, float]:
+    def train_errors(self, theta) -> tuple[float, Optional[float]]:
         """Error on the (possibly corrupted) training labels, and on the
         training samples whose label was left intact (label noise keeps
-        the features and leaves those labels as they were)."""
+        the features and leaves those labels as they were); the second is
+        None when every training label was flipped."""
         corrupted = self.problem.error_rate(theta, self.train)
         clean_idx = np.flatnonzero(~self.corrupted_mask)
-        if clean_idx.size in (0, self.train.n_samples):  # no clean rows, or all of them
+        if clean_idx.size == 0:
+            return corrupted, None
+        if clean_idx.size == self.train.n_samples:
             return corrupted, corrupted
         return corrupted, self.problem.error_rate(theta, self.train.subset(clean_idx))
 

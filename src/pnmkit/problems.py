@@ -310,6 +310,8 @@ class DatasetProblem(GradientOracle):
     def __init__(self, dataset: FiniteDataset):
         self.dataset = dataset
         self.dataset_size = dataset.n_samples
+        self._all_rows = np.arange(self.dataset_size)  # full_gradient's index
+        self._all_rows.flags.writeable = False
 
     def _validate_batch(self, b: int) -> None:
         if not (1 <= b <= self.dataset_size):
@@ -321,7 +323,7 @@ class DatasetProblem(GradientOracle):
         raise NotImplementedError
 
     def full_gradient(self, theta):
-        return self.batch_loss_gradient(theta, np.arange(self.dataset_size))
+        return self.batch_loss_gradient(theta, self._all_rows)
 
     def minibatch_gradient(self, theta, batch_size: int, rng: RngStream) -> np.ndarray:
         self._validate_batch(batch_size)
@@ -355,6 +357,11 @@ class LinearRegressionProblem(DatasetProblem):
         return self._H
 
 
+#: Hidden activations one predict block holds. A floor of 3 rows keeps every near-equal block
+#: of a multi-row X above one row: OpenBLAS hands one-row products to gemv, which sums otherwise.
+_PREDICT_BLOCK = 1 << 16
+
+
 class TinyMlpProblem(DatasetProblem):
     """One-hidden-layer tanh network with softmax cross-entropy.
 
@@ -365,12 +372,13 @@ class TinyMlpProblem(DatasetProblem):
     ``[X|1]^T dZ1``. The backward pass is written out by hand so the
     gradients stay independently checkable against finite differences.
 
-    The forward and backward passes run in scratch arrays that the
-    instance owns, grown to the largest row count seen and used as
-    ``[:n]`` views. A problem is therefore single-owner, like
-    :class:`RngStream`: concurrent calls on one instance must not happen;
-    give each task its own problem. Every returned gradient and
-    prediction is a fresh array that later calls leave alone.
+    The passes run in scratch arrays that the instance owns, grown to the
+    largest minibatch or :meth:`predict` block seen and used as ``[:n]``
+    views: the full gradient reads ``[X | 1]`` in place, and ``predict``
+    runs in near-equal blocks of at most ``max(3, _PREDICT_BLOCK // hidden)``
+    rows. A problem is therefore single-owner, like :class:`RngStream`:
+    give each task its own, and never call one concurrently. Returned
+    gradients and predictions are fresh arrays that later calls leave alone.
     """
 
     def __init__(
@@ -386,6 +394,8 @@ class TinyMlpProblem(DatasetProblem):
             raise ValueError(f"class label {labels[i]} at row {i} must be >= 0")
         super().__init__(dataset)
         self.hidden = int(hidden)
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {hidden}")
         self.n_classes = int(labels.max() + 1)
         if self.n_classes < 2:
             raise ValueError("need at least two classes")
@@ -446,9 +456,10 @@ class TinyMlpProblem(DatasetProblem):
 
     def batch_loss_gradient(self, theta, idx):
         theta = self._check_dim(theta)
-        y = self._labels[idx]
+        y = self._labels if idx is self._all_rows else self._labels[idx]
         n = len(y)
-        X = np.take(self._X1, idx, axis=0, out=self._rows("X", n, self.in_dim + 1))
+        X = self._X1 if idx is self._all_rows else np.take(
+            self._X1, idx, axis=0, out=self._rows("X", n, self.in_dim + 1))
         weights = self._unpack(theta)
         A1, Z, P, s = self._forward(weights, X)
         # Flat indices of each sample's label entry in the (k, n) views.
@@ -473,9 +484,15 @@ class TinyMlpProblem(DatasetProblem):
         theta, X = self._check_dim(theta), np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.in_dim:
             raise DimensionMismatchError(f"X must be (n, {self.in_dim}), got shape {X.shape}")
-        X1 = self._rows("X", X.shape[0], self.in_dim + 1)
-        X1[:, :-1], X1[:, -1] = X, 1.0
-        return self._forward(self._unpack(theta), X1)[2].argmax(axis=0)
+        weights, n = self._unpack(theta), X.shape[0]
+        blocks = max(1, -(-n // max(3, _PREDICT_BLOCK // self.hidden)))
+        edges = np.arange(blocks + 1) * n // blocks
+        pred = np.empty(n, dtype=np.intp)
+        for a, b in zip(edges, edges[1:]):
+            X1 = self._rows("X", b - a, self.in_dim + 1)
+            X1[:, :-1], X1[:, -1] = X[a:b], 1.0
+            np.argmax(self._forward(weights, X1)[2], axis=0, out=pred[a:b])
+        return pred
 
     def error_rate(self, theta, dataset: FiniteDataset) -> float:
         pred = self.predict(theta, dataset.features)

@@ -312,6 +312,20 @@ class TestTrainErrors:
         assert task.train_errors(task.theta0) == expected
         assert len(seen) == calls
 
+    def test_no_clean_row_has_no_clean_error(self):
+        # Seed 2 flips all 20 training labels: there is no clean error to
+        # report, and the corrupted one must not stand in for it.
+        cfg = {"problem": {"name": "two_moons_mlp", "n": 40, "test_fraction": 0.5, "hidden": 8,
+                           "label_noise": {"kind": "symmetric", "rate": 0.99}},
+               "optimizer": {"name": "sgd", "lr": 0.1}, "steps": 20, "seeds": [2]}
+        task = harness.build_classification_task(cfg["problem"], 2)
+        assert task.corrupted_mask.all() and task.train.n_samples == 20
+        corrupted, clean = task.train_errors(task.theta0)
+        assert clean is None and 0.0 <= corrupted <= 1.0
+        row = harness.run(cfg)["results"][0]
+        assert "final_clean_train_error" not in row
+        assert row["final_corrupted_train_error"] == 0.25
+
 
 class TestSeedMajority:
     def test_counts(self):

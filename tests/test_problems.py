@@ -158,6 +158,66 @@ class TestTinyMlp:
         with pytest.raises(ValueError, match="label -1 at row 2 "):
             TinyMlpProblem(FiniteDataset(np.zeros((5, 2)), [0, 1, -1, 1, -2]))
 
+    @pytest.mark.parametrize("hidden", [0, -3])
+    def test_hidden_below_one_rejected(self, hidden):
+        with pytest.raises(ValueError, match=f"hidden must be >= 1, got {hidden}"):
+            TinyMlpProblem(FiniteDataset(np.zeros((5, 2)), [0, 1, 0, 1, 1]), hidden=hidden)
+
+
+class TestEvaluationMemory:
+    """``predict`` runs in near-equal row blocks of at most
+    ``max(3, 2**16 // hidden)`` rows, and the full gradient reads the
+    training rows in place, so evaluation scratch stays bounded."""
+
+    @staticmethod
+    def one_shot(problem, theta, X):
+        X1 = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
+        return problem._forward(problem._unpack(theta), X1)[2].argmax(axis=0)
+
+    @pytest.mark.parametrize("d,hidden,k", [(2, 256, 2), (2, 256, 7), (3, 16, 3),
+                                            (5, 512, 20), (2, 32768, 2)])
+    def test_blocked_predictions_equal_one_shot(self, monkeypatch, d, hidden, k):
+        # 1,400 rows at hidden 256 or 512 is past both (d+1)*h*n and n*h*k = 10^6,
+        # where OpenBLAS's one-shot products take the blocked gemm.
+        rng = RngStream(150 + d + k)
+        problem = TinyMlpProblem(FiniteDataset(rng.standard_normal((50, d)),
+                                               np.arange(50) % k), hidden=hidden)
+        block = max(3, 2**16 // hidden)
+        sizes = []
+        forward = problem._forward
+        monkeypatch.setattr(problem, "_forward",
+                            lambda w, X: sizes.append(X.shape[0]) or forward(w, X))
+        for n in sorted({0, 1, 2, 4, 5, block - 1, block, block + 1, 1400}):
+            if n * hidden > 1 << 22:  # keep the one-shot reference under 32 MiB
+                continue
+            X = rng.standard_normal((n, d))
+            for scale in (0.5, 4.0):
+                theta = scale * rng.standard_normal(problem.dim)
+                sizes.clear()
+                pred = problem.predict(theta, X)
+                assert pred.dtype == np.intp and pred.shape == (n,)
+                if n > 1:
+                    assert min(sizes) >= 2 and max(sizes) - min(sizes) <= 1
+                assert max(sizes) <= block and sum(sizes) == n
+                np.testing.assert_array_equal(pred, self.one_shot(problem, theta, X))
+
+    def test_predict_scratch_is_one_block(self):
+        problem = TinyMlpProblem(make_two_moons(50, 0.2, RngStream(160)), hidden=256)
+        theta = RngStream(161).standard_normal(problem.dim)
+        problem.full_gradient(theta)
+        problem.predict(theta, make_two_moons(10_000, 0.2, RngStream(162)).features)
+        assert max(buf.shape[0] for buf in problem._scratch.values()) <= 256
+
+    def test_full_gradient_reads_rows_in_place(self):
+        problem = TinyMlpProblem(make_two_moons(200, 0.2, RngStream(163)), hidden=32)
+        rng = RngStream(164)
+        theta = rng.standard_normal(problem.dim)
+        problem.batch_loss_gradient(theta, rng.choice_without_replacement(200, 64))
+        loss, grad = problem.full_gradient(theta)
+        assert problem._scratch["X"].shape[0] == 64
+        ref_loss, ref_grad = problem.batch_loss_gradient(theta, np.arange(200))
+        assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+
 
 def _reference_forward(problem, theta, X):
     """The allocating forward pass the buffered kernel replaced."""

@@ -124,7 +124,8 @@ def _grad_sq_curves(
     state; seed s draws its noise from ``RngStream(s).spawn(key)``.
     Returns ||grad f(theta_k)||^2 for k = 0..horizon-1, one row per seed.
 
-    Each step evaluates one full gradient; the stochastic gradient is it
+    Each step evaluates one exact gradient, without the loss
+    (``oracle.gradient``); the stochastic gradient is it
     plus ``oracle.noise`` of that step's standard normals (none when
     ``oracle.noise`` is None). Each stream draws its normals for a block
     of steps at once, in stream order, so the values equal those of one
@@ -162,7 +163,7 @@ def _grad_sq_curves(
                 stream.standard_normal(out=row)
             block_noise = noise(z)
         for k in steps:
-            _, full = oracle.full_gradient(theta)
+            full = oracle.gradient(theta)
             curves[:, k] = np.vecdot(full, full)
             grad = full if noise is None else full + block_noise[:, k - start]
             try:
@@ -193,8 +194,8 @@ def empirical_rate(
     Each (horizon, seed) pair restarts from ``theta0`` with the constant
     step the rule assigns to that horizon and an independent noise stream;
     the seeds of one horizon run together on a stacked state, so the
-    oracle must take a ``(len(seeds), dim)`` theta and give its gradient
-    noise as ``oracle.noise`` (see :class:`~pnmkit.core.GradientOracle`).
+    oracle's ``gradient`` must take a ``(len(seeds), dim)`` theta and its
+    gradient noise be ``oracle.noise`` (see :class:`~pnmkit.core.GradientOracle`).
     A minimum that is not > 0 has no logarithm, so it fails the fit.
     """
     theta0 = np.asarray(theta0, dtype=np.float64)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional
@@ -104,7 +105,8 @@ class GradientOracle(ABC):
     """Source of gradients for a fixed problem.
 
     Every gradient is a plain float64 array of shape ``(dim,)``.
-    :meth:`full_gradient` returns the loss with the exact gradient.
+    :meth:`full_gradient` returns the loss with the exact gradient, and
+    :meth:`gradient` the same gradient alone.
     Oracles that sample without a batch size also define
     ``stochastic_gradient(theta, rng)``, an unbiased gradient sample;
     dataset problems draw minibatches with ``minibatch_gradient`` instead.
@@ -127,6 +129,11 @@ class GradientOracle(ABC):
     def full_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Return the loss and the exact gradient at ``theta``."""
 
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        """The exact gradient alone, the bits of ``full_gradient(theta)[1]``;
+        the quadratic overrides it to skip its loss."""
+        return self.full_gradient(theta)[1]
+
     def _check_dim(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.dim,):
@@ -143,6 +150,131 @@ class GradientOracle(ABC):
                 f"or (k, {self.dim})"
             )
         return theta
+
+
+#: Significand bits of a float64. Two runs of an AR(1) from different states
+#: see their gap shrink by |phi| per step, so they agree to the last bit after
+#: about ``53 / -log2 |phi|`` steps, the span.
+_COALESCE_BITS = 53
+#: Steps between the bit comparisons of a block's rerun with its first run,
+#: and the shortest block.
+_COALESCE_CHECK = 16
+#: Elements of one chunk of a blocked filter run (2 MiB of float64): its
+#: time-major inputs and outputs stay this size at any series length.
+_AR1_CHUNK = 1 << 18
+
+
+def ar1_filter(x, b0, phi, z) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.signal.lfilter([b0], [1, -phi], x, axis=0, zi=z)`` bit for bit,
+    for a series of at least one step: y[n] = b0 x[n] + s, then
+    s = 0 x[n] - (-phi) y[n], from the start state s in ``z`` (shaped
+    ``(1,) + x.shape[1:]``). Returns y and the final state, shaped like ``z``.
+    ``b0`` and ``phi`` are scalars or one per column.
+
+    A series of at least 32 blocks (see :func:`_ar1_blocked`) runs in chunks
+    of at least 32 blocks and about ``_AR1_CHUNK`` elements; a shorter one,
+    and any |phi| >= 1, steps a Python float per column in lfilter's own
+    operations and order.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    tail = x.shape[1:]
+    X = x.reshape(x.shape[0], math.prod(tail))
+    (n, c), y, done = X.shape, np.empty(X.shape), 0
+    b0, phi = (np.broadcast_to(np.asarray(v, dtype=np.float64), tail).ravel() for v in (b0, phi))
+    s = np.broadcast_to(np.asarray(z, dtype=np.float64), (1,) + tail).ravel()
+    peak = float(np.abs(phi).max(initial=0.0))
+    if peak < 1.0:
+        # Blocks of twice the span a wrong start needs to reach equal bits.
+        span = _COALESCE_BITS / -math.log2(peak) if peak > 0.0 else 0.0
+        block = max(_COALESCE_CHECK, math.ceil(2.0 * span))
+        chunks = min(n // (32 * block), max(1, n * c // _AR1_CHUNK))
+        for i in range(chunks):
+            lo, hi = n * i // chunks, n * (i + 1) // chunks
+            end = _ar1_blocked(X[lo:hi], b0, phi, s, block, y[lo:hi])
+            if end is None:
+                break
+            s, done = end, hi
+    if done < n:
+        s = _ar1_scalar(X[done:], b0, phi, s, y[done:])
+    return y.reshape(x.shape), s.reshape((1,) + tail)
+
+
+def _ar1_scalar(X, b0, phi, s, out) -> np.ndarray:
+    """lfilter's own recurrence on one Python float per column, written into
+    ``out``; returns the final state."""
+    end = s.copy()
+    for j in range(X.shape[1]):
+        b, a, state, col = float(b0[j]), -float(phi[j]), float(s[j]), []
+        for xn in X[:, j].tolist():
+            yn = b * xn + state
+            col.append(yn)
+            state = xn * 0.0 - yn * a
+        out[:, j], end[j] = col, state
+    return end
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _ar1_blocked(X, b0, phi, s, block: int, out):
+    """Writes y[n] = b0 x[n] + s, s = phi y[n] into ``out``: the first
+    ``len(X) % block`` steps one by one, then every ``block``-step block at
+    once (:func:`_ar1_rounds`). Returns the final state in lfilter's terms.
+
+    The step drops lfilter's ``0 x[n]``, which changes only the sign of a
+    zero or a NaN, so an output that is zero or not finite (about which
+    numpy need not warn) returns None instead, for the per-column path.
+    """
+    n, c = X.shape
+    head, count = n % block, n // block
+    s = _ar1_scalar(X[:head], b0, phi, s, out[:head])
+    # Transposed column by column in tiles of blocks, which keeps the strided
+    # side within a few pages; the gain then multiplies contiguous rows.
+    bx, series, tile = np.empty((block, count, c)), X[head:].reshape(count, block, c), 32
+    for k in range(0, count, tile):
+        for j in range(c):
+            bx[:, k:k + tile, j] = series[k:k + tile, :, j].T
+    bx *= np.tile(b0, (count, 1))
+    steps = _ar1_rounds(bx, phi, s)
+    if not (np.isfinite(steps).all() and steps.all()):
+        return None
+    blocks = out[head:].reshape(count, block, c)
+    for k in range(0, count, tile):
+        for j in range(c):
+            blocks[k:k + tile, :, j] = steps[:, k:k + tile, j].T
+    return X[-1] * 0.0 - out[-1] * -phi
+
+
+def _ar1_rounds(bx, phi, s) -> np.ndarray:
+    """y = bx[t] + s, s = phi y for the time-major blocks ``bx`` (step t of
+    every block is row t), so each step is two ufunc calls on one row.
+
+    The first block starts from ``s``, every other one from a guessed zero.
+    Each round reruns the blocks whose start is not phi times their
+    predecessor's last output, until their outputs reach the bits of the run
+    before: the step is deterministic, so equal bits mean an equal future.
+    A block that never does moved its end, and the next round reruns its
+    successor. The first rerun block's predecessor is always final, so the
+    rounds end.
+    """
+    count, c = bx.shape[1:]
+    steps, start, rates = np.empty_like(bx), np.zeros((count, c)), np.tile(phi, (count, 1))
+    start[0] = s
+    lo, rerun = 0, False
+    while True:
+        state, rate = start[lo:].copy(), rates[lo:]
+        for t, (xt, yt) in enumerate(zip(bx[:, lo:], steps[:, lo:])):
+            check = rerun and t % _COALESCE_CHECK == _COALESCE_CHECK - 1
+            if check:
+                before = yt.view(np.int64).copy()
+            np.add(xt, state, out=yt)
+            if check and (yt.view(np.int64) == before).all():
+                break
+            np.multiply(yt, rate, out=state)
+        ends = steps[-1, :-1] * phi
+        moved = (ends.view(np.int64) != start[1:].view(np.int64)).any(axis=1)
+        if not moved.any():
+            return steps
+        lo, rerun = 1 + int(np.argmax(moved)), True
+        start[1:] = ends
 
 
 @dataclass

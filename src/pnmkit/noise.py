@@ -13,8 +13,9 @@ Covers three claims about stochastic gradient noise (SGN):
   the batch size.
 
 The stationary simulations evolve the same buffer recursion the optimizers
-use, vectorized over time with an IIR filter; a test pins bitwise-level
-agreement with the step-by-step optimizer.
+use, vectorized over time by :func:`~pnmkit.core.ar1_filter`, numpy's
+exact AR(1) filter; a test pins bitwise-level agreement with the
+step-by-step optimizer.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, RngStream
+from .core import ConfigError, RngStream, ar1_filter
 from .optim import amplification_factor
 from .problems import DatasetProblem
 
@@ -47,16 +48,16 @@ def _simulate_buffers(beta1: float, steps: int, dim: int,
 
     Returns (m, m_prev): the freshly updated buffer at each step and the
     other buffer's value (zero before the first step). Each parity track
-    is an AR(1) in its own index, so lfilter computes the exact recursion.
+    is an AR(1) in its own index, so :func:`~pnmkit.core.ar1_filter` computes
+    the exact recursion, both tracks as the columns of one call: step pair
+    k is row k, even steps first. An odd run pads one step that nothing reads.
     """
-    from scipy.signal import lfilter
-
     beta = beta1 * beta1
-    xi = rng.standard_normal((steps, dim))
-    m = np.empty_like(xi)
-    for parity in (0, 1):
-        track = xi[parity::2]
-        m[parity::2] = lfilter([1.0 - beta], [1.0, -beta], track, axis=0)
+    half = -(-steps // 2)
+    xi = np.zeros((2 * half, dim))
+    rng.standard_normal(out=xi[:steps])
+    m = ar1_filter(xi.reshape(half, 2 * dim), 1.0 - beta, beta, np.zeros((1, 2 * dim)))[0]
+    m = m.reshape(-1, dim)[:steps]
     m_prev = np.vstack([np.zeros((1, dim)), m[:-1]])
     return m, m_prev
 
@@ -77,12 +78,14 @@ def pair_amplification_ratio(
 
     The buffer sequence does not depend on beta0 under pure noise, so the
     pair and the buffer are measured on the same trajectory; returns the
-    ratio and a batch-means standard error for it. A bad beta0 or beta1,
-    or ``steps`` too few for 2 post-burn-in samples in each of the batches,
-    fails before the first step.
+    ratio and a batch-means standard error for it. A bad beta0, beta1 or
+    ``dim``, or ``steps`` too few for 2 post-burn-in samples in each of the
+    batches, fails before the first step.
     """
     if not 0.0 <= beta1 < 1.0:
         raise ValueError("beta1 must lie in [0, 1)")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     amplification_factor(beta0)
     burn_in = min(default_burn_in(beta1), steps // 2)
     n_blocks = max(10, min(100, (steps - burn_in) // 1000))

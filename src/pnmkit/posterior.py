@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, DivergenceError, NonFiniteError, RngStream
+from .core import ConfigError, DivergenceError, NonFiniteError, RngStream, ar1_filter
 from .optim import HeavyBall, Pnm, amplification_factor, pn_normalization
 from .problems import QuadraticModel, gaussian_factor
 
@@ -256,24 +256,27 @@ def simulate_sgd_spectral(
     """Fast exact-in-law SGD simulation for isotropic gradient noise.
 
     In the Hessian eigenbasis the iterates decouple into independent
-    scalar AR(1) recursions u' = (1 - eta lambda_i) u - eta xi, which an
-    IIR filter evolves in bulk; empirical moments are rotated back to the
-    original coordinates. Observing an AR(1) every ``thin`` steps is again
+    scalar AR(1) recursions u' = (1 - eta lambda_i) u - eta xi, which
+    :func:`~pnmkit.core.ar1_filter` evolves in bulk, every mode in one
+    call; empirical moments are rotated back to the original coordinates.
+    Observing an AR(1) every ``thin`` steps is again
     an AR(1) with coefficient phi^thin and the matching noise variance, so
     thinning is applied by exact recursion rather than by simulating and
     discarding; the retained samples have the same joint law either way.
     A test pins the agreement with the step-by-step loop.
 
-    ``burn_in`` and ``samples`` count retained (post-thinning) draws.
+    ``burn_in`` (>= 0) and ``samples`` (>= 2, for a covariance) count
+    retained (post-thinning) draws; other values fail before the first draw.
     Noise is streamed in blocks of ``_SPECTRAL_BLOCK`` draws with filter
     state carried across blocks, so memory stays bounded at any budget.
     """
-    from scipy.signal import lfilter
-
     if eta <= 0 or sigma2 < 0:
         raise ValueError("need eta > 0 and sigma2 >= 0")
     if thin < 1:
         raise ValueError("thin must be >= 1")
+    if burn_in < 0 or samples < 2:
+        raise ValueError(f"need burn_in >= 0 and samples >= 2, got burn_in = {burn_in}, "
+                         f"samples = {samples}")
     n = model.dim
     lam, Q = np.linalg.eigh(model.H)
     phi = check_stable("sgd", lam, eta)[:, 0, 0]
@@ -286,7 +289,7 @@ def simulate_sgd_spectral(
     else:
         noise_std = np.sqrt(step_var * (1.0 - phi_s ** 2) / (1.0 - phi ** 2))
 
-    zi = [np.zeros(1) for _ in range(n)]
+    state = np.zeros((1, n))
     total = burn_in + samples
     seen = 0
     count = 0
@@ -294,12 +297,7 @@ def simulate_sgd_spectral(
     outer_acc = np.zeros((n, n))
     while seen < total:
         m = int(min(_SPECTRAL_BLOCK, total - seen))
-        xi = rng.standard_normal((m, n))
-        u = np.empty_like(xi)
-        for i in range(n):
-            u[:, i], zi[i] = lfilter(
-                [noise_std[i]], [1.0, -phi_s[i]], xi[:, i], zi=zi[i]
-            )
+        u, state = ar1_filter(rng.standard_normal((m, n)), noise_std, phi_s, state)
         lo = max(burn_in - seen, 0)
         if lo < m:
             tail = u[lo:]

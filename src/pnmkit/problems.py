@@ -90,8 +90,11 @@ class QuadraticModel(GradientOracle):
         Hd = _matvec(self.H, d)
         return self.f0 + 0.5 * np.vecdot(d, Hd), Hd
 
+    def gradient(self, theta):
+        return _matvec(self.H, self._check_stack(theta) - self.theta_star)
+
     def stochastic_gradient(self, theta, rng) -> np.ndarray:
-        return self.full_gradient(theta)[1]
+        return self.gradient(theta)
 
 
 def rosenbrock_eval(theta) -> tuple[float, np.ndarray]:
@@ -119,7 +122,7 @@ class RosenbrockProblem(GradientOracle):
         return loss, np.stack([-2.0 * (1.0 - x) - 400.0 * x * r, 200.0 * r], axis=-1)
 
     def stochastic_gradient(self, theta, rng) -> np.ndarray:
-        return self.full_gradient(theta)[1]
+        return self.gradient(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +146,9 @@ class AdditiveNoiseOracle(GradientOracle):
     def full_gradient(self, theta):
         return self.base.full_gradient(theta)
 
+    def gradient(self, theta):
+        return self.base.gradient(theta)
+
     def noise(self, z: np.ndarray) -> np.ndarray:
         """The gradient noise for standard normals ``z`` of shape ``(..., dim)``."""
         if isinstance(self._factor, float):
@@ -150,7 +156,7 @@ class AdditiveNoiseOracle(GradientOracle):
         return _matvec(self._factor, z)
 
     def stochastic_gradient(self, theta, rng) -> np.ndarray:
-        grad = self.base.full_gradient(theta)[1]
+        grad = self.base.gradient(theta)
         return grad + self.noise(rng.standard_normal(grad.shape))
 
 

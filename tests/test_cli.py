@@ -777,8 +777,8 @@ def _fresh_python(tmp_path, code: str) -> subprocess.CompletedProcess:
 
 
 class TestStartup:
-    """Importing pnmkit loads the standard library and numpy only; scipy is
-    imported inside the few functions that call it."""
+    """Importing pnmkit loads the standard library and numpy only, and no
+    command loads scipy: it is a test dependency, not a runtime one."""
 
     def test_modules_import_only_stdlib_and_numpy(self):
         allowed = set(sys.stdlib_module_names) | {"numpy", "__future__"}
@@ -787,6 +787,16 @@ class TestStartup:
         found = [f"{path.name}:{line} imports {name}" for path in paths
                  for name, line in _import_time_imports(ast.parse(path.read_text()))
                  if name not in allowed]
+        assert not found, found
+
+    def test_no_module_imports_scipy_at_any_depth(self):
+        # Function bodies too: the import-time check above skips them.
+        found = [f"{path.name}:{node.lineno}" for path in sorted((SRC / "pnmkit").glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy"
+                                                         for a in node.names)
+                 or isinstance(node, ast.ImportFrom) and node.level == 0
+                 and node.module.split(".")[0] == "scipy"]
         assert not found, found
 
     def test_only_core_and_harness_name_the_output_header(self):
@@ -801,10 +811,10 @@ class TestStartup:
         assert not found, found
 
     def test_training_commands_never_import_scipy(self, tmp_path):
-        # Only noise loads scipy; none of the other seven commands may.
+        # All eight commands, noise included, run without loading scipy.
         configs = {command: write_config(tmp_path, TINY[command], f"{command}.json")
                    for command in ("run", "label-noise", "sweep-beta0", "grid", "posterior",
-                                   "pacbayes", "convergence")}
+                                   "pacbayes", "noise", "convergence")}
         proc = _fresh_python(tmp_path, f"""
 import sys
 from pnmkit.cli import main
@@ -812,27 +822,6 @@ for command, cfg in {configs!r}.items():
     assert main([command, "--config", cfg, "--out", "out"]) == 0, command
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
-""")
-        assert proc.returncode == 0, proc.stderr
-
-    # Each reaches a function that imports scipy; the fresh interpreter shows
-    # the import resolves without any earlier test having loaded scipy.
-    COLD = {
-        "noise": ("assert main(['noise', '--config', CFG, '--out', 'out']) == 0",
-                  "scipy.signal"),
-    }
-
-    @pytest.mark.parametrize("module", sorted(COLD))
-    def test_scipy_users_run_in_a_fresh_interpreter(self, tmp_path, module):
-        code, scipy_module = self.COLD[module]
-        cfg = write_config(tmp_path, TINY.get(module, {}))
-        proc = _fresh_python(tmp_path, f"""
-import sys
-from pnmkit.cli import main
-assert "scipy" not in sys.modules
-CFG = {cfg!r}
-{code}
-assert {scipy_module!r} in sys.modules
 """)
         assert proc.returncode == 0, proc.stderr
 

@@ -173,16 +173,16 @@ def _reference_rate(oracle, theta0, horizons, seeds, smoothness, step_constant=1
 
 class _ShapeSpy:
     """Passes every call on to ``oracle``, records theta's shape on each
-    full gradient and forwards the oracle's noise map."""
+    loss-free gradient and forwards the oracle's noise map."""
 
     def __init__(self, oracle):
         self.oracle = oracle
         self.noise = oracle.noise
         self.shapes = []
 
-    def full_gradient(self, theta):
+    def gradient(self, theta):
         self.shapes.append(theta.shape)
-        return self.oracle.full_gradient(theta)
+        return self.oracle.gradient(theta)
 
 
 def _nondiagonal_setting():
@@ -228,7 +228,7 @@ class TestSeedStacking:
         assert est.slope == slope
         assert est.measured_grad_bound == g_max
         assert est.step_sizes == steps
-        # one full gradient per step, on every seed at once
+        # one gradient per step, on every seed at once
         assert spy.shapes == [(len(seeds), len(theta0))] * sum(horizons)
 
     def test_divergence_names_first_diverging_seed(self):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+from pnmkit import core
 from pnmkit.core import (
     NonFiniteError,
     RngStream,
+    ar1_filter,
     as_param_vector,
     config_digest,
 )
@@ -64,3 +67,117 @@ class TestConfigDigest:
 
     def test_value_sensitivity(self):
         assert config_digest({"a": 1}) != config_digest({"a": 2})
+
+
+def _lfilter(x, b0, phi, z):
+    """scipy's filter, one call per column for per-column coefficients."""
+    b0, phi = np.broadcast_to(b0, x.shape[1:]), np.broadcast_to(phi, x.shape[1:])
+    cols = [lfilter([b0[j]], [1.0, -phi[j]], x[:, j], zi=z[:, j]) for j in range(x.shape[1])]
+    return np.stack([y for y, _ in cols], axis=1), np.stack([zf for _, zf in cols], axis=1)
+
+
+def _assert_bits(x, b0, phi, z):
+    y, zf = ar1_filter(x, b0, phi, z)
+    want_y, want_zf = _lfilter(x, b0, phi, z)
+    assert y.shape == want_y.shape and zf.shape == want_zf.shape
+    assert y.tobytes() == want_y.tobytes()
+    assert zf.tobytes() == want_zf.tobytes()
+
+
+class TestAr1Filter:
+    """ar1_filter is scipy.signal.lfilter([b0], [1, -phi]) bit for bit.
+
+    At |phi| = 1/2 a gap between two states halves per step, so any two
+    float64 states reach equal bits within 53 steps: blocks are 106 steps,
+    and a series of 32 blocks (3,392 steps) or more runs blocked."""
+
+    BLOCK = 106
+
+    @pytest.fixture()
+    def blocked_calls(self, monkeypatch):
+        calls = []
+        real = core._ar1_blocked
+
+        def spy(X, *args):
+            calls.append(len(X))
+            return real(X, *args)
+
+        monkeypatch.setattr(core, "_ar1_blocked", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 32 * BLOCK - 1,
+                                   32 * BLOCK, 32 * BLOCK + 1, 40 * BLOCK + 37])
+    def test_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        _assert_bits(rng.standard_normal((n, 3)), 0.3, 0.5, np.zeros((1, 3)))
+        _assert_bits(rng.standard_normal((n, 2)), np.array([0.7, -1.3]), np.array([0.5, -0.25]),
+                     rng.standard_normal((1, 2)))
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, -0.7, 0.81, 0.98, 0.999, 0.9999])
+    def test_memory_lengths(self, phi):
+        rng = np.random.default_rng(7)
+        for n in (1, 500, 70_000):
+            _assert_bits(rng.standard_normal((n, 1)), 1.0 - phi, phi, rng.standard_normal((1, 1)))
+        y, zf = ar1_filter(rng.standard_normal(300), 0.5, phi, np.array([0.25]))
+        assert y.shape == (300,) and zf.shape == (1,)
+
+    def test_selection_rule(self, blocked_calls):
+        rng = np.random.default_rng(3)
+        for n in (32 * self.BLOCK - 1, 32 * self.BLOCK):
+            _assert_bits(rng.standard_normal((n, 2)), 0.5, np.array([0.5, 0.25]), np.zeros((1, 2)))
+        # The column with the longest memory sets the block.
+        assert blocked_calls == [32 * self.BLOCK]
+        blocked_calls.clear()
+        _assert_bits(rng.standard_normal((100_000, 1)), 0.1, 1.0, np.ones((1, 1)))
+        _assert_bits(rng.standard_normal((100_000, 1)), 0.1, -1.01, np.ones((1, 1)))
+        assert blocked_calls == []
+
+    def test_long_series_run_in_chunks(self, blocked_calls):
+        rng = np.random.default_rng(4)
+        _assert_bits(rng.standard_normal((600_001, 1)), 0.19, 0.81, rng.standard_normal((1, 1)))
+        assert len(blocked_calls) == 2 and sum(blocked_calls) == 600_001
+
+    def test_any_memory_layout(self):
+        x = np.random.default_rng(9).standard_normal((3, 40 * self.BLOCK))
+        _assert_bits(x.T, 0.4, 0.5, np.zeros((1, 3)))  # Fortran order
+        _assert_bits(x.T[::2], 0.4, 0.5, np.zeros((1, 3)))
+        y, _ = ar1_filter(x[1], 0.4, 0.5, np.zeros(1))
+        assert y.tobytes() == _lfilter(x[1][:, None], 0.4, 0.5, np.zeros((1, 1)))[0].tobytes()
+
+    def test_state_carries_across_calls(self):
+        rng = np.random.default_rng(5)
+        x, phi = rng.standard_normal((9_000, 2)), np.array([0.5, 0.9])
+        whole = ar1_filter(x, 0.2, phi, np.zeros((1, 2)))
+        first = ar1_filter(x[:4_000], 0.2, phi, np.zeros((1, 2)))
+        second = ar1_filter(x[4_000:], 0.2, phi, first[1])
+        assert np.vstack([first[0], second[0]]).tobytes() == whole[0].tobytes()
+        assert second[1].tobytes() == whole[1].tobytes()
+
+    def test_repeat_round(self, monkeypatch):
+        # Inputs near 1e-200 after a stretch of unit noise: a block started
+        # from a guessed zero tracks the true run only as closely as the
+        # decaying true state, so it never reaches equal bits, its end moves,
+        # and a further round reruns its successor.
+        moved, real_argmax = [], np.argmax
+        monkeypatch.setattr(np, "argmax", lambda *a, **kw: moved.append(1) or real_argmax(*a, **kw))
+        x = np.random.default_rng(6).standard_normal((40 * self.BLOCK, 2))
+        x[10 * self.BLOCK + 50:13 * self.BLOCK] *= 1e-200
+        _assert_bits(x, 1.0, 0.5, np.ones((1, 2)))
+        assert len(moved) >= 2  # one per round that found a moved start
+        moved.clear()
+        _assert_bits(x[:10 * self.BLOCK].repeat(4, axis=0), 1.0, 0.5, np.ones((1, 2)))
+        assert len(moved) == 1
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5, -0.5])
+    def test_zero_and_non_finite_outputs(self, phi, blocked_calls):
+        # The blocked step drops lfilter's 0 * x, so zeros and non-finite
+        # outputs go to the per-column path, which keeps lfilter's signs.
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((40 * self.BLOCK, 2))
+        x[3_000, 0], x[1_000, 1] = 0.0, -0.0
+        _assert_bits(x, 0.7, phi, rng.standard_normal((1, 2)))
+        _assert_bits(np.zeros((40 * self.BLOCK, 1)), 1.0, phi, np.full((1, 1), -0.0))
+        x[2_000, 0], x[3_500, 1] = np.inf, np.nan
+        _assert_bits(x, 0.7, phi, np.zeros((1, 2)))
+        _assert_bits(x[:50], 0.7, phi, np.zeros((1, 2)))
+        assert blocked_calls  # the checks above did take the blocked path first

@@ -57,6 +57,19 @@ class TestAmplificationFactor:
 
 
 class TestBufferSimulation:
+    @pytest.mark.parametrize("beta1, steps", [(0.9, 1), (0.9, 2), (0.9, 30_001), (0.9, 30_002),
+                                              (0.99, 400_000), (0.0, 5_001)])
+    def test_matches_lfilter_per_parity(self, beta1, steps):
+        from scipy.signal import lfilter
+
+        m, m_prev = _simulate_buffers(beta1, steps, 2, RngStream(12))
+        xi, beta = RngStream(12).standard_normal((steps, 2)), beta1 * beta1
+        want = np.empty_like(xi)
+        for parity in (0, 1):
+            want[parity::2] = lfilter([1.0 - beta], [1.0, -beta], xi[parity::2], axis=0)
+        assert m.tobytes() == want.tobytes()
+        assert m_prev.tobytes() == np.vstack([np.zeros((1, 2)), want[:-1]]).tobytes()
+
     def test_matches_optimizer_exactly(self):
         # The IIR-filter simulation must replay the optimizer's own buffer
         # recursion on the same noise stream.
@@ -101,6 +114,12 @@ class TestPairRatio:
         # beta1 = +-1 used to end in a ZeroDivisionError traceback.
         with pytest.raises(ValueError, match="beta1"):
             pair_amplification_ratio(beta1, 1.0, 200, RngStream(0))
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_rejected(self, dim):
+        # dim 0 used to warn "Mean of empty slice", dim -1 to fail in numpy.
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            pair_amplification_ratio(0.9, 1.0, 2_000, RngStream(0), dim=dim)
 
 
 class TestNoiseCovariance:

@@ -435,6 +435,48 @@ class TestBlockNoise:
 
 
 class TestSpectralPath:
+    @pytest.mark.parametrize("thin, block", [(1, 2_000_000), (50, 5_000)])
+    def test_matches_lfilter_per_mode(self, thin, block, monkeypatch):
+        # The estimate of the per-mode lfilter loop, bit for bit: with long
+        # memory one noise block on the per-column path, with short memory
+        # (phi^50) blocked filter runs and their state carried across blocks.
+        from scipy.signal import lfilter
+
+        from pnmkit import posterior
+
+        monkeypatch.setattr(posterior, "_SPECTRAL_BLOCK", block)
+        H = _rotated_spd([1.0, 1.7, 2.0])
+        model, eta, burn_in, samples = QuadraticModel(np.zeros(3), H), 0.02, 1_500, 11_000
+        est = simulate_sgd_spectral(model, 1.3, eta, burn_in, samples, RngStream(14), thin=thin)
+        lam, Q = np.linalg.eigh(H)
+        phi, step_std = (1.0 - eta * lam) ** thin, eta * math.sqrt(1.3)
+        std = np.sqrt(step_std ** 2 * (1.0 - phi ** 2) / (1.0 - (1.0 - eta * lam) ** 2))
+        if thin == 1:
+            std = np.full(3, step_std)
+        rng, zi = RngStream(14), [np.zeros(1)] * 3
+        mean_acc, outer_acc = np.zeros(3), np.zeros((3, 3))
+        for seen in range(0, burn_in + samples, block):
+            xi = rng.standard_normal((min(block, burn_in + samples - seen), 3))
+            u = np.empty_like(xi)
+            for i in range(3):
+                u[:, i], zi[i] = lfilter([std[i]], [1.0, -phi[i]], xi[:, i], zi=zi[i])
+            tail = u[max(burn_in - seen, 0):]
+            mean_acc += tail.sum(axis=0)
+            outer_acc += tail.T @ tail
+        mean_u = mean_acc / samples
+        cov = Q @ ((outer_acc - samples * np.outer(mean_u, mean_u)) / (samples - 1)) @ Q.T
+        assert est.mean.tobytes() == (Q @ mean_u).tobytes()
+        assert est.covariance.tobytes() == (0.5 * (cov + cov.T)).tobytes()
+        assert est.retained == samples
+
+    @pytest.mark.parametrize("burn_in, samples", [(-5, 10), (0, 1), (10, 0)])
+    def test_bad_counts_rejected_before_any_draw(self, burn_in, samples):
+        # burn_in -5 used to keep 5 draws, not 10; samples 0 or 1 to warn.
+        model, rng = QuadraticModel([0.0], [[1.0]]), RngStream(15)
+        with pytest.raises(ValueError, match="burn_in >= 0 and samples >= 2"):
+            simulate_sgd_spectral(model, 1.0, 0.1, burn_in, samples, rng)
+        assert rng.standard_normal(4).tobytes() == RngStream(15).standard_normal(4).tobytes()
+
     def test_matches_loop_estimator(self):
         model = QuadraticModel([0.0, 0.0], [[2.0, 0.5], [0.5, 1.0]])
         loop = simulate_stationary(model, 1.0, "sgd", 0.02, burn_in=5000,

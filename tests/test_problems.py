@@ -582,6 +582,7 @@ class TestStackedOracles:
         rows = [oracle.full_gradient(row) for row in theta]
         assert loss.tobytes() == np.array([l for l, _ in rows]).tobytes()
         assert grad.tobytes() == np.array([g for _, g in rows]).tobytes()
+        assert oracle.gradient(theta).tobytes() == grad.tobytes()  # the loss-free gradient
 
         stacked = oracle.stochastic_gradient(theta, RngStream(0))
         rng = RngStream(0)
@@ -597,6 +598,7 @@ class TestStackedOracles:
             loss, grad = oracle.full_gradient(row)
             assert type(loss) is np.float64 and loss.tobytes() == np.float64(want_loss).tobytes()
             assert grad.tobytes() == want_grad.tobytes()
+            assert oracle.gradient(row).tobytes() == want_grad.tobytes()
             noisy = oracle.stochastic_gradient(row, RngStream(i))
             assert noisy.tobytes() == want_noisy.tobytes()
 
@@ -604,6 +606,8 @@ class TestStackedOracles:
     def test_bad_stack_shapes_rejected(self, shape):
         with pytest.raises(DimensionMismatchError):
             self.ORACLES["rosenbrock"]().full_gradient(np.zeros(shape))
+        with pytest.raises(DimensionMismatchError):
+            self.ORACLES["isotropic_noise"]().gradient(np.zeros(shape))
 
     def test_dataset_problems_reject_stacked_theta(self):
         rng = RngStream(44)

@@ -200,12 +200,11 @@ def _cmd_pacbayes(cfg, args) -> None:
 
 def _cmd_noise(cfg, args) -> None:
     c = read_config(cfg, NOISE)
-    results = []
-    for b0 in c["beta0_values"]:
-        ratio, se = noise.pair_amplification_ratio(
-            c["beta1"], b0, c["steps"], RngStream(c["seed"]), c["dim"])
-        results.append({"beta0": b0, "predicted": noise.amplification_factor(b0),
-                        "measured_ratio": ratio, "standard_error": se})
+    pairs = noise.pair_amplification_ratios(
+        c["beta1"], c["beta0_values"], c["steps"], RngStream(c["seed"]), c["dim"])
+    results = [{"beta0": b0, "predicted": noise.amplification_factor(b0),
+                "measured_ratio": ratio, "standard_error": se}
+               for b0, (ratio, se) in zip(c["beta0_values"], pairs)]
     payload = {
         **harness.provenance(cfg),
         "buffer_variance_closed_form": noise.single_buffer_stationary_variance(c["beta1"]),

@@ -162,14 +162,21 @@ _COALESCE_CHECK = 16
 #: Elements of one chunk of a blocked filter run (2 MiB of float64): its
 #: time-major inputs and outputs stay this size at any series length.
 _AR1_CHUNK = 1 << 18
+#: Steps of one column slice on the per-column path: its Python float lists
+#: stay this long at any series length.
+_AR1_SLICE = 1 << 14
 
 
-def ar1_filter(x, b0, phi, z) -> tuple[np.ndarray, np.ndarray]:
+def ar1_filter(x, b0, phi, z, out=None) -> tuple[np.ndarray, np.ndarray]:
     """``scipy.signal.lfilter([b0], [1, -phi], x, axis=0, zi=z)`` bit for bit,
     for a series of at least one step: y[n] = b0 x[n] + s, then
     s = 0 x[n] - (-phi) y[n], from the start state s in ``z`` (shaped
     ``(1,) + x.shape[1:]``). Returns y and the final state, shaped like ``z``.
     ``b0`` and ``phi`` are scalars or one per column.
+
+    ``out``, a C-contiguous float64 array shaped like ``x``, receives y; it
+    may be ``x`` itself, which the filter then overwrites with y, so a
+    caller holds one copy of a long series. No other overlap is allowed.
 
     A series of at least 32 blocks (see :func:`_ar1_blocked`) runs in chunks
     of at least 32 blocks and about ``_AR1_CHUNK`` elements; a shorter one,
@@ -179,7 +186,15 @@ def ar1_filter(x, b0, phi, z) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     tail = x.shape[1:]
     X = x.reshape(x.shape[0], math.prod(tail))
-    (n, c), y, done = X.shape, np.empty(X.shape), 0
+    if out is None:
+        out = np.empty(x.shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == x.shape
+              and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {x.shape}")
+    elif np.may_share_memory(X, out) and not (
+            X.flags.c_contiguous and X.ctypes.data == out.ctypes.data):
+        raise ValueError("out may overlap x only as x itself")
+    (n, c), y, done = X.shape, out.reshape(X.shape), 0
     b0, phi = (np.broadcast_to(np.asarray(v, dtype=np.float64), tail).ravel() for v in (b0, phi))
     s = np.broadcast_to(np.asarray(z, dtype=np.float64), (1,) + tail).ravel()
     peak = float(np.abs(phi).max(initial=0.0))
@@ -196,36 +211,43 @@ def ar1_filter(x, b0, phi, z) -> tuple[np.ndarray, np.ndarray]:
             s, done = end, hi
     if done < n:
         s = _ar1_scalar(X[done:], b0, phi, s, y[done:])
-    return y.reshape(x.shape), s.reshape((1,) + tail)
+    return out, s.reshape((1,) + tail)
 
 
 def _ar1_scalar(X, b0, phi, s, out) -> np.ndarray:
     """lfilter's own recurrence on one Python float per column, written into
-    ``out``; returns the final state."""
+    ``out`` (which may be ``X``) one slice of ``_AR1_SLICE`` steps at a
+    time; returns the final state."""
     end = s.copy()
     for j in range(X.shape[1]):
-        b, a, state, col = float(b0[j]), -float(phi[j]), float(s[j]), []
-        for xn in X[:, j].tolist():
-            yn = b * xn + state
-            col.append(yn)
-            state = xn * 0.0 - yn * a
-        out[:, j], end[j] = col, state
+        b, a, state = float(b0[j]), -float(phi[j]), float(s[j])
+        for lo in range(0, X.shape[0], _AR1_SLICE):
+            col = []
+            for xn in X[lo:lo + _AR1_SLICE, j].tolist():
+                yn = b * xn + state
+                col.append(yn)
+                state = xn * 0.0 - yn * a
+            out[lo:lo + _AR1_SLICE, j] = col
+        end[j] = state
     return end
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _ar1_blocked(X, b0, phi, s, block: int, out):
-    """Writes y[n] = b0 x[n] + s, s = phi y[n] into ``out``: the first
-    ``len(X) % block`` steps one by one, then every ``block``-step block at
-    once (:func:`_ar1_rounds`). Returns the final state in lfilter's terms.
+    """Writes y[n] = b0 x[n] + s, s = phi y[n] into ``out`` (which may be
+    ``X``): the first ``len(X) % block`` steps one by one, then every
+    ``block``-step block at once (:func:`_ar1_rounds`). Returns the final
+    state in lfilter's terms.
 
     The step drops lfilter's ``0 x[n]``, which changes only the sign of a
     zero or a NaN, so an output that is zero or not finite (about which
-    numpy need not warn) returns None instead, for the per-column path.
+    numpy need not warn) returns None instead, for the per-column path,
+    with ``out`` not yet written: the inputs stay whole for that path.
     """
     n, c = X.shape
     head, count = n % block, n // block
-    s = _ar1_scalar(X[:head], b0, phi, s, out[:head])
+    head_y, last = np.empty((head, c)), X[-1] * 0.0
+    s = _ar1_scalar(X[:head], b0, phi, s, head_y)
     # Transposed column by column in tiles of blocks, which keeps the strided
     # side within a few pages; the gain then multiplies contiguous rows.
     bx, series, tile = np.empty((block, count, c)), X[head:].reshape(count, block, c), 32
@@ -236,11 +258,12 @@ def _ar1_blocked(X, b0, phi, s, block: int, out):
     steps = _ar1_rounds(bx, phi, s)
     if not (np.isfinite(steps).all() and steps.all()):
         return None
+    out[:head] = head_y
     blocks = out[head:].reshape(count, block, c)
     for k in range(0, count, tile):
         for j in range(c):
             blocks[k:k + tile, :, j] = steps[:, k:k + tile, j].T
-    return X[-1] * 0.0 - out[-1] * -phi
+    return last - out[-1] * -phi
 
 
 def _ar1_rounds(bx, phi, s) -> np.ndarray:

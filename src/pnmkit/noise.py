@@ -50,16 +50,18 @@ def _simulate_buffers(beta1: float, steps: int, dim: int,
     other buffer's value (zero before the first step). Each parity track
     is an AR(1) in its own index, so :func:`~pnmkit.core.ar1_filter` computes
     the exact recursion, both tracks as the columns of one call: step pair
-    k is row k, even steps first. An odd run pads one step that nothing reads.
+    k is row k, even steps first. The noise is drawn into rows 1 onward of
+    one buffer with a zero first row and filtered in place, so m and m_prev
+    are two views of it, one row apart. An odd run pads one step that
+    nothing reads.
     """
     beta = beta1 * beta1
     half = -(-steps // 2)
-    xi = np.zeros((2 * half, dim))
-    rng.standard_normal(out=xi[:steps])
-    m = ar1_filter(xi.reshape(half, 2 * dim), 1.0 - beta, beta, np.zeros((1, 2 * dim)))[0]
-    m = m.reshape(-1, dim)[:steps]
-    m_prev = np.vstack([np.zeros((1, dim)), m[:-1]])
-    return m, m_prev
+    buf = np.zeros((1 + 2 * half, dim))
+    rng.standard_normal(out=buf[1:1 + steps])
+    xi = buf[1:].reshape(half, 2 * dim)
+    ar1_filter(xi, 1.0 - beta, beta, np.zeros((1, 2 * dim)), out=xi)
+    return buf[1:1 + steps], buf[:steps]
 
 
 def default_burn_in(beta1: float) -> int:
@@ -74,36 +76,54 @@ def pair_amplification_ratio(
     rng: RngStream,
     dim: int = 1,
 ) -> tuple[float, float]:
-    """Ratio Var(pair) / Var(single buffer) from one shared simulation.
+    """Ratio Var(pair) / Var(single buffer) from one shared simulation, and a
+    batch-means standard error for it: :func:`pair_amplification_ratios`
+    for the one ``beta0``."""
+    return pair_amplification_ratios(beta1, [beta0], steps, rng, dim)[0]
 
-    The buffer sequence does not depend on beta0 under pure noise, so the
-    pair and the buffer are measured on the same trajectory; returns the
-    ratio and a batch-means standard error for it. A bad beta0, beta1 or
-    ``dim``, or ``steps`` too few for 2 post-burn-in samples in each of the
-    batches, fails before the first step.
+
+def pair_amplification_ratios(
+    beta1: float,
+    beta0_values,
+    steps: int,
+    rng: RngStream,
+    dim: int = 1,
+) -> list[tuple[float, float]]:
+    """(ratio, standard error) of Var(pair) / Var(single buffer) for each
+    beta0 in ``beta0_values``, all from one simulation.
+
+    The buffer sequence does not depend on beta0 under pure noise, so every
+    pair and the buffer are measured on the same trajectory; each standard
+    error comes from batch means. A bad beta1, beta0 or ``dim``, or
+    ``steps`` too few for 2 post-burn-in samples in each of the batches,
+    fails before the first step.
     """
     if not 0.0 <= beta1 < 1.0:
         raise ValueError("beta1 must lie in [0, 1)")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    amplification_factor(beta0)
+    for beta0 in beta0_values:
+        amplification_factor(beta0)
     burn_in = min(default_burn_in(beta1), steps // 2)
     n_blocks = max(10, min(100, (steps - burn_in) // 1000))
     if (steps - burn_in) // n_blocks < 2:
         raise ConfigError(f"'steps' = {steps} leaves fewer than 2 samples in each of "
                           f"{n_blocks} batches after a burn-in of {burn_in} steps")
     m, m_prev = _simulate_buffers(beta1, steps, dim, rng)
-    pair = (1.0 + beta0) * m - beta0 * m_prev
-    m_tail = m[burn_in:]
-    pair_tail = pair[burn_in:]
-    ratio = float(pair_tail.var(axis=0).mean() / m_tail.var(axis=0).mean())
-
+    m_tail, prev_tail = m[burn_in:], m_prev[burn_in:]
     usable = ((steps - burn_in) // n_blocks) * n_blocks
-    mb = m_tail[:usable].reshape(n_blocks, -1, dim)
-    pb = pair_tail[:usable].reshape(n_blocks, -1, dim)
-    block_ratios = pb.var(axis=1).mean(axis=1) / mb.var(axis=1).mean(axis=1)
-    se = float(block_ratios.std(ddof=1) / math.sqrt(n_blocks))
-    return ratio, se
+    m_var = m_tail.var(axis=0).mean()
+    m_block_vars = m_tail[:usable].reshape(n_blocks, -1, dim).var(axis=1).mean(axis=1)
+    # One pair array, rewritten for each beta0: memory does not grow with their count.
+    results, pair = [], np.empty_like(m_tail)
+    for beta0 in beta0_values:
+        np.multiply(m_tail, 1.0 + beta0, out=pair)
+        pair -= beta0 * prev_tail
+        ratio = float(pair.var(axis=0).mean() / m_var)
+        pb = pair[:usable].reshape(n_blocks, -1, dim)
+        block_ratios = pb.var(axis=1).mean(axis=1) / m_block_vars
+        results.append((ratio, float(block_ratios.std(ddof=1) / math.sqrt(n_blocks))))
+    return results
 
 
 @dataclass

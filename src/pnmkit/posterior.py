@@ -214,17 +214,18 @@ def simulate_stationary(
                     kept[k] = dev
                     k += 1
 
-        flat = kept[:k].reshape(-1, n)
-        mean_dev = flat.mean(axis=0)
-        centered = flat - mean_dev
-        cov = centered.T @ centered / (flat.shape[0] - 1)
-        cov = 0.5 * (cov + cov.T)
-
         # SE of the mean from batch means along time, pooled over chains.
         n_blocks = max(4, min(50, k // 50)) if k >= 8 else 2
         usable = (k // n_blocks) * n_blocks
         block_means = kept[:usable].reshape(n_blocks, -1, n).mean(axis=1)
         mean_se = block_means.std(axis=0, ddof=1) / math.sqrt(n_blocks)
+
+        # Centered in place, after the batch means have read the raw iterates.
+        flat = kept[:k].reshape(-1, n)
+        mean_dev = flat.mean(axis=0)
+        flat -= mean_dev
+        cov = flat.T @ flat / (flat.shape[0] - 1)
+        cov = 0.5 * (cov + cov.T)
     if not np.all(np.isfinite(cov)):
         raise DivergenceError(f"{kind} dynamics: 'empirical_covariance' is not finite; "
                               "the iterates are too large to square")
@@ -267,8 +268,10 @@ def simulate_sgd_spectral(
 
     ``burn_in`` (>= 0) and ``samples`` (>= 2, for a covariance) count
     retained (post-thinning) draws; other values fail before the first draw.
-    Noise is streamed in blocks of ``_SPECTRAL_BLOCK`` draws with filter
-    state carried across blocks, so memory stays bounded at any budget.
+    Noise is streamed in blocks of ``_SPECTRAL_BLOCK`` draws of all ``n``
+    modes, filtered in place with the state carried across blocks: a block
+    holds up to ``_SPECTRAL_BLOCK * n`` floats (80 MB at n = 5), whatever the
+    budget, plus the filter's chunk-sized scratch.
     """
     if eta <= 0 or sigma2 < 0:
         raise ValueError("need eta > 0 and sigma2 >= 0")
@@ -297,7 +300,8 @@ def simulate_sgd_spectral(
     outer_acc = np.zeros((n, n))
     while seen < total:
         m = int(min(_SPECTRAL_BLOCK, total - seen))
-        u, state = ar1_filter(rng.standard_normal((m, n)), noise_std, phi_s, state)
+        u = rng.standard_normal((m, n))
+        state = ar1_filter(u, noise_std, phi_s, state, out=u)[1]
         lo = max(burn_in - seen, 0)
         if lo < m:
             tail = u[lo:]

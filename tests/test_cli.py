@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import pnmkit
 from pnmkit import harness, noise, optim, pacbayes, posterior
 from pnmkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, build_parser, main
-from pnmkit.core import config_digest
+from pnmkit.core import RngStream, config_digest
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -977,6 +977,23 @@ class TestOutputs:
         payload = json.loads((out / "noise_ratios.json").read_text())
         row = payload["ratios"][0]
         assert abs(row["measured_ratio"] - row["predicted"]) < 0.1
+
+    def test_noise_simulates_once_for_every_beta0(self, tmp_path, monkeypatch):
+        # The buffers do not depend on beta0: one simulation serves every
+        # pair, with the bytes of one seeded call per beta0.
+        calls, real = [], noise._simulate_buffers
+        monkeypatch.setattr(noise, "_simulate_buffers",
+                            lambda *a: calls.append(a) or real(*a))
+        config = {"beta1": 0.9, "beta0_values": [0.5, 1.0, 2.0], "steps": 5_001, "dim": 2,
+                  "seed": 4}
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["noise", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1
+        rows = json.loads((out / "noise_ratios.json").read_text())["ratios"]
+        for row, b0 in zip(rows, config["beta0_values"]):
+            ratio, se = noise.pair_amplification_ratio(0.9, b0, 5_001, RngStream(4), 2)
+            assert (row["beta0"], row["measured_ratio"], row["standard_error"]) == (b0, ratio, se)
 
     def test_posterior_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, {

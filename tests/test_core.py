@@ -181,3 +181,57 @@ class TestAr1Filter:
         _assert_bits(x, 0.7, phi, np.zeros((1, 2)))
         _assert_bits(x[:50], 0.7, phi, np.zeros((1, 2)))
         assert blocked_calls  # the checks above did take the blocked path first
+
+    # Each case: (length, columns, b0, phi, last input). Lengths are odd; the
+    # blocked ones leave a head of single steps before the first block.
+    IN_PLACE = {
+        "one_step": (1, 2, 0.7, 0.5, None),
+        "per_column": (2 * BLOCK + 1, 2, np.array([0.7, -1.3]), np.array([0.5, -0.25]), None),
+        "blocked_head": (40 * BLOCK + 37, 2, np.array([0.7, -1.3]), np.array([0.5, -0.25]), None),
+        "two_chunks": (600_001, 1, 0.19, 0.81, None),
+        "last_negative_zero": (40 * BLOCK + 37, 2, 0.7, 0.5, -0.0),
+        # At phi = 0 the final state is the sign of the zero x[-1] * 0.0 less
+        # the zero y[-1] * -0.0, and b0 < 0 gives y[-1] the other sign.
+        "last_state_sign": (40 * BLOCK + 37, 1, -0.7, 0.0, 1.5),
+    }
+
+    @pytest.mark.parametrize("case", list(IN_PLACE))
+    def test_in_place_matches_out_of_place(self, case, blocked_calls):
+        n, c, b0, phi, last = self.IN_PLACE[case]
+        rng = np.random.default_rng(n)
+        x, z = rng.standard_normal((n, c)), rng.standard_normal((1, c))
+        if last is not None:
+            x[-1] = last
+        _assert_in_place(x, b0, phi, z)
+        assert bool(blocked_calls) == (n >= 32 * self.BLOCK)
+
+    def test_in_place_fallback_reads_inputs(self, blocked_calls):
+        # At phi = 0 (16-step blocks) a zero input makes a zero output, so the
+        # second of two chunks falls back to the per-column path after the
+        # first was written: that path must read the chunk's inputs, its head
+        # step included, not outputs. The last input is -0.0.
+        x = np.random.default_rng(11).standard_normal((600_001, 1))
+        x[500_000], x[-1] = 0.0, -0.0
+        assert (len(x) - 300_000) % 16 == 1
+        _assert_in_place(x, 0.7, 0.0, np.full((1, 1), 0.25))
+        assert blocked_calls == [300_000, 300_001] * 2  # out of place, then in place
+
+    def test_out_must_be_x_or_apart(self):
+        x = np.random.default_rng(12).standard_normal((500, 2))
+        for out in (np.empty((500, 3)), np.empty((2, 500)).T, np.empty((500, 2), np.float32)):
+            with pytest.raises(ValueError, match="out must be"):
+                ar1_filter(x, 1.0, 0.5, np.zeros((1, 2)), out=out)
+        buf = np.zeros((501, 2))
+        with pytest.raises(ValueError, match="overlap"):
+            ar1_filter(buf[1:], 1.0, 0.5, np.zeros((1, 2)), out=buf[:-1])
+
+
+def _assert_in_place(x, b0, phi, z):
+    """ar1_filter(x, ..., out=x) writes the out-of-place call's bytes over x
+    and returns them with the same final state."""
+    want_y, want_zf = ar1_filter(x, b0, phi, z)
+    x = x.copy()
+    y, zf = ar1_filter(x, b0, phi, z, out=x)
+    assert y is x
+    assert y.tobytes() == want_y.tobytes()
+    assert zf.tobytes() == want_zf.tobytes()

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnmkit import optim
+from pnmkit import noise, optim
 from pnmkit.core import RngStream
 from pnmkit.noise import (
     amplification_factor,
     default_burn_in,
     estimate_gradient_noise_covariance,
     pair_amplification_ratio,
+    pair_amplification_ratios,
     single_buffer_stationary_variance,
     _simulate_buffers,
 )
@@ -70,6 +71,12 @@ class TestBufferSimulation:
         assert m.tobytes() == want.tobytes()
         assert m_prev.tobytes() == np.vstack([np.zeros((1, 2)), want[:-1]]).tobytes()
 
+    def test_two_views_of_one_buffer(self):
+        m, m_prev = _simulate_buffers(0.9, 1_001, 3, RngStream(13))
+        assert np.shares_memory(m, m_prev) and m.shape == m_prev.shape == (1_001, 3)
+        assert m_prev[0].tobytes() == np.zeros(3).tobytes()
+        assert m_prev[1:].tobytes() == m[:-1].tobytes()
+
     def test_matches_optimizer_exactly(self):
         # The IIR-filter simulation must replay the optimizer's own buffer
         # recursion on the same noise stream.
@@ -120,6 +127,28 @@ class TestPairRatio:
         # dim 0 used to warn "Mean of empty slice", dim -1 to fail in numpy.
         with pytest.raises(ValueError, match="dim must be >= 1"):
             pair_amplification_ratio(0.9, 1.0, 2_000, RngStream(0), dim=dim)
+
+
+    def test_one_simulation_serves_every_beta0(self):
+        beta0s = [0.5, 1.0, 2.0, -0.5]
+        together = pair_amplification_ratios(0.9, beta0s, 20_001, RngStream(33), 2)
+        alone = [pair_amplification_ratio(0.9, b0, 20_001, RngStream(33), 2) for b0 in beta0s]
+        assert together == alone
+
+    def test_any_bad_beta0_fails_before_the_draw(self, monkeypatch):
+        monkeypatch.setattr(noise, "_simulate_buffers",
+                            lambda *a: pytest.fail("simulated before failing"))
+        with pytest.raises(ValueError, match="beta0 = "):
+            pair_amplification_ratios(0.9, [1.0, 1e155], 2_000, RngStream(0))
+
+    def test_memory_stays_near_three_series(self, traced_peak):
+        # At the benchmark's 400,000 steps the buffer, the pair and np.var's
+        # temporary are each one series of steps x dim floats; another copy
+        # of the buffers (as the filter's output or a shifted m_prev) or a
+        # pair per beta0 would pass 3.5.
+        steps = 400_000
+        peak = traced_peak(lambda: pair_amplification_ratio(0.9, 1.0, steps, RngStream(34)))
+        assert peak < 3.5 * 8 * steps
 
 
 class TestNoiseCovariance:

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
 from pnmkit import optim
-from pnmkit.core import DivergenceError, NonFiniteError, RngStream
+from pnmkit.core import _AR1_CHUNK, DivergenceError, NonFiniteError, RngStream
 from pnmkit.optim import HeavyBall, Pnm, amplification_factor
 from pnmkit.posterior import (
     _NOISE_BLOCK,
@@ -413,6 +413,14 @@ class TestBlockNoise:
         for got, ref in zip((est.mean, est.covariance, est.mean_se), want):
             assert got.tobytes() == ref.tobytes()
 
+    def test_centers_the_kept_iterates_in_place(self, traced_peak):
+        # The benchmark's 8,000 iterates of 64 chains: a centered copy of
+        # them would double the kept array's bytes.
+        model, per_chain, chains = QuadraticModel([0.0], [[1.0]]), 8_000, 64
+        peak = traced_peak(lambda: simulate_stationary(
+            model, 1.0, "sgd", 0.01, 2_000, per_chain * chains, RngStream(5), chains=chains))
+        assert peak < 8 * per_chain * chains + 4 * 8 * _NOISE_BLOCK
+
     @pytest.mark.parametrize("kind", ["sgd", "pnm"])
     def test_draws_stay_within_the_block_budget(self, monkeypatch, kind):
         model, cov = _block_setting(1, "scalar")
@@ -468,6 +476,15 @@ class TestSpectralPath:
         assert est.mean.tobytes() == (Q @ mean_u).tobytes()
         assert est.covariance.tobytes() == (0.5 * (cov + cov.T)).tobytes()
         assert est.retained == samples
+
+    def test_filters_each_block_in_place(self, traced_peak):
+        # The benchmark's call: 2,000 + 200,000 draws of 5 modes in one noise
+        # block, which the filter overwrites; beside it only the filter's
+        # chunk-sized scratch, where a filtered copy would add a block.
+        model = QuadraticModel(np.zeros(5), _rotated_spd([1.0, 1.3, 1.55, 1.8, 2.0]))
+        peak = traced_peak(lambda: simulate_sgd_spectral(
+            model, 1.0, 0.005, burn_in=2_000, samples=200_000, rng=RngStream(16), thin=200))
+        assert peak < 8 * 202_000 * 5 + 4 * 8 * _AR1_CHUNK
 
     @pytest.mark.parametrize("burn_in, samples", [(-5, 10), (0, 1), (10, 0)])
     def test_bad_counts_rejected_before_any_draw(self, burn_in, samples):

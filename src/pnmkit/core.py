@@ -167,34 +167,27 @@ _AR1_CHUNK = 1 << 18
 _AR1_SLICE = 1 << 14
 
 
-def ar1_filter(x, b0, phi, z, out=None) -> tuple[np.ndarray, np.ndarray]:
+def ar1_filter(x, b0, phi, z) -> tuple[np.ndarray, np.ndarray]:
     """``scipy.signal.lfilter([b0], [1, -phi], x, axis=0, zi=z)`` bit for bit,
-    for a series of at least one step: y[n] = b0 x[n] + s, then
-    s = 0 x[n] - (-phi) y[n], from the start state s in ``z`` (shaped
-    ``(1,) + x.shape[1:]``). Returns y and the final state, shaped like ``z``.
-    ``b0`` and ``phi`` are scalars or one per column.
+    written over ``x``, for a series of at least one step: y[n] = b0 x[n] + s,
+    then s = 0 x[n] - (-phi) y[n], from the start state s in ``z`` (shaped
+    ``(1,) + x.shape[1:]``). Returns y (which is ``x``) and the final state,
+    shaped like ``z``. ``b0`` and ``phi`` are scalars or one per column.
 
-    ``out``, a C-contiguous float64 array shaped like ``x``, receives y; it
-    may be ``x`` itself, which the filter then overwrites with y, so a
-    caller holds one copy of a long series. No other overlap is allowed.
+    ``x`` must be a writeable C-contiguous float64 array, so a caller holds
+    one copy of a long series; one that needs its inputs passes a copy.
 
     A series of at least 32 blocks (see :func:`_ar1_blocked`) runs in chunks
     of at least 32 blocks and about ``_AR1_CHUNK`` elements; a shorter one,
     and any |phi| >= 1, steps a Python float per column in lfilter's own
     operations and order.
     """
-    x = np.asarray(x, dtype=np.float64)
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64
+            and x.flags.c_contiguous and x.flags.writeable):
+        raise ValueError("x must be a writeable C-contiguous float64 array")
     tail = x.shape[1:]
-    X = x.reshape(x.shape[0], math.prod(tail))
-    if out is None:
-        out = np.empty(x.shape)
-    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == x.shape
-              and out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {x.shape}")
-    elif np.may_share_memory(X, out) and not (
-            X.flags.c_contiguous and X.ctypes.data == out.ctypes.data):
-        raise ValueError("out may overlap x only as x itself")
-    (n, c), y, done = X.shape, out.reshape(X.shape), 0
+    X, done = x.reshape(x.shape[0], math.prod(tail)), 0
+    n, c = X.shape
     b0, phi = (np.broadcast_to(np.asarray(v, dtype=np.float64), tail).ravel() for v in (b0, phi))
     s = np.broadcast_to(np.asarray(z, dtype=np.float64), (1,) + tail).ravel()
     peak = float(np.abs(phi).max(initial=0.0))
@@ -205,19 +198,19 @@ def ar1_filter(x, b0, phi, z, out=None) -> tuple[np.ndarray, np.ndarray]:
         chunks = min(n // (32 * block), max(1, n * c // _AR1_CHUNK))
         for i in range(chunks):
             lo, hi = n * i // chunks, n * (i + 1) // chunks
-            end = _ar1_blocked(X[lo:hi], b0, phi, s, block, y[lo:hi])
+            end = _ar1_blocked(X[lo:hi], b0, phi, s, block)
             if end is None:
                 break
             s, done = end, hi
     if done < n:
-        s = _ar1_scalar(X[done:], b0, phi, s, y[done:])
-    return out, s.reshape((1,) + tail)
+        s = _ar1_scalar(X[done:], b0, phi, s)
+    return x, s.reshape((1,) + tail)
 
 
-def _ar1_scalar(X, b0, phi, s, out) -> np.ndarray:
-    """lfilter's own recurrence on one Python float per column, written into
-    ``out`` (which may be ``X``) one slice of ``_AR1_SLICE`` steps at a
-    time; returns the final state."""
+def _ar1_scalar(X, b0, phi, s) -> np.ndarray:
+    """lfilter's own recurrence on one Python float per column, written over
+    ``X`` one slice of ``_AR1_SLICE`` steps at a time; returns the final
+    state."""
     end = s.copy()
     for j in range(X.shape[1]):
         b, a, state = float(b0[j]), -float(phi[j]), float(s[j])
@@ -227,27 +220,26 @@ def _ar1_scalar(X, b0, phi, s, out) -> np.ndarray:
                 yn = b * xn + state
                 col.append(yn)
                 state = xn * 0.0 - yn * a
-            out[lo:lo + _AR1_SLICE, j] = col
+            X[lo:lo + _AR1_SLICE, j] = col
         end[j] = state
     return end
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _ar1_blocked(X, b0, phi, s, block: int, out):
-    """Writes y[n] = b0 x[n] + s, s = phi y[n] into ``out`` (which may be
-    ``X``): the first ``len(X) % block`` steps one by one, then every
-    ``block``-step block at once (:func:`_ar1_rounds`). Returns the final
-    state in lfilter's terms.
+def _ar1_blocked(X, b0, phi, s, block: int):
+    """Writes y[n] = b0 x[n] + s, s = phi y[n] over ``X``: the first
+    ``len(X) % block`` steps one by one, then every ``block``-step block at
+    once (:func:`_ar1_rounds`). Returns the final state in lfilter's terms.
 
     The step drops lfilter's ``0 x[n]``, which changes only the sign of a
     zero or a NaN, so an output that is zero or not finite (about which
     numpy need not warn) returns None instead, for the per-column path,
-    with ``out`` not yet written: the inputs stay whole for that path.
+    with ``X`` not yet written: the inputs stay whole for that path.
     """
     n, c = X.shape
     head, count = n % block, n // block
-    head_y, last = np.empty((head, c)), X[-1] * 0.0
-    s = _ar1_scalar(X[:head], b0, phi, s, head_y)
+    head_y, last = X[:head].copy(), X[-1] * 0.0
+    s = _ar1_scalar(head_y, b0, phi, s)
     # Transposed column by column in tiles of blocks, which keeps the strided
     # side within a few pages; the gain then multiplies contiguous rows.
     bx, series, tile = np.empty((block, count, c)), X[head:].reshape(count, block, c), 32
@@ -258,12 +250,11 @@ def _ar1_blocked(X, b0, phi, s, block: int, out):
     steps = _ar1_rounds(bx, phi, s)
     if not (np.isfinite(steps).all() and steps.all()):
         return None
-    out[:head] = head_y
-    blocks = out[head:].reshape(count, block, c)
+    X[:head] = head_y
     for k in range(0, count, tile):
         for j in range(c):
-            blocks[k:k + tile, :, j] = steps[:, k:k + tile, j].T
-    return last - out[-1] * -phi
+            series[k:k + tile, :, j] = steps[:, k:k + tile, j].T
+    return last - X[-1] * -phi
 
 
 def _ar1_rounds(bx, phi, s) -> np.ndarray:

@@ -60,7 +60,7 @@ def _simulate_buffers(beta1: float, steps: int, dim: int,
     buf = np.zeros((1 + 2 * half, dim))
     rng.standard_normal(out=buf[1:1 + steps])
     xi = buf[1:].reshape(half, 2 * dim)
-    ar1_filter(xi, 1.0 - beta, beta, np.zeros((1, 2 * dim)), out=xi)
+    ar1_filter(xi, 1.0 - beta, beta, np.zeros((1, 2 * dim)))
     return buf[1:1 + steps], buf[:steps]
 
 
@@ -102,6 +102,7 @@ def pair_amplification_ratios(
         raise ValueError("beta1 must lie in [0, 1)")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    beta0_values = list(beta0_values)
     for beta0 in beta0_values:
         amplification_factor(beta0)
     burn_in = min(default_burn_in(beta1), steps // 2)

@@ -301,7 +301,7 @@ def simulate_sgd_spectral(
     while seen < total:
         m = int(min(_SPECTRAL_BLOCK, total - seen))
         u = rng.standard_normal((m, n))
-        state = ar1_filter(u, noise_std, phi_s, state, out=u)[1]
+        state = ar1_filter(u, noise_std, phi_s, state)[1]
         lo = max(burn_in - seen, 0)
         if lo < m:
             tail = u[lo:]

@@ -77,15 +77,20 @@ def _lfilter(x, b0, phi, z):
 
 
 def _assert_bits(x, b0, phi, z):
-    y, zf = ar1_filter(x, b0, phi, z)
+    """ar1_filter writes lfilter's bytes over a copy of x and returns them
+    with lfilter's final state."""
     want_y, want_zf = _lfilter(x, b0, phi, z)
+    x = x.copy()
+    y, zf = ar1_filter(x, b0, phi, z)
+    assert y is x
     assert y.shape == want_y.shape and zf.shape == want_zf.shape
     assert y.tobytes() == want_y.tobytes()
     assert zf.tobytes() == want_zf.tobytes()
 
 
 class TestAr1Filter:
-    """ar1_filter is scipy.signal.lfilter([b0], [1, -phi]) bit for bit.
+    """ar1_filter is scipy.signal.lfilter([b0], [1, -phi]) bit for bit,
+    written over its input.
 
     At |phi| = 1/2 a gap between two states halves per step, so any two
     float64 states reach equal bits within 53 steps: blocks are 106 steps,
@@ -118,8 +123,11 @@ class TestAr1Filter:
         rng = np.random.default_rng(7)
         for n in (1, 500, 70_000):
             _assert_bits(rng.standard_normal((n, 1)), 1.0 - phi, phi, rng.standard_normal((1, 1)))
-        y, zf = ar1_filter(rng.standard_normal(300), 0.5, phi, np.array([0.25]))
+        x = rng.standard_normal(300)
+        want = _lfilter(x[:, None], 0.5, phi, np.full((1, 1), 0.25))[0]
+        y, zf = ar1_filter(x, 0.5, phi, np.array([0.25]))
         assert y.shape == (300,) and zf.shape == (1,)
+        assert y.tobytes() == want.tobytes()
 
     def test_selection_rule(self, blocked_calls):
         rng = np.random.default_rng(3)
@@ -137,17 +145,19 @@ class TestAr1Filter:
         _assert_bits(rng.standard_normal((600_001, 1)), 0.19, 0.81, rng.standard_normal((1, 1)))
         assert len(blocked_calls) == 2 and sum(blocked_calls) == 600_001
 
-    def test_any_memory_layout(self):
+    def test_x_must_be_writeable_c_contiguous(self):
         x = np.random.default_rng(9).standard_normal((3, 40 * self.BLOCK))
-        _assert_bits(x.T, 0.4, 0.5, np.zeros((1, 3)))  # Fortran order
-        _assert_bits(x.T[::2], 0.4, 0.5, np.zeros((1, 3)))
-        y, _ = ar1_filter(x[1], 0.4, 0.5, np.zeros(1))
-        assert y.tobytes() == _lfilter(x[1][:, None], 0.4, 0.5, np.zeros((1, 1)))[0].tobytes()
+        read_only = x.T.copy()
+        read_only.flags.writeable = False
+        for bad in (x.T, x.T[::2], x.T.astype(np.float32), read_only, x.T.tolist()):
+            with pytest.raises(ValueError, match="writeable C-contiguous float64"):
+                ar1_filter(bad, 0.4, 0.5, np.zeros((1, 3)))
+        assert x.tobytes() == np.random.default_rng(9).standard_normal(x.shape).tobytes()
 
     def test_state_carries_across_calls(self):
         rng = np.random.default_rng(5)
         x, phi = rng.standard_normal((9_000, 2)), np.array([0.5, 0.9])
-        whole = ar1_filter(x, 0.2, phi, np.zeros((1, 2)))
+        whole = ar1_filter(x.copy(), 0.2, phi, np.zeros((1, 2)))
         first = ar1_filter(x[:4_000], 0.2, phi, np.zeros((1, 2)))
         second = ar1_filter(x[4_000:], 0.2, phi, first[1])
         assert np.vstack([first[0], second[0]]).tobytes() == whole[0].tobytes()
@@ -184,7 +194,7 @@ class TestAr1Filter:
 
     # Each case: (length, columns, b0, phi, last input). Lengths are odd; the
     # blocked ones leave a head of single steps before the first block.
-    IN_PLACE = {
+    ODD = {
         "one_step": (1, 2, 0.7, 0.5, None),
         "per_column": (2 * BLOCK + 1, 2, np.array([0.7, -1.3]), np.array([0.5, -0.25]), None),
         "blocked_head": (40 * BLOCK + 37, 2, np.array([0.7, -1.3]), np.array([0.5, -0.25]), None),
@@ -195,17 +205,17 @@ class TestAr1Filter:
         "last_state_sign": (40 * BLOCK + 37, 1, -0.7, 0.0, 1.5),
     }
 
-    @pytest.mark.parametrize("case", list(IN_PLACE))
-    def test_in_place_matches_out_of_place(self, case, blocked_calls):
-        n, c, b0, phi, last = self.IN_PLACE[case]
+    @pytest.mark.parametrize("case", list(ODD))
+    def test_odd_lengths_and_last_inputs(self, case, blocked_calls):
+        n, c, b0, phi, last = self.ODD[case]
         rng = np.random.default_rng(n)
         x, z = rng.standard_normal((n, c)), rng.standard_normal((1, c))
         if last is not None:
             x[-1] = last
-        _assert_in_place(x, b0, phi, z)
+        _assert_bits(x, b0, phi, z)
         assert bool(blocked_calls) == (n >= 32 * self.BLOCK)
 
-    def test_in_place_fallback_reads_inputs(self, blocked_calls):
+    def test_fallback_reads_inputs(self, blocked_calls):
         # At phi = 0 (16-step blocks) a zero input makes a zero output, so the
         # second of two chunks falls back to the per-column path after the
         # first was written: that path must read the chunk's inputs, its head
@@ -213,25 +223,5 @@ class TestAr1Filter:
         x = np.random.default_rng(11).standard_normal((600_001, 1))
         x[500_000], x[-1] = 0.0, -0.0
         assert (len(x) - 300_000) % 16 == 1
-        _assert_in_place(x, 0.7, 0.0, np.full((1, 1), 0.25))
-        assert blocked_calls == [300_000, 300_001] * 2  # out of place, then in place
-
-    def test_out_must_be_x_or_apart(self):
-        x = np.random.default_rng(12).standard_normal((500, 2))
-        for out in (np.empty((500, 3)), np.empty((2, 500)).T, np.empty((500, 2), np.float32)):
-            with pytest.raises(ValueError, match="out must be"):
-                ar1_filter(x, 1.0, 0.5, np.zeros((1, 2)), out=out)
-        buf = np.zeros((501, 2))
-        with pytest.raises(ValueError, match="overlap"):
-            ar1_filter(buf[1:], 1.0, 0.5, np.zeros((1, 2)), out=buf[:-1])
-
-
-def _assert_in_place(x, b0, phi, z):
-    """ar1_filter(x, ..., out=x) writes the out-of-place call's bytes over x
-    and returns them with the same final state."""
-    want_y, want_zf = ar1_filter(x, b0, phi, z)
-    x = x.copy()
-    y, zf = ar1_filter(x, b0, phi, z, out=x)
-    assert y is x
-    assert y.tobytes() == want_y.tobytes()
-    assert zf.tobytes() == want_zf.tobytes()
+        _assert_bits(x, 0.7, 0.0, np.full((1, 1), 0.25))
+        assert blocked_calls == [300_000, 300_001]

@@ -134,6 +134,7 @@ class TestPairRatio:
         together = pair_amplification_ratios(0.9, beta0s, 20_001, RngStream(33), 2)
         alone = [pair_amplification_ratio(0.9, b0, 20_001, RngStream(33), 2) for b0 in beta0s]
         assert together == alone
+        assert pair_amplification_ratios(0.9, iter(beta0s), 20_001, RngStream(33), 2) == alone
 
     def test_any_bad_beta0_fails_before_the_draw(self, monkeypatch):
         monkeypatch.setattr(noise, "_simulate_buffers",

@@ -30,9 +30,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, DivergenceError, GradientOracle, NonFiniteError, RngStream
+from .core import (
+    _NOISE_BLOCK,
+    ConfigError,
+    DivergenceError,
+    GradientOracle,
+    NonFiniteError,
+    RngStream,
+)
 from .optim import Pnm, pn_normalization
-from .posterior import _NOISE_BLOCK
 
 
 @dataclass

@@ -159,12 +159,17 @@ _COALESCE_BITS = 53
 #: Steps between the bit comparisons of a block's rerun with its first run,
 #: and the shortest block.
 _COALESCE_CHECK = 16
-#: Elements of one chunk of a blocked filter run (2 MiB of float64): its
+#: Elements of one chunk of a blocked filter run (512 KiB of float64): its
 #: time-major inputs and outputs stay this size at any series length.
-_AR1_CHUNK = 1 << 18
+_AR1_CHUNK = 1 << 16
 #: Steps of one column slice on the per-column path: its Python float lists
 #: stay this long at any series length.
 _AR1_SLICE = 1 << 14
+#: Element budget of one block of scratch in the simulators (128 KiB of
+#: float64): a block of pre-drawn noise in the step-by-step simulators, about
+#: 256 steps of 64 one-dimensional chains and one step per block once a step
+#: alone needs as many, and a row slice of the noise amplification's pair.
+_NOISE_BLOCK = 1 << 14
 
 
 def ar1_filter(x, b0, phi, z) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, RngStream, ar1_filter
+from .core import _NOISE_BLOCK, ConfigError, RngStream, ar1_filter
 from .optim import amplification_factor
 from .problems import DatasetProblem
 
@@ -113,18 +113,48 @@ def pair_amplification_ratios(
     m, m_prev = _simulate_buffers(beta1, steps, dim, rng)
     m_tail, prev_tail = m[burn_in:], m_prev[burn_in:]
     usable = ((steps - burn_in) // n_blocks) * n_blocks
-    m_var = m_tail.var(axis=0).mean()
-    m_block_vars = m_tail[:usable].reshape(n_blocks, -1, dim).var(axis=1).mean(axis=1)
-    # One pair array, rewritten for each beta0: memory does not grow with their count.
-    results, pair = [], np.empty_like(m_tail)
+
+    def batches(a):
+        return a[:usable].reshape(n_blocks, -1, dim)
+
+    # One scratch series beside the buffers holds each variance's deviations
+    # and each pair, which a variance overwrites: memory does not grow with
+    # the count of beta0 values.
+    scratch = np.empty_like(m_tail)
+    m_var = _variance(m_tail, 0, scratch).mean()
+    m_block_vars = _variance(batches(m_tail), 1, batches(scratch)).mean(axis=1)
+    results = []
     for beta0 in beta0_values:
-        np.multiply(m_tail, 1.0 + beta0, out=pair)
-        pair -= beta0 * prev_tail
-        ratio = float(pair.var(axis=0).mean() / m_var)
-        pb = pair[:usable].reshape(n_blocks, -1, dim)
-        block_ratios = pb.var(axis=1).mean(axis=1) / m_block_vars
+        pair = _pair(m_tail, prev_tail, beta0, scratch)
+        ratio = float(_variance(pair, 0, pair).mean() / m_var)
+        pair = batches(_pair(m_tail, prev_tail, beta0, scratch))
+        block_ratios = _variance(pair, 1, pair).mean(axis=1) / m_block_vars
         results.append((ratio, float(block_ratios.std(ddof=1) / math.sqrt(n_blocks))))
     return results
+
+
+def _pair(m, m_prev, beta0: float, out: np.ndarray) -> np.ndarray:
+    """(1 + beta0) m - beta0 m_prev written into ``out``, the bits of the
+    whole-array expression; ``beta0 m_prev`` is formed one row slice of
+    ``_NOISE_BLOCK`` elements at a time."""
+    np.multiply(m, 1.0 + beta0, out=out)
+    rows = max(1, _NOISE_BLOCK // m.shape[1])
+    for lo in range(0, m.shape[0], rows):
+        out[lo:lo + rows] -= beta0 * m_prev[lo:lo + rows]
+    return out
+
+
+def _variance(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """``x.var(axis=axis)`` bit for bit, with x's squared deviations written
+    into ``out`` (shaped like x, and x itself if x may be overwritten) where
+    numpy's ``var`` allocates them: the same ufuncs in the same order."""
+    count = x.shape[axis]
+    mean = np.add.reduce(x, axis=axis, keepdims=True)
+    np.true_divide(mean, count, out=mean)
+    np.subtract(x, mean, out=out)
+    np.square(out, out=out)
+    var = np.add.reduce(out, axis=axis)
+    return np.true_divide(var, count, out=var)
 
 
 @dataclass

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, DivergenceError, NonFiniteError, RngStream, ar1_filter
+from .core import _NOISE_BLOCK, ConfigError, DivergenceError, NonFiniteError, RngStream, ar1_filter
 from .optim import HeavyBall, Pnm, amplification_factor, pn_normalization
 from .problems import QuadraticModel, gaussian_factor
 
@@ -238,10 +238,6 @@ def simulate_stationary(
     )
 
 
-#: Element budget of one block of pre-drawn noise in the step-by-step
-#: simulators (512 KiB of float64): about 1,000 steps of 64 one-dimensional
-#: chains, and one step per block once a step alone needs as many.
-_NOISE_BLOCK = 1 << 16
 _SPECTRAL_BLOCK = 2_000_000
 
 

@@ -97,14 +97,6 @@ class QuadraticModel(GradientOracle):
         return self.gradient(theta)
 
 
-def rosenbrock_eval(theta) -> tuple[float, np.ndarray]:
-    """Rosenbrock function f = (1-x)^2 + 100(y-x^2)^2 with its gradient."""
-    theta = as_param_vector(theta, name="theta")
-    if theta.shape[0] != 2:
-        raise DimensionMismatchError("rosenbrock is defined on 2-vectors")
-    return RosenbrockProblem().full_gradient(theta)
-
-
 class RosenbrockProblem(GradientOracle):
     """Deterministic Rosenbrock oracle (smooth, nonconvex, 2-D)."""
 

@@ -49,7 +49,6 @@ from pnmkit.problems import (
     LinearRegressionProblem,
     QuadraticModel,
     RosenbrockProblem,
-    rosenbrock_eval,
 )
 
 
@@ -68,13 +67,14 @@ def test_criterion_01_momentum_recovery():
     scale = pn_normalization(b0)
     hb = HeavyBall(dim=2, lr=1e-3, beta1=beta1, beta3=0.1)
     pnm = Pnm(dim=2, lr=1e-3 * scale, beta0=b0, beta1=beta1)
+    ros = RosenbrockProblem()
     th_h = np.array([-1.2, 1.0])
     th_p = th_h.copy()
     worst = 0.0
     for _ in range(1000):
-        _, gh = rosenbrock_eval(th_h)
+        _, gh = ros.full_gradient(th_h)
         th_h = hb.step(th_h, gh)
-        _, gp = rosenbrock_eval(th_p)
+        _, gp = ros.full_gradient(th_p)
         th_p = pnm.step(th_p, gp)
         worst = max(worst, float(np.max(np.abs(th_h - th_p))))
     elapsed = time.perf_counter() - t0

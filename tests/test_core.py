@@ -141,9 +141,10 @@ class TestAr1Filter:
         assert blocked_calls == []
 
     def test_long_series_run_in_chunks(self, blocked_calls):
+        n = 2 * core._AR1_CHUNK + 1
         rng = np.random.default_rng(4)
-        _assert_bits(rng.standard_normal((600_001, 1)), 0.19, 0.81, rng.standard_normal((1, 1)))
-        assert len(blocked_calls) == 2 and sum(blocked_calls) == 600_001
+        _assert_bits(rng.standard_normal((n, 1)), 0.19, 0.81, rng.standard_normal((1, 1)))
+        assert len(blocked_calls) == 2 and sum(blocked_calls) == n
 
     def test_x_must_be_writeable_c_contiguous(self):
         x = np.random.default_rng(9).standard_normal((3, 40 * self.BLOCK))
@@ -198,7 +199,7 @@ class TestAr1Filter:
         "one_step": (1, 2, 0.7, 0.5, None),
         "per_column": (2 * BLOCK + 1, 2, np.array([0.7, -1.3]), np.array([0.5, -0.25]), None),
         "blocked_head": (40 * BLOCK + 37, 2, np.array([0.7, -1.3]), np.array([0.5, -0.25]), None),
-        "two_chunks": (600_001, 1, 0.19, 0.81, None),
+        "two_chunks": (2 * core._AR1_CHUNK + 1, 1, 0.19, 0.81, None),
         "last_negative_zero": (40 * BLOCK + 37, 2, 0.7, 0.5, -0.0),
         # At phi = 0 the final state is the sign of the zero x[-1] * 0.0 less
         # the zero y[-1] * -0.0, and b0 < 0 gives y[-1] the other sign.
@@ -220,8 +221,9 @@ class TestAr1Filter:
         # second of two chunks falls back to the per-column path after the
         # first was written: that path must read the chunk's inputs, its head
         # step included, not outputs. The last input is -0.0.
-        x = np.random.default_rng(11).standard_normal((600_001, 1))
-        x[500_000], x[-1] = 0.0, -0.0
-        assert (len(x) - 300_000) % 16 == 1
+        chunk = core._AR1_CHUNK
+        x = np.random.default_rng(11).standard_normal((2 * chunk + 1, 1))
+        x[chunk + chunk // 2], x[-1] = 0.0, -0.0
+        assert (len(x) - chunk) % 16 == 1
         _assert_bits(x, 0.7, 0.0, np.full((1, 1), 0.25))
-        assert blocked_calls == [300_000, 300_001]
+        assert blocked_calls == [chunk, chunk + 1]

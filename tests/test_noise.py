@@ -106,6 +106,27 @@ class TestBufferSimulation:
         assert abs(tail.var() - single_buffer_stationary_variance(0.9)) < 4 * se
 
 
+def _reference_ratios(beta1, beta0_values, steps, rng, dim):
+    """The whole-array computation that ``pair_amplification_ratios`` ran
+    before it kept its deviations in one scratch series: numpy's ``var`` on
+    the buffers and on a pair built with a series-length ``beta0 m_prev``."""
+    burn_in = min(default_burn_in(beta1), steps // 2)
+    n_blocks = max(10, min(100, (steps - burn_in) // 1000))
+    m, m_prev = _simulate_buffers(beta1, steps, dim, rng)
+    m_tail, prev_tail = m[burn_in:], m_prev[burn_in:]
+    usable = ((steps - burn_in) // n_blocks) * n_blocks
+    m_var = m_tail.var(axis=0).mean()
+    m_block_vars = m_tail[:usable].reshape(n_blocks, -1, dim).var(axis=1).mean(axis=1)
+    results = []
+    for beta0 in beta0_values:
+        pair = (1.0 + beta0) * m_tail - beta0 * prev_tail
+        ratio = float(pair.var(axis=0).mean() / m_var)
+        pb = pair[:usable].reshape(n_blocks, -1, dim)
+        block_ratios = pb.var(axis=1).mean(axis=1) / m_block_vars
+        results.append((ratio, float(block_ratios.std(ddof=1) / math.sqrt(n_blocks))))
+    return results
+
+
 class TestPairRatio:
     @pytest.mark.parametrize("beta0", [0.5, 1.0, 2.0])
     def test_ratio_matches_amplification(self, beta0):
@@ -142,14 +163,24 @@ class TestPairRatio:
         with pytest.raises(ValueError, match="beta0 = "):
             pair_amplification_ratios(0.9, [1.0, 1e155], 2_000, RngStream(0))
 
-    def test_memory_stays_near_three_series(self, traced_peak):
-        # At the benchmark's 400,000 steps the buffer, the pair and np.var's
-        # temporary are each one series of steps x dim floats; another copy
-        # of the buffers (as the filter's output or a shifted m_prev) or a
-        # pair per beta0 would pass 3.5.
+    @pytest.mark.parametrize("beta1, steps, dim", [(0.9, 40_001, 1), (0.9, 40_001, 3),
+                                                   (0.0, 2_001, 3), (0.99, 123_457, 1)])
+    def test_matches_whole_array_reference(self, beta1, steps, dim):
+        beta0s = [0.5, 1.0, 2.0, -0.5]
+        got = pair_amplification_ratios(beta1, beta0s, steps, RngStream(35), dim)
+        want = _reference_ratios(beta1, beta0s, steps, RngStream(35), dim)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_memory_stays_near_two_series(self, traced_peak):
+        # At the benchmark's 400,000 steps of three beta0 values, the buffer
+        # and the scratch are each one series of steps x dim floats (3.05
+        # MiB); beside them only slices and batch sums. A whole-series
+        # temporary (np.var's deviations, beta0 * m_prev, a copy of the
+        # buffers) or a pair per beta0 would pass 1 MiB over the two.
         steps = 400_000
-        peak = traced_peak(lambda: pair_amplification_ratio(0.9, 1.0, steps, RngStream(34)))
-        assert peak < 3.5 * 8 * steps
+        peak = traced_peak(lambda: pair_amplification_ratios(0.9, [0.5, 1.0, 2.0], steps,
+                                                             RngStream(34)))
+        assert peak < 2 * 8 * steps + (1 << 20)
 
 
 class TestNoiseCovariance:

@@ -20,7 +20,6 @@ from pnmkit.problems import (
     AdditiveNoiseOracle,
     QuadraticModel,
     RosenbrockProblem,
-    rosenbrock_eval,
 )
 
 
@@ -76,12 +75,13 @@ class TestPnm:
         scale = pn_normalization(b0)
         hb = HeavyBall(dim=2, lr=1e-3, beta1=beta1, beta3=1.0 - beta1)
         pnm = Pnm(dim=2, lr=1e-3 * scale, beta0=b0, beta1=beta1)
+        ros = RosenbrockProblem()
         th_h = np.array([-1.2, 1.0])
         th_p = th_h.copy()
         for _ in range(1000):
-            _, gh = rosenbrock_eval(th_h)
+            _, gh = ros.full_gradient(th_h)
             th_h = hb.step(th_h, gh)
-            _, gp = rosenbrock_eval(th_p)
+            _, gp = ros.full_gradient(th_p)
             th_p = pnm.step(th_p, gp)
             assert np.max(np.abs(th_h - th_p)) <= 1e-10
 

@@ -6,10 +6,9 @@ import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
 from pnmkit import optim
-from pnmkit.core import _AR1_CHUNK, DivergenceError, NonFiniteError, RngStream
+from pnmkit.core import _AR1_CHUNK, _NOISE_BLOCK, DivergenceError, NonFiniteError, RngStream
 from pnmkit.optim import HeavyBall, Pnm, amplification_factor
 from pnmkit.posterior import (
-    _NOISE_BLOCK,
     _mode_system,
     check_stable,
     discrete_ou_variance,
@@ -398,9 +397,10 @@ def _block_setting(dim, cov_kind):
 class TestBlockNoise:
     """``simulate_stationary`` draws its noise in blocks of at most
     ``_NOISE_BLOCK`` elements and still equals the per-step loop bit for
-    bit. At 1,000 burn-in plus 500 (or 1,500 thinned) steps per chain no
-    run is a whole number of blocks, and a 64-chain 1-D run spans two or
-    three."""
+    bit. At 1,000 burn-in plus 500 (or 1,500 thinned) steps per chain every
+    run ends in a partial block but the two 5-D 'pnm' runs with 64 chains
+    (whole blocks of 25 steps), and a 64-chain 1-D run spans 6 to 20
+    blocks."""
 
     @pytest.mark.parametrize("kind,dim,cov_kind,chains,thin", list(product(
         ["sgd", "hb", "pnm", "pnm_momentum"], [1, 5], ["scalar", "matrix"], [1, 7, 64], [1, 3])))
@@ -415,11 +415,12 @@ class TestBlockNoise:
 
     def test_centers_the_kept_iterates_in_place(self, traced_peak):
         # The benchmark's 8,000 iterates of 64 chains: a centered copy of
-        # them would double the kept array's bytes.
+        # them would double the kept array's bytes, and a noise block of 2^16
+        # values (its draws and their product with L) would pass 0.5 MiB.
         model, per_chain, chains = QuadraticModel([0.0], [[1.0]]), 8_000, 64
         peak = traced_peak(lambda: simulate_stationary(
             model, 1.0, "sgd", 0.01, 2_000, per_chain * chains, RngStream(5), chains=chains))
-        assert peak < 8 * per_chain * chains + 4 * 8 * _NOISE_BLOCK
+        assert peak < 8 * per_chain * chains + (1 << 19)
 
     @pytest.mark.parametrize("kind", ["sgd", "pnm"])
     def test_draws_stay_within_the_block_budget(self, monkeypatch, kind):

@@ -14,7 +14,6 @@ from pnmkit.problems import (
     fd_gradient_check,
     load_csv_dataset,
     make_two_moons,
-    rosenbrock_eval,
 )
 
 
@@ -61,13 +60,13 @@ class TestQuadratic:
 
 class TestRosenbrock:
     def test_global_minimum(self):
-        loss, grad = rosenbrock_eval([1.0, 1.0])
+        loss, grad = RosenbrockProblem().full_gradient([1.0, 1.0])
         assert loss == 0.0
         np.testing.assert_array_equal(grad, [0.0, 0.0])
 
     def test_origin(self):
         # f(0,0) = 1; df/dx = -2(1-x) - 400x(y-x^2) = -2 at the origin
-        loss, grad = rosenbrock_eval([0.0, 0.0])
+        loss, grad = RosenbrockProblem().full_gradient([0.0, 0.0])
         assert loss == 1.0
         np.testing.assert_allclose(grad, [-2.0, 0.0])
 

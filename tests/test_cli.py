@@ -826,6 +826,43 @@ assert not loaded, loaded
         assert proc.returncode == 0, proc.stderr
 
 
+def _code_names(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name that ``tree`` uses in code;
+    docstrings and other strings do not count."""
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    return {getattr(node, field[type(node)]) for node in ast.walk(tree) if type(node) in field}
+
+
+class TestSurface:
+    """``src/pnmkit`` ships only what a command or the benchmark reaches;
+    reference code that only tests use lives in ``tests/reference.py``."""
+
+    def test_every_public_definition_is_reached(self):
+        modules = {path.stem: ast.parse(path.read_text())
+                   for path in sorted((SRC / "pnmkit").glob("*.py"))}
+        bench = sorted((SRC.parent / "perfbench").glob("*.py"))
+        assert modules and bench
+        bench_names = set().union(*(_code_names(ast.parse(p.read_text())) for p in bench))
+        unreached = []
+        for stem, tree in modules.items():
+            defs = {node.name: node for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            # Named by another module, the benchmark, or this module's top-level code.
+            named = bench_names.union(*(_code_names(other) for s, other in modules.items()
+                                        if s != stem),
+                                      *(_code_names(node) for node in tree.body
+                                        if not isinstance(node, (ast.FunctionDef, ast.ClassDef))))
+            frontier = [name for name in defs if name in named]
+            reached = set(frontier)
+            while frontier:  # ... or by a definition reached already
+                new = (_code_names(defs[frontier.pop()]) & defs.keys()) - reached
+                reached |= new
+                frontier.extend(new)
+            unreached += [f"{stem}.{name}" for name in defs
+                          if not name.startswith("_") and name not in reached]
+        assert not unreached, unreached
+
+
 class TestUsage:
     SEEDED = {"run", "sweep-beta0", "label-noise", "grid", "posterior", "noise",
               "convergence"}
@@ -1140,7 +1177,7 @@ class TestCsvMlp:
 
     # 1e300 hit an invalid cast and -1 read as a one-class split.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("label", [-1, 1e300, 30])
+    @pytest.mark.parametrize("label", [-1, 1e300, 30, 0.5])
     def test_label_outside_row_range_names_its_line(self, tmp_path, capsys, label):
         data = write_csv(tmp_path / "data.csv", [i % 2 for i in range(29)] + [label])
         cfg = write_config(tmp_path, self.config(csv_path=data))

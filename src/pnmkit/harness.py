@@ -4,9 +4,10 @@ Configs are JSON dicts read by :func:`read_config`, one key table per
 section and per problem, optimizer, decay or noise name: an unknown key or
 bad value is an error naming the key, never coerced or defaulted. Every JSON
 output starts from :func:`provenance` (the config as run, its digest, the PRNG
-identifier) and every CSV from the digest and PRNG; re-running a config gives
-byte-identical outputs. Trajectory CSVs, whose provenance line adds the seed,
-use the fixed column order ``step,loss,grad_norm_sq[,test_error]``.
+identifier). Every CSV is a table of rows of values, header row first, that one
+writer puts under a digest and PRNG line (a trajectory's adds the seed): a string
+cell as is, an int as its digits, any other number as its float's repr. Reruns
+give byte-identical outputs, and no output holds a non-finite number.
 
 Comparative experiments (label-noise robustness, the beta0 sweep, the
 lr x weight-decay grid) report seed-majority directional outcomes rather
@@ -500,7 +501,7 @@ def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1) -> dict:
     summary = {**provenance(cfg), **_summary(results)}
     if out_dir is not None:
         digest = summary["config_digest"]
-        out_dir = write_report(out_dir, digest, {f"summary_{digest}.json": summary})
+        out_dir = write_report(out_dir, f"summary_{digest}.json", summary)
         for r in results:
             write_trajectory_csv(out_dir / f"trajectory_{digest}_seed{r.seed}.csv", r, digest)
     return summary
@@ -523,52 +524,59 @@ def _non_finite_fields(value, name: str = ""):
     elif isinstance(value, dict):
         for key in sorted(value):
             yield from _non_finite_fields(value[key], _key(name, str(key)))
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             yield from _non_finite_fields(item, f"{name}[{i}]")
+
+
+def _refuse_non_finite(path: Path, value, name: str = "") -> None:
+    """Raise a :class:`DivergenceError` naming ``path`` and ``value``'s first non-finite number."""
+    field = next(_non_finite_fields(value, name), None)
+    if field is not None:
+        raise DivergenceError(f"'{field}' is not finite, so {path} cannot be written") from None
 
 
 def write_json(path: Path, payload: dict) -> None:
     """Write ``payload`` as strict JSON. A non-finite number has no JSON
     token, so it raises a :class:`DivergenceError` naming file and field."""
-    try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:
-        field = next(_non_finite_fields(payload), None)
-        if field is None:
-            raise
-        raise DivergenceError(f"'{field}' is not finite, so {path} cannot be written") from None
-    Path(path).write_text(text + "\n")
+    _refuse_non_finite(path, payload)
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def write_report(out_dir, digest: str, json_files: dict[str, dict],
-                 csv_files: Optional[dict[str, list[str]]] = None) -> Path:
-    """Create ``out_dir`` and write each named JSON payload and CSV table
-    into it. A CSV is given as its header line followed by its rows and
-    is written after a ``# config_digest=... prng=...`` provenance line.
-    Returns the directory as a :class:`Path`.
-    """
+def _cell(v) -> str:
+    """A CSV cell: a string as is, an int as its digits, any other number as its float's repr."""
+    return v if isinstance(v, str) else repr(v if isinstance(v, int) else float(v))
+
+
+def _write_table(path: Path, rows: list, digest: str, seed: Optional[int] = None) -> None:
+    """Write ``rows`` (header row first) as CSV under a ``# config_digest=... [seed=...] prng=...``
+    line. As in JSON, a non-finite cell raises a :class:`DivergenceError` naming file and cell."""
+    _refuse_non_finite(path, rows, "rows")
+    seed_field = "" if seed is None else f" seed={seed}"
+    lines = [f"# config_digest={digest}{seed_field} prng={RNG_ALGORITHM}"]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_report(out_dir, name: str, payload: dict,
+                 tables: Optional[dict[str, list]] = None) -> Path:
+    """Create ``out_dir`` and write into it ``payload`` as the JSON file ``name`` and each named
+    table, a list of rows of values with its header row first, as CSV; returns it as a Path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, payload in json_files.items():
-        write_json(out_dir / name, payload)
-    for name, lines in (csv_files or {}).items():
-        provenance = f"# config_digest={digest} prng={RNG_ALGORITHM}"
-        (out_dir / name).write_text("\n".join([provenance, *lines]) + "\n")
+    write_json(out_dir / name, payload)
+    for table, rows in (tables or {}).items():
+        _write_table(out_dir / table, rows, payload["config_digest"])
     return out_dir
 
 
 def write_trajectory_csv(path: Path, result: RunResult, digest: str) -> None:
+    """Write one seed's trajectory, one row per evaluation, under a provenance line with
+    the seed. Columns: step, loss, grad_norm_sq and, on a classification problem, test_error."""
     has_test = result.final_test_error is not None
-    lines = [f"# config_digest={digest} seed={result.seed} prng={RNG_ALGORITHM}"]
-    header = "step,loss,grad_norm_sq" + (",test_error" if has_test else "")
-    lines.append(header)
-    for rec in result.trajectory:
-        row = f"{rec.step},{rec.loss!r},{rec.grad_norm_sq!r}"
-        if has_test:
-            row += f",{rec.test_error!r}"
-        lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = ["step", "loss", "grad_norm_sq", "test_error"][:3 + has_test]
+    rows = [[getattr(rec, column) for column in columns] for rec in result.trajectory]
+    _write_table(path, [columns, *rows], digest, result.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +627,7 @@ def label_noise_experiment(cfg: dict, optimizer_a: dict, optimizer_b: dict,
         "test_error_comparison": seed_majority_wins(errs_a, errs_b),
     }
     if out_dir is not None:
-        write_report(out_dir, report["config_digest"], {"label_noise_report.json": report})
+        write_report(out_dir, "label_noise_report.json", report)
     return report
 
 
@@ -659,10 +667,9 @@ def beta0_sweep(cfg: dict, beta0_grid, out_dir: Optional[Path] = None,
         "dominating_beta0": dominating,
     }
     if out_dir is not None:
-        table = ["beta0,mean_test_error,std_test_error"]
-        table += [f"{row['beta0']!r},{row['mean']!r},{row['std']!r}" for row in rows]
-        write_report(out_dir, report["config_digest"], {"beta0_sweep.json": report},
-                     {"beta0_sweep.csv": table})
+        table = [["beta0", "mean_test_error", "std_test_error"]]
+        table += [[row["beta0"], row["mean"], row["std"]] for row in rows]
+        write_report(out_dir, "beta0_sweep.json", report, {"beta0_sweep.csv": table})
     return report
 
 
@@ -694,10 +701,6 @@ def lr_wd_grid(cfg: dict, lrs, lams, out_dir: Optional[Path] = None,
     matrix = [cells[i:i + len(lams)] for i in range(0, len(cells), len(lams))]
     report = {**provenance({"base": cfg, "lrs": lrs, "lams": lams}), "mean_test_error": matrix}
     if out_dir is not None:
-        table = ["lr\\lam," + ",".join(repr(l) for l in lams)]
-        for lr, row in zip(lrs, matrix):
-            table.append(repr(lr) + "," + ",".join(
-                c if isinstance(c, str) else repr(c) for c in row))
-        write_report(out_dir, report["config_digest"], {"lr_wd_grid.json": report},
-                     {"lr_wd_grid.csv": table})
+        table = [["lr\\lam", *lams], *([lr, *row] for lr, row in zip(lrs, matrix))]
+        write_report(out_dir, "lr_wd_grid.json", report, {"lr_wd_grid.csv": table})
     return report

@@ -147,6 +147,20 @@ class TestExitCodes:
         ))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DIVERGED
 
+    # 2^1000 and 2^-1000: step 1 lands exactly on 0, but the gradient at theta0 squares
+    # to inf. It used to exit 0 with a finite summary and a trajectory row 0,inf,inf.
+    def test_non_finite_trajectory_cell_is_divergence(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, run_config(
+            problem={"name": "quadratic", "eigenvalues": [1.0715086071862673e+301],
+                     "theta0": [1048576.0]},
+            optimizer={"name": "sgd", "lr": 9.332636185032189e-302}, steps=1, seeds=[0]))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert "'rows[1][1]' is not finite" in err
+        (path,) = re.findall(r"so (\S+trajectory_\w+_seed0\.csv) cannot be written", err)
+        assert not Path(path).exists()
+
     # It used to overflow with a RuntimeWarning instead of ending as 1e20 does.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_init_scale_is_divergence(self, tmp_path, capsys):
@@ -962,8 +976,17 @@ class TestProvenance:
                 key = SEED_KEYS[command]
                 assert lookup(payload["config"], key) == ([seed] if key.endswith("s") else seed)
             for csv in out.glob("*.csv"):
-                header = csv.read_text().splitlines()[0]
+                header, columns, *rows = csv.read_text().splitlines()
                 assert header.startswith(f"# config_digest={payload['config_digest']} ")
+                # Counts are bare digits; every other cell is the repr of its float.
+                for row in rows:
+                    cells = row.split(",")
+                    assert len(cells) == len(columns.split(","))
+                    for column, cell in zip(columns.split(","), cells):
+                        if column in ("step", "horizon"):
+                            assert cell.isdecimal(), (csv.name, row)
+                        else:
+                            assert repr(float(cell)) == cell, (csv.name, row)
             digests.append(payload["config_digest"])
         assert len(set(digests)) == len(seeds)
 

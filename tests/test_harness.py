@@ -212,6 +212,8 @@ class TestRun:
                     == (tmp_path / "pool" / name).read_bytes())
         if protocol == "lr_wd_grid":
             assert serial["mean_test_error"][1] == ["diverged", "diverged"]
+            csv = (tmp_path / "serial" / "lr_wd_grid.csv").read_text().splitlines()
+            assert csv[-1] == "0.6,diverged,diverged"
 
     def test_jobs_run_serially_in_the_calling_thread(self, monkeypatch):
         # A thread pool ran these jobs on worker threads, slower than serial.

@@ -106,10 +106,9 @@ class GradientOracle(ABC):
 
     Every gradient is a plain float64 array of shape ``(dim,)``.
     :meth:`full_gradient` returns the loss with the exact gradient, and
-    :meth:`gradient` the same gradient alone.
-    Oracles that sample without a batch size also define
-    ``stochastic_gradient(theta, rng)``, an unbiased gradient sample;
-    dataset problems draw minibatches with ``minibatch_gradient`` instead.
+    :meth:`gradient` the same gradient alone, and
+    :meth:`stochastic_gradient` an unbiased sample of it; dataset problems
+    sample through ``minibatch_gradient`` instead, which takes a batch size.
 
     The analytic oracles (quadratic, Rosenbrock and the additive-noise
     oracle) write each formula once on a ``(..., dim)`` theta, checked by
@@ -124,6 +123,7 @@ class GradientOracle(ABC):
     """
 
     dim: int
+    noise = None
 
     @abstractmethod
     def full_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -133,6 +133,11 @@ class GradientOracle(ABC):
         """The exact gradient alone, the bits of ``full_gradient(theta)[1]``;
         the quadratic overrides it to skip its loss."""
         return self.full_gradient(theta)[1]
+
+    def stochastic_gradient(self, theta: np.ndarray, rng: RngStream) -> np.ndarray:
+        """The exact gradient, plus ``noise`` of the next standard normals of ``rng`` if set."""
+        grad = self.gradient(theta)
+        return grad if self.noise is None else grad + self.noise(rng.standard_normal(grad.shape))
 
     def _check_dim(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)

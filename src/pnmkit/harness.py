@@ -7,7 +7,8 @@ output starts from :func:`provenance` (the config as run, its digest, the PRNG
 identifier). Every CSV is a table of rows of values, header row first, that one
 writer puts under a digest and PRNG line (a trajectory's adds the seed): a string
 cell as is, an int as its digits, any other number as its float's repr. Reruns
-give byte-identical outputs, and no output holds a non-finite number.
+give byte-identical outputs, and no output holds a non-finite number: a report
+with one is refused before any of its files is written.
 
 Comparative experiments (label-noise robustness, the beta0 sweep, the
 lr x weight-decay grid) report seed-majority directional outcomes rather
@@ -501,9 +502,13 @@ def run(cfg: dict, out_dir: Optional[Path] = None, threads: int = 1) -> dict:
     summary = {**provenance(cfg), **_summary(results)}
     if out_dir is not None:
         digest = summary["config_digest"]
-        out_dir = write_report(out_dir, f"summary_{digest}.json", summary)
-        for r in results:
-            write_trajectory_csv(out_dir / f"trajectory_{digest}_seed{r.seed}.csv", r, digest)
+        trajectories = {Path(out_dir) / f"trajectory_{digest}_seed{r.seed}.csv": r for r in results}
+        _refuse_non_finite(Path(out_dir) / f"summary_{digest}.json", summary)
+        for path, r in trajectories.items():
+            _refuse_non_finite(path, _trajectory_rows(r), "rows")
+        write_report(out_dir, f"summary_{digest}.json", summary)
+        for path, r in trajectories.items():
+            write_trajectory_csv(path, r, digest)
     return summary
 
 
@@ -561,22 +566,31 @@ def _write_table(path: Path, rows: list, digest: str, seed: Optional[int] = None
 def write_report(out_dir, name: str, payload: dict,
                  tables: Optional[dict[str, list]] = None) -> Path:
     """Create ``out_dir`` and write into it ``payload`` as the JSON file ``name`` and each named
-    table, a list of rows of values with its header row first, as CSV; returns it as a Path."""
+    table, a list of rows of values with its header row first, as CSV; returns it as a Path.
+    Every file is checked before the first is written, so a refused report writes none."""
     out_dir = Path(out_dir)
+    tables = {out_dir / table: rows for table, rows in (tables or {}).items()}
+    _refuse_non_finite(out_dir / name, payload)
+    for path, rows in tables.items():
+        _refuse_non_finite(path, rows, "rows")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / name, payload)
-    for table, rows in (tables or {}).items():
-        _write_table(out_dir / table, rows, payload["config_digest"])
+    for path, rows in tables.items():
+        _write_table(path, rows, payload["config_digest"])
     return out_dir
 
 
-def write_trajectory_csv(path: Path, result: RunResult, digest: str) -> None:
-    """Write one seed's trajectory, one row per evaluation, under a provenance line with
-    the seed. Columns: step, loss, grad_norm_sq and, on a classification problem, test_error."""
+def _trajectory_rows(result: RunResult) -> list:
+    """One seed's trajectory table, one row per evaluation. Columns: step, loss,
+    grad_norm_sq and, on a classification problem, test_error."""
     has_test = result.final_test_error is not None
     columns = ["step", "loss", "grad_norm_sq", "test_error"][:3 + has_test]
-    rows = [[getattr(rec, column) for column in columns] for rec in result.trajectory]
-    _write_table(path, [columns, *rows], digest, result.seed)
+    return [columns, *([getattr(rec, column) for column in columns] for rec in result.trajectory)]
+
+
+def write_trajectory_csv(path: Path, result: RunResult, digest: str) -> None:
+    """Write one seed's trajectory table under a provenance line with the seed."""
+    _write_table(path, _trajectory_rows(result), digest, result.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""First-order optimizers: Heavy Ball / SGD with momentum, positive-negative
-momentum (PNM), its adaptive variants (AdaPNM with and without the AMSGrad
-max-tracking), and Adam/AMSGrad baselines.
+"""First-order optimizers: two momentum rules and one adaptive layer.
 
+The momentum rules are Heavy Ball (SGD with momentum; Adam's EMA
+convention at beta3 = 1 - beta1) and positive-negative momentum (PNM).
 PNM keeps two momentum buffers fed by alternating steps,
 
     m_t = beta1^2 m_{t-2} + (1 - beta1^2) g_t,
@@ -9,8 +9,11 @@ PNM keeps two momentum buffers fed by alternating steps,
 and updates parameters with the positive-negative pair
 (1 + beta0) m_t - beta0 m_{t-1}, with the learning rate normalized by
 sqrt((1 + beta0)^2 + beta0^2) so the noise-to-step ratio stays comparable
-across beta0. Setting beta0 = -beta1 / (1 + beta1) and pre-multiplying the
-learning rate by the same normalizer reproduces conventional momentum (and
+across beta0. The adaptive layer divides either rule's bias-corrected
+momentum by Adam's second moment (optionally its AMSGrad running
+maximum): over Heavy Ball it is Adam/AMSGrad, over PNM it is AdaPNM.
+Setting beta0 = -beta1 / (1 + beta1) and pre-multiplying the learning
+rate by the same normalizer reproduces conventional momentum (and
 Adam/AMSGrad for the adaptive variants) exactly; the tests pin this to
 1e-10 per step.
 """
@@ -114,6 +117,13 @@ class Optimizer:
         raise NotImplementedError
 
 
+def _unit_interval(name: str, value: float) -> float:
+    """``value`` as a float; a ``ValueError`` naming it if it lies outside [0, 1)."""
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"{name} must lie in [0, 1)")
+    return float(value)
+
+
 class HeavyBall(Optimizer):
     """m <- beta1 m + beta3 g; theta <- theta - lr m.
 
@@ -121,19 +131,23 @@ class HeavyBall(Optimizer):
     Adam-style (EMA) momentum convention.
     """
 
+    norm = 1.0  # the momentum step is not rescaled
+
     def __init__(self, dim, lr, beta1=0.9, beta3=1.0, weight_decay=None):
         super().__init__(dim, lr, weight_decay)
-        if not 0.0 <= beta1 < 1.0:
-            raise ValueError("beta1 must lie in [0, 1)")
+        self.beta1 = _unit_interval("beta1", beta1)
         if not 0.0 < beta3 <= 1.0:
             raise ValueError("beta3 must lie in (0, 1]")
-        self.beta1 = float(beta1)
         self.beta3 = float(beta3)
         self.m = np.zeros(self.dim)
 
-    def _update(self, theta, grad):
+    def _momentum(self, grad):
+        """Fold ``grad`` into the buffer and return it."""
         self.m = self.beta1 * self.m + self.beta3 * grad
-        return theta - self.lr * self.m
+        return self.m
+
+    def _update(self, theta, grad):
+        return theta - self.lr * self._momentum(grad)
 
 
 class Pnm(Optimizer):
@@ -148,15 +162,13 @@ class Pnm(Optimizer):
         super().__init__(dim, lr, weight_decay)
         if beta0 < -1.0:
             raise ValueError("beta0 must be >= -1")
-        if not 0.0 <= beta1 < 1.0:
-            raise ValueError("beta1 must lie in [0, 1)")
+        self.beta1 = _unit_interval("beta1", beta1)
         self.beta0 = float(beta0)
-        self.beta1 = float(beta1)
         self.norm = pn_normalization(self.beta0)
         self.m = np.zeros(self.dim)        # m_{t-1} before step, m_t after
         self.m_prev = np.zeros(self.dim)   # m_{t-2} before step, m_{t-1} after
 
-    def _pair(self, grad):
+    def _momentum(self, grad):
         """Refresh the older buffer with ``grad``, rotate the two, and
         return the positive-negative pair (1 + beta0) m_t - beta0 m_{t-1}."""
         bsq = self.beta1 * self.beta1
@@ -167,40 +179,50 @@ class Pnm(Optimizer):
         return pair
 
     def _update(self, theta, grad):
-        return theta - (self.lr / self.norm) * self._pair(grad)
+        return theta - (self.lr / self.norm) * self._momentum(grad)
 
 
-class Adam(Optimizer):
-    """Adam baseline with bias correction; ``amsgrad=True`` keeps the
-    running entrywise maximum of the second-moment estimate."""
+class _Adaptive:
+    """Adam's second moment over a momentum rule's ``_momentum`` and ``norm``.
 
-    def __init__(self, dim, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                 amsgrad=False, weight_decay=None):
-        super().__init__(dim, lr, weight_decay)
-        if not 0.0 <= beta1 < 1.0:
-            raise ValueError("beta1 must lie in [0, 1)")
-        if not 0.0 <= beta2 < 1.0:
-            raise ValueError("beta2 must lie in [0, 1)")
+    The bias-corrected momentum is divided by sqrt(v_hat) + eps. With
+    ``amsgrad=True`` v_hat is the running entrywise maximum of the second
+    moment and ``norm`` divides the learning rate; otherwise v_hat is the
+    raw bias-corrected second moment and ``norm`` divides the momentum.
+    At ``norm = 1`` both forms are Adam's (AMSGrad's) update.
+    """
+
+    def __init__(self, beta2, eps, amsgrad, *momentum_args):
+        super().__init__(*momentum_args)
+        self.beta2 = _unit_interval("beta2", beta2)
         if eps <= 0:
             raise ValueError("eps must be > 0")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
         self.eps = float(eps)
         self.amsgrad = bool(amsgrad)
-        self.m = np.zeros(self.dim)
         self.v = np.zeros(self.dim)
         self.v_max = np.zeros(self.dim)
 
     def _update(self, theta, grad):
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        m = self._momentum(grad)
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
         if self.amsgrad:
             self.v_max = np.maximum(self.v_max, self.v)
-            v_hat = self.v_max / (1.0 - self.beta2 ** self.t)
+            lr, m_hat, v = self.lr / self.norm, m / bc1, self.v_max
         else:
-            v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            lr, m_hat, v = self.lr, m / (bc1 * self.norm), self.v
+        return theta - lr * m_hat / (np.sqrt(v / bc2) + self.eps)
+
+
+class Adam(_Adaptive, HeavyBall):
+    """Adam baseline: EMA momentum (beta3 = 1 - beta1) with bias correction;
+    ``amsgrad=True`` keeps the running entrywise maximum of the second
+    moment."""
+
+    def __init__(self, dim, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
+                 amsgrad=False, weight_decay=None):
+        super().__init__(beta2, eps, amsgrad, dim, lr, beta1, 1.0 - beta1, weight_decay)
 
 
 class AmsGrad(Adam):
@@ -210,41 +232,11 @@ class AmsGrad(Adam):
                          weight_decay=weight_decay)
 
 
-class AdaPnm(Pnm):
-    """Adaptive positive-negative momentum.
-
-    The buffer pair is :class:`Pnm`'s. With ``amsgrad=True`` the second
-    moment uses the running maximum and the pair normalization sits in
-    the denominator; with ``amsgrad=False`` the raw bias-corrected second
-    moment is used and the normalization is folded into the numerator.
-    Both reduce to AMSGrad/Adam at beta0 = -beta1 / (1 + beta1) with a
-    sqrt((1+beta0)^2+beta0^2)-scaled learning rate.
-    """
+class AdaPnm(_Adaptive, Pnm):
+    """Adaptive positive-negative momentum: :class:`Pnm`'s buffer pair under
+    Adam's second moment. Both forms reduce to AMSGrad/Adam at beta0 =
+    -beta1 / (1 + beta1) with a sqrt((1+beta0)^2+beta0^2)-scaled learning rate."""
 
     def __init__(self, dim, lr=1e-3, beta0=1.0, beta1=0.9, beta2=0.999,
                  eps=1e-8, amsgrad=True, weight_decay=None):
-        super().__init__(dim, lr, beta0, beta1, weight_decay)
-        if not 0.0 <= beta2 < 1.0:
-            raise ValueError("beta2 must lie in [0, 1)")
-        if eps <= 0:
-            raise ValueError("eps must be > 0")
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
-        self.amsgrad = bool(amsgrad)
-        self.v = np.zeros(self.dim)
-        self.v_max = np.zeros(self.dim)
-
-    def _update(self, theta, grad):
-        pair = self._pair(grad)
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        if self.amsgrad:
-            self.v_max = np.maximum(self.v_max, self.v)
-            v_hat = self.v_max / bc2
-            m_hat = pair / bc1
-            return theta - (self.lr / self.norm) * m_hat / (np.sqrt(v_hat) + self.eps)
-        v_hat = self.v / bc2
-        m_hat = pair / (bc1 * self.norm)
-        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
+        super().__init__(beta2, eps, amsgrad, dim, lr, beta0, beta1, weight_decay)

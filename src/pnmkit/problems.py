@@ -60,8 +60,6 @@ class QuadraticModel(GradientOracle):
     vanishes exactly at theta*.
     """
 
-    noise = None  # noiseless: the stochastic gradient is the full gradient
-
     def __init__(self, theta_star, hessian, f0: float = 0.0):
         self.theta_star = as_param_vector(theta_star, name="theta_star")
         H = np.asarray(hessian, dtype=np.float64)
@@ -92,15 +90,11 @@ class QuadraticModel(GradientOracle):
     def gradient(self, theta):
         return _matvec(self.H, self._check_stack(theta) - self.theta_star)
 
-    def stochastic_gradient(self, theta, rng) -> np.ndarray:
-        return self.gradient(theta)
-
 
 class RosenbrockProblem(GradientOracle):
     """Deterministic Rosenbrock oracle (smooth, nonconvex, 2-D)."""
 
     dim = 2
-    noise = None  # noiseless: the stochastic gradient is the full gradient
 
     def full_gradient(self, theta):
         # float_power calls libm pow on every element, as a Python float's
@@ -111,9 +105,6 @@ class RosenbrockProblem(GradientOracle):
         r = y - x * x
         loss = np.float_power(1.0 - x, 2.0) + 100.0 * np.float_power(r, 2.0)
         return loss, np.stack([-2.0 * (1.0 - x) - 400.0 * x * r, 200.0 * r], axis=-1)
-
-    def stochastic_gradient(self, theta, rng) -> np.ndarray:
-        return self.gradient(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +136,6 @@ class AdditiveNoiseOracle(GradientOracle):
         if isinstance(self._factor, float):
             return self._factor * z
         return _matvec(self._factor, z)
-
-    def stochastic_gradient(self, theta, rng) -> np.ndarray:
-        grad = self.base.gradient(theta)
-        return grad + self.noise(rng.standard_normal(grad.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,16 @@
 
 None of these is reached by a command or the benchmark, so they live with
 the tests: a diagonal-Gaussian KL (the closed form ``kl_q_gamma``
-specializes), a central-finite-difference gradient check, and the
-recorded PNM run plus the Lemma 1 residuals of its shifted iterates.
+specializes), a central-finite-difference gradient check, the
+recorded PNM run plus the Lemma 1 residuals of its shifted iterates, and
+Adam and AdaPNM written out as two separate update rules, each with its
+own second moment.
 """
 
 import numpy as np
 
 from pnmkit.core import GradientOracle, RngStream, as_param_vector
-from pnmkit.optim import Pnm, pn_normalization
+from pnmkit.optim import Optimizer, Pnm, pn_normalization
 
 
 class GaussianDist:
@@ -105,3 +107,62 @@ def pnm_lemma1_residuals(thetas, ms, grads, lr, beta0, beta1) -> np.ndarray:
     z = (x[2:] - beta * x[:-2]) / (1.0 - beta)
     steps = grads.shape[0]
     return np.max(np.abs(z[1:steps + 1] - z[:steps] + alpha / (1.0 - beta) * grads), axis=1)
+
+
+class SeparateAdam(Optimizer):
+    """Adam (AMSGrad with ``amsgrad=True``) with its momentum and second
+    moment written out in one ``_update``, for bit comparisons."""
+
+    def __init__(self, dim, lr, beta1=0.9, beta2=0.999, eps=1e-8, amsgrad=False,
+                 weight_decay=None):
+        super().__init__(dim, lr, weight_decay)
+        self.beta1, self.beta2, self.eps, self.amsgrad = beta1, beta2, eps, amsgrad
+        self.m = np.zeros(self.dim)
+        self.v = np.zeros(self.dim)
+        self.v_max = np.zeros(self.dim)
+
+    def _update(self, theta, grad):
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        m_hat = self.m / (1.0 - self.beta1 ** self.t)
+        if self.amsgrad:
+            self.v_max = np.maximum(self.v_max, self.v)
+            v_hat = self.v_max / (1.0 - self.beta2 ** self.t)
+        else:
+            v_hat = self.v / (1.0 - self.beta2 ** self.t)
+        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+class SeparateAdaPnm(Optimizer):
+    """AdaPNM with the buffer pair and second moment written out in one
+    ``_update``, for bit comparisons. With ``amsgrad=True`` the pair
+    normalization divides the learning rate, otherwise the momentum."""
+
+    def __init__(self, dim, lr, beta0=1.0, beta1=0.9, beta2=0.999, eps=1e-8,
+                 amsgrad=True, weight_decay=None):
+        super().__init__(dim, lr, weight_decay)
+        self.beta0, self.beta1, self.beta2, self.eps = beta0, beta1, beta2, eps
+        self.amsgrad = amsgrad
+        self.norm = pn_normalization(beta0)
+        self.m = np.zeros(self.dim)
+        self.m_prev = np.zeros(self.dim)
+        self.v = np.zeros(self.dim)
+        self.v_max = np.zeros(self.dim)
+
+    def _update(self, theta, grad):
+        bsq = self.beta1 * self.beta1
+        m_new = bsq * self.m_prev + (1.0 - bsq) * grad
+        pair = (1.0 + self.beta0) * m_new - self.beta0 * self.m
+        self.m_prev = self.m
+        self.m = m_new
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        if self.amsgrad:
+            self.v_max = np.maximum(self.v_max, self.v)
+            v_hat = self.v_max / bc2
+            m_hat = pair / bc1
+            return theta - (self.lr / self.norm) * m_hat / (np.sqrt(v_hat) + self.eps)
+        v_hat = self.v / bc2
+        m_hat = pair / (bc1 * self.norm)
+        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -160,6 +161,16 @@ class TestExitCodes:
         assert "'rows[1][1]' is not finite" in err
         (path,) = re.findall(r"so (\S+trajectory_\w+_seed0\.csv) cannot be written", err)
         assert not Path(path).exists()
+        assert not out.exists()  # nor the finite summary beside it
+
+    def test_refused_report_writes_no_file(self, tmp_path, capsys):
+        # The summary JSON is finite; a KL cell of its table is not.
+        cfg = write_config(tmp_path, {"eta": 1.0, "batch_size": 1, "dataset_size": 100,
+                                      "lam": 1e200, "dim": 1, "delta": 0.05})
+        out = tmp_path / "out"
+        assert main(["pacbayes", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
+        assert "'rows[28][1]' is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     # It used to overflow with a RuntimeWarning instead of ending as 1e20 does.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -875,6 +886,14 @@ class TestSurface:
             unreached += [f"{stem}.{name}" for name in defs
                           if not name.startswith("_") and name not in reached]
         assert not unreached, unreached
+
+    def test_numpy_floor_has_np_vecdot(self):
+        # np.vecdot, which the quadratic and the convergence simulator call,
+        # first shipped in numpy 2.0. Python 3.10 has no tomllib: read the line.
+        text = (SRC.parent / "pyproject.toml").read_text()
+        (floor,) = re.findall(r'^\s*"numpy>=(\d+)\.(\d+)",?$', text, re.MULTILINE)
+        assert tuple(map(int, floor)) >= (2, 0)
+        assert tuple(int(part) for part in np.__version__.split(".")[:2]) >= (2, 0)
 
 
 class TestUsage:

@@ -19,7 +19,7 @@ from pnmkit.problems import (
     QuadraticModel,
     RosenbrockProblem,
 )
-from reference import pnm_lemma1_residuals, record_pnm_run
+from reference import SeparateAdam, SeparateAdaPnm, pnm_lemma1_residuals, record_pnm_run
 
 
 class TestHeavyBall:
@@ -187,6 +187,39 @@ class TestAdam:
         for _ in range(10):
             theta = opt.step(theta, np.zeros(2))
         np.testing.assert_array_equal(theta, [0.5, -0.5])
+
+
+class TestAdaptiveBits:
+    @pytest.mark.parametrize("decay", [
+        WeightDecay(), WeightDecay("l2", 1e-2), WeightDecay("decoupled", 1e-2),
+    ], ids=["none", "l2", "decoupled"])
+    @pytest.mark.parametrize("cls,ref,kwargs", [
+        (Adam, SeparateAdam, {}),
+        (AmsGrad, SeparateAdam, {}),
+        (Adam, SeparateAdam, {"amsgrad": True, "beta1": 0.5, "beta2": 0.9}),
+        *[(AdaPnm, SeparateAdaPnm, {"beta0": b0, "amsgrad": ams})
+          for b0 in (1.0, 3.0, momentum_recovery_beta0(0.9)) for ams in (True, False)],
+    ], ids=["adam", "amsgrad", "adam_amsgrad_betas",
+            *[f"adapnm_b0_{b0}_{ams}" for b0 in ("1", "3", "recovery")
+              for ams in ("amsgrad", "plain")]])
+    def test_update_matches_separate_rules_bit_for_bit(self, cls, ref, kwargs, decay):
+        # Every step's parameters and buffers equal the separately written
+        # rule byte for byte, on a stacked state whose gradient entries
+        # span 1e-3 to 1e3 in magnitude.
+        k, dim, steps = 3, 5, 300
+        rng = np.random.default_rng(11)
+        theta = rng.standard_normal((k, dim))
+        grads = (rng.standard_normal((steps, k, dim))
+                 * 10.0 ** rng.uniform(-3.0, 3.0, (steps, k, dim)))
+        opt = cls(dim=dim, lr=0.01, weight_decay=decay, **kwargs)
+        other = ref(dim=dim, lr=0.01, weight_decay=decay, **{**kwargs, "amsgrad": opt.amsgrad})
+        th_ref = theta
+        for g in grads:
+            theta = opt.step(theta, g)
+            th_ref = other.step(th_ref, g)
+            for name in ("m", "v", "v_max"):
+                assert getattr(opt, name).tobytes() == getattr(other, name).tobytes(), name
+            assert theta.tobytes() == th_ref.tobytes()
 
 
 class TestWeightDecay:

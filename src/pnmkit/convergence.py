@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import (
     _NOISE_BLOCK,
+    DIVERGENCE_BOUND,
     ConfigError,
     DivergenceError,
     GradientOracle,
@@ -137,21 +138,19 @@ def _grad_sq_curves(
     of steps at once, in stream order, so the values equal those of one
     ``stochastic_gradient`` call per step.
 
-    Iterates beyond 1e8, a non-finite gradient and a squared gradient norm
-    that overflows raise :class:`DivergenceError` naming the first step
-    where one of them happened, the seed and the horizon; numpy need not
-    warn. The norms are checked for overflow only when the run stops, at
-    a divergence or at the horizon, so the hot loop carries no check.
+    A non-finite gradient, iterates past the divergence bound and an overflowing
+    squared gradient norm raise :class:`DivergenceError` at the first, naming seed and
+    horizon, without numpy warnings; norms are checked once the run stops, off the hot loop.
     """
 
-    def diverged(k: int, ok, why: str = "") -> DivergenceError:
-        # A squared norm that overflowed before step k is the first divergence.
-        finite = np.isfinite(curves[:, :k])
+    def diverged(t: int, ok, cause: str) -> DivergenceError:
+        # An earlier norm overflow is named instead, unless it is this non-finite gradient's.
+        finite = np.isfinite(curves[:, :t - (cause == "gradient")])
         if not finite.all():
-            k = int(np.argmin(finite.all(axis=0)))
-            ok, why = finite[:, k], ": squared gradient norm overflows"
-        return DivergenceError(f"PNM diverged at step {k} for seed {seeds[int(np.argmin(ok))]} "
-                               f"(horizon {horizon}, eta0 {eta0:g}){why}")
+            t = int(np.argmin(finite.all(axis=0)))
+            ok, cause = finite[:, t], "norm"
+        return DivergenceError.at_step("PNM", t, f"seed {seeds[int(np.argmin(ok))]} "
+                                       f"(horizon {horizon}, eta0 {eta0:g})", cause)
 
     streams = [RngStream(seed).spawn(key) for seed in seeds]
     lr = eta0 * pn_normalization(beta0)
@@ -175,12 +174,12 @@ def _grad_sq_curves(
             try:
                 theta = opt.step(theta, grad)
             except NonFiniteError as exc:
-                raise diverged(k, np.isfinite(grad).all(axis=1), ": non-finite gradient") from exc
+                raise diverged(k + 1, np.isfinite(grad).all(axis=1), "gradient") from exc
             # NaN fails ``<=`` too, so one comparison catches every divergence.
-            if not np.abs(theta).max() <= 1e8:
-                raise diverged(k, np.abs(theta).max(axis=1) <= 1e8)
+            if not np.abs(theta).max() <= DIVERGENCE_BOUND:
+                raise diverged(k + 1, np.abs(theta).max(axis=1) <= DIVERGENCE_BOUND, "bound")
     if not np.isfinite(curves).all():
-        raise diverged(horizon, None)  # names the overflow it finds
+        raise diverged(horizon, None, "norm")  # names the overflow it finds
     return curves
 
 

@@ -19,6 +19,7 @@ import numpy as np
 #: Identifier of the single PRNG used everywhere in this package. It is
 #: written into every output file so results can be tied to the generator.
 RNG_ALGORITHM = "pcg64"
+DIVERGENCE_BOUND = 1e10  #: parameters past this magnitude, or non-finite, end an optimizer loop
 
 
 class ConfigError(ValueError):
@@ -34,8 +35,15 @@ class NonFiniteError(FloatingPointError):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterate escapes its stability region; carries the
-    offending step index in the message."""
+    """Raised when an iterate escapes its stability region. In an optimizer loop, step ``t``
+    is the update that makes ``theta_t`` (from 1), or the norm of ``grad f(theta_t)``."""
+
+    REASONS = {"gradient": "non-finite gradient", "norm": "squared gradient norm overflows",
+               "bound": f"parameters non-finite or beyond {DIVERGENCE_BOUND:g} in magnitude"}
+
+    @classmethod
+    def at_step(cls, loop: str, step: int, subject: str, cause: str) -> DivergenceError:
+        return cls(f"{loop} diverged at step {step} for {subject}: {cls.REASONS[cause]}")
 
 
 def as_param_vector(values, *, name: str = "vector") -> np.ndarray:

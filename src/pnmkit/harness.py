@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    DIVERGENCE_BOUND,
     RNG_ALGORITHM,
     ConfigError,
     DivergenceError,
@@ -355,10 +356,6 @@ class RunResult:
                 if value is not None and key != "trajectory"}
 
 
-#: Parameters beyond this magnitude (or non-finite) end a run as diverged.
-_DIVERGENCE_BOUND = 1e10
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def run_seed(cfg: dict, seed: int, context: str = "") -> RunResult:
     """Train one seed of a run config.
@@ -368,8 +365,8 @@ def run_seed(cfg: dict, seed: int, context: str = "") -> RunResult:
     :class:`DatasetProblem` is minibatched with the config's
     ``batch_size`` (default ``min(128, N)``), any other oracle supplies its
     own ``stochastic_gradient`` and rejects a ``batch_size``. One loop then
-    steps every problem the same way. A non-finite gradient or parameters past 1e10 (or inf, nan)
-    raise :class:`DivergenceError` naming the step and the seed; numpy need not warn. A config
+    steps every problem the same way. A non-finite gradient or parameters past the
+    divergence bound raise :class:`DivergenceError` naming the seed; numpy need not warn. A config
     error names its key from the root of a config that holds ``cfg`` at
     dotted path ``context``.
     """
@@ -427,10 +424,9 @@ def run_seed(cfg: dict, seed: int, context: str = "") -> RunResult:
         try:
             theta = opt.step(theta, sample(theta, rng))
         except NonFiniteError as exc:
-            raise DivergenceError(f"run diverged at step {step} for seed {seed}: {exc}") from exc
-        if not np.abs(theta).max() <= _DIVERGENCE_BOUND:
-            raise DivergenceError(f"run diverged at step {step} for seed {seed}: parameters "
-                                  f"non-finite or beyond {_DIVERGENCE_BOUND:g} in magnitude")
+            raise DivergenceError.at_step("run", step, f"seed {seed}", "gradient") from exc
+        if not np.abs(theta).max() <= DIVERGENCE_BOUND:
+            raise DivergenceError.at_step("run", step, f"seed {seed}", "bound")
         if step % eval_every == 0 or step == steps:
             evaluate(step)
 

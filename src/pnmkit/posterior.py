@@ -157,8 +157,8 @@ def simulate_stationary(
     standard error comes from per-chain batch means, so each chain must
     keep at least 2 iterates (``samples > chains``). An unstable
     configuration (see :func:`check_stable`) and too few samples are
-    rejected before the first step; a non-finite gradient aborts with the
-    offending step, and a non-finite covariance names it, as divergences.
+    rejected before the first step. The noise sets the iterates' scale, so only a
+    non-finite gradient (naming its step) or covariance ends a run as diverged.
 
     The noise of a block of steps (at most ``_NOISE_BLOCK`` values, or one
     step's noise when that is more) is drawn at once, in the stream order
@@ -209,7 +209,7 @@ def simulate_stationary(
                 try:
                     dev = opt.step(dev, grad)
                 except NonFiniteError as exc:
-                    raise DivergenceError(f"{kind} dynamics diverged at step {t}") from exc
+                    raise DivergenceError.at_step("dynamics", t + 1, kind, "gradient") from exc
                 if t >= burn_in and (t - burn_in) % thin == 0:
                     kept[k] = dev
                     k += 1

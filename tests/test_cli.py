@@ -1099,11 +1099,14 @@ class TestOutputs:
         assert summary["bound_satisfied"]
 
     # Each printed numpy overflow warnings; the first and third then failed
-    # in the JSON writer, the second as a bare non-finite gradient.
+    # in the JSON writer, the second as a bare non-finite gradient. The norm at
+    # theta_0 is step 0's; a non-finite gradient there stops update 1.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("eigenvalue,theta0,reason", [
-        (1e300, -2.0, "(horizon 5, eta0 5e-301): squared gradient norm overflows"),
-        (1e307, -20.0, "(horizon 5, eta0 5e-308): non-finite gradient"),
+        (1e300, -2.0, "PNM diverged at step 0 for seed 4 (horizon 5, eta0 5e-301): "
+                      "squared gradient norm overflows"),
+        (1e307, -20.0, "PNM diverged at step 1 for seed 4 (horizon 5, eta0 5e-308): "
+                       "non-finite gradient"),
         (1e150, -2.0, "theorem 1 bound at horizon 5 is not finite"),
     ], ids=["norm", "gradient", "bound"])
     def test_convergence_overflow_is_divergence(self, tmp_path, capsys, eigenvalue, theta0,
@@ -1114,10 +1117,32 @@ class TestOutputs:
             "horizons": [5, 10], "seeds": [4, 2]})
         out = tmp_path / "out"
         assert main(["convergence", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
-        err = capsys.readouterr().err
-        assert reason in err
-        assert "bound" in reason or "PNM diverged at step 0 for seed 4 " in err
+        assert reason in capsys.readouterr().err
         assert not out.exists()
+
+    # One problem section through both loops: from 5e9 both converge; from 5e10 the
+    # first update passes the one bound, and both name it alike.
+    @pytest.mark.parametrize("start,code", [(5e9, EXIT_OK), (5e10, EXIT_DIVERGED)],
+                             ids=["converges", "first-update-diverges"])
+    def test_run_and_convergence_share_one_divergence_rule(self, tmp_path, capsys, start,
+                                                           code):
+        problem = {"name": "quadratic", "eigenvalues": [1.0, 4.0], "theta0": [start, 0.0]}
+        configs = {
+            "run": run_config(problem=problem, optimizer={"name": "pnm", "lr": 0.05},
+                              steps=1000, seeds=[0, 1]),
+            "convergence": {"problem": problem, "horizons": [100, 1000], "seeds": 2},
+        }
+        reasons = set()
+        for command, payload in configs.items():
+            cfg = write_config(tmp_path, payload, f"{command}.json")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == code
+            err = capsys.readouterr().err
+            if code == EXIT_DIVERGED:
+                (line,) = err.splitlines()
+                assert re.match(r"numerical divergence: \w+ diverged at step 1 for seed 0\b", line)
+                reasons.add(line.rpartition(": ")[2])
+        assert reasons == ({"parameters non-finite or beyond 1e+10 in magnitude"}
+                           if code == EXIT_DIVERGED else set())
 
     def test_sweep_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, {

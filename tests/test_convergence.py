@@ -9,7 +9,7 @@ from pnmkit.convergence import (
     theorem1_bound,
     theorem_step_size,
 )
-from pnmkit.core import DivergenceError, RngStream
+from pnmkit.core import DIVERGENCE_BOUND, DivergenceError, RngStream
 from pnmkit.optim import Pnm, pn_normalization
 from pnmkit.problems import AdditiveNoiseOracle, QuadraticModel, RosenbrockProblem
 
@@ -233,8 +233,8 @@ class TestSeedStacking:
 
     def test_divergence_names_first_diverging_seed(self):
         # Unstable quadratic started at its minimum: only the noise pushes
-        # the iterates out, so the seeds leave the 1e8 box at different
-        # steps; seed 0, listed first, is not among the earliest.
+        # the iterates out, so the seeds pass the divergence bound at
+        # different steps; seed 0, listed first, is not among the earliest.
         oracle = AdditiveNoiseOracle(QuadraticModel([0.0], [[4.0]]), 1.0)
         seeds = [0, 2, 1, 4]
         eta0 = theorem_step_size(0.01, 20.0, 60)
@@ -246,7 +246,8 @@ class TestSeedStacking:
             empirical_rate(oracle, [0.0], [60, 61], seeds, smoothness=0.01,
                            step_constant=20.0)
         assert str(info.value) == (
-            f"PNM diverged at step {step} for seed {culprit} (horizon 60, eta0 {eta0:g})")
+            f"PNM diverged at step {step} for seed {culprit} (horizon 60, eta0 {eta0:g}): "
+            "parameters non-finite or beyond 1e+10 in magnitude")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_gradient_norm_is_divergence(self):
@@ -259,22 +260,22 @@ class TestSeedStacking:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_earlier_norm_overflow_is_named_before_iterate_divergence(self):
         # ||grad||^2 ~ 1e320 overflows at step 0; the step, ten times too
-        # large for the 1e160 eigenvalue, takes the iterates past 1e8 only
-        # at step 27.
+        # large for the 1e160 eigenvalue, takes the iterates past the
+        # divergence bound only at step 35.
         oracle = QuadraticModel([0.0, 0.0], np.diag([1.0, 1e160]))
         with pytest.raises(DivergenceError,
-                           match=r"at step 0 for seed 3 \(horizon 30, .*norm overflows"):
-            empirical_rate(oracle, [1.0, 1.0], [30, 31], [3, 1], smoothness=1e159)
+                           match=r"at step 0 for seed 3 \(horizon 40, .*norm overflows"):
+            empirical_rate(oracle, [1.0, 1.0], [40, 41], [3, 1], smoothness=1e159)
 
 
 def _divergence_step(oracle, eta0, horizon, seed):
-    """First step at which a lone ``(1,)`` PNM run from 0 on the first
-    horizon's stream leaves the 1e8 box."""
+    """First step (update t makes theta_t, from 1) at which a lone ``(1,)``
+    PNM run from 0 on the first horizon's stream passes ``DIVERGENCE_BOUND``."""
     rng = RngStream(seed).spawn(0)
     opt = Pnm(dim=1, lr=eta0 * pn_normalization(1.0), beta0=1.0, beta1=0.9)
     theta = np.zeros(1)
-    for k in range(horizon):
+    for t in range(1, horizon + 1):
         theta = opt.step(theta, oracle.stochastic_gradient(theta, rng))
-        if not np.abs(theta).max() <= 1e8:
-            return k
+        if not np.abs(theta).max() <= DIVERGENCE_BOUND:
+            return t
     raise AssertionError(f"seed {seed} stays bounded for {horizon} steps")

@@ -318,7 +318,8 @@ class TestSimulateStationary:
         # Stable dynamics fed infinite noise: the non-finite backstop fires
         # on the first step, without a numpy warning before it.
         model = QuadraticModel([0.0], [[1.0]])
-        with pytest.raises(DivergenceError, match="pnm dynamics diverged at step 0"):
+        with pytest.raises(DivergenceError,
+                           match="^dynamics diverged at step 1 for pnm: non-finite gradient$"):
             simulate_stationary(model, math.inf, "pnm", 0.01, burn_in=10,
                                 samples=10, rng=RngStream(10), chains=2)
 
@@ -371,7 +372,8 @@ def _reference_stationary(model, noise_cov, kind, eta, burn_in, samples, rng, th
         try:
             dev = opt.step(dev, grad)
         except NonFiniteError as exc:
-            raise DivergenceError(f"{kind} dynamics diverged at step {t}") from exc
+            raise DivergenceError(f"dynamics diverged at step {t + 1} for {kind}: "
+                                  "non-finite gradient") from exc
         if t >= burn_in and (t - burn_in) % thin == 0:
             kept[k] = dev
             k += 1

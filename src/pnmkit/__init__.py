@@ -14,12 +14,10 @@ from .core import (
 from .optim import (
     AdaPnm,
     Adam,
-    AmsGrad,
     HeavyBall,
     Optimizer,
     Pnm,
     WeightDecay,
-    momentum_recovery_beta0,
     pn_normalization,
 )
 

@@ -39,13 +39,12 @@ from .core import (
     config_digest,
 )
 from .optim import (
-    AdaPnm, Adam, AmsGrad, HeavyBall, Optimizer, Pnm, WeightDecay, amplification_factor,
+    AdaPnm, Adam, HeavyBall, Optimizer, Pnm, WeightDecay, amplification_factor,
 )
 from .problems import (
     AdditiveNoiseOracle,
     DatasetProblem,
     FiniteDataset,
-    LabelNoiseSpec,
     LinearRegressionProblem,
     QuadraticModel,
     RosenbrockProblem,
@@ -202,9 +201,9 @@ _ADAM = {"lr": (positive, REQUIRED), "beta1": (rate, None), "beta2": (rate, None
 #: Each optimizer name's class and key table: its constructor's parameters but dim, weight_decay.
 OPTIMIZERS = {
     "sgd": (HeavyBall, {**_HEAVY_BALL, "beta1": (rate, 0.0)}),
-    "hb": (HeavyBall, _HEAVY_BALL), "momentum": (HeavyBall, _HEAVY_BALL), "pnm": (Pnm, _PNM),
+    "hb": (HeavyBall, _HEAVY_BALL), "pnm": (Pnm, _PNM),
     "adapnm": (AdaPnm, {**_PNM, **_ADAM, "amsgrad": (boolean, None)}),
-    "adam": (Adam, {**_ADAM, "amsgrad": (boolean, None)}), "amsgrad": (AmsGrad, _ADAM),
+    "adam": (Adam, {**_ADAM, "amsgrad": (boolean, None)}),
 }
 _OPTIMIZER_KEYS = {name: {**keys, "weight_decay": (named(WEIGHT_DECAYS, "mode", "none"), None)}
                    for name, (_, keys) in OPTIMIZERS.items()}
@@ -291,7 +290,7 @@ def build_classification_task(cfg: dict, seed: int,
         raise ConfigError(f"'{source}' gives a one-class training split; the MLP needs two")
     mask = np.zeros(train.n_samples, dtype=bool)
     if p["label_noise"] is not None:
-        train, mask = apply_label_noise(train, LabelNoiseSpec(**p["label_noise"]), root.spawn(1))
+        train, mask = apply_label_noise(train, **p["label_noise"], rng=root.spawn(1))
     problem = TinyMlpProblem(train, hidden=p["hidden"])
     theta0 = problem.init_params(root.spawn(2), scale=p["init_scale"])
     return ClassificationTask(problem, train, test, mask, theta0)

@@ -45,12 +45,6 @@ def pn_normalization(beta0: float) -> float:
     return math.sqrt(amplification_factor(beta0))
 
 
-def momentum_recovery_beta0(beta1: float) -> float:
-    """The beta0 at which the positive-negative pair collapses to a plain
-    momentum buffer: -beta1 / (1 + beta1)."""
-    return -beta1 / (1.0 + beta1)
-
-
 @dataclass
 class WeightDecay:
     """mode 'l2' adds lam * theta to the gradient before the momentum
@@ -217,19 +211,12 @@ class _Adaptive:
 
 class Adam(_Adaptive, HeavyBall):
     """Adam baseline: EMA momentum (beta3 = 1 - beta1) with bias correction;
-    ``amsgrad=True`` keeps the running entrywise maximum of the second
-    moment."""
+    ``amsgrad=True`` is AMSGrad, which keeps the running entrywise maximum
+    of the second moment."""
 
     def __init__(self, dim, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
                  amsgrad=False, weight_decay=None):
         super().__init__(beta2, eps, amsgrad, dim, lr, beta1, 1.0 - beta1, weight_decay)
-
-
-class AmsGrad(Adam):
-    def __init__(self, dim, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=None):
-        super().__init__(dim, lr, beta1, beta2, eps, amsgrad=True,
-                         weight_decay=weight_decay)
 
 
 class AdaPnm(_Adaptive, Pnm):

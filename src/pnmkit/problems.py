@@ -239,34 +239,24 @@ def make_two_moons(n: int, noise: float, rng: RngStream) -> FiniteDataset:
     return FiniteDataset(X[perm], y[perm])
 
 
-@dataclass
-class LabelNoiseSpec:
-    """Symmetric noise flips to a uniformly random other class; asymmetric
-    flips class i to (i+1) mod K. Rate is the flip probability per label."""
-
-    kind: str = "symmetric"
-    rate: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("symmetric", "asymmetric"):
-            raise ValueError(f"unknown label-noise kind {self.kind!r}")
-        if not (0.0 <= self.rate < 1.0):
-            raise ValueError("rate must lie in [0, 1)")
-
-
 def apply_label_noise(
-    dataset: FiniteDataset, spec: LabelNoiseSpec, rng: RngStream
+    dataset: FiniteDataset, kind: str, rate: float, rng: RngStream
 ) -> tuple[FiniteDataset, np.ndarray]:
-    """Corrupt labels per ``spec``; returns the new dataset and a boolean
-    mask that is True on samples whose label was altered."""
+    """Flip each label with probability ``rate``, to a uniformly random other
+    class ('symmetric' ``kind``) or from class i to (i+1) mod K ('asymmetric');
+    return the new dataset and a mask that is True where a label changed."""
+    if kind not in ("symmetric", "asymmetric"):
+        raise ValueError(f"unknown label-noise kind {kind!r}")
+    if not (0.0 <= rate < 1.0):
+        raise ValueError("rate must lie in [0, 1)")
     labels = np.asarray(dataset.labels)
     if labels.dtype.kind not in "iu":
         raise ValueError("label noise requires integer class labels")
     labels = labels.astype(np.int64).copy()
     n_classes = int(labels.max()) + 1
     n = labels.shape[0]
-    flip = rng.uniform(size=n) < spec.rate
-    if spec.kind == "symmetric":
+    flip = rng.uniform(size=n) < rate
+    if kind == "symmetric":
         # Uniform draw over the other K-1 classes via an offset in [1, K-1].
         offsets = rng.integers(1, n_classes, size=n)
         labels[flip] = (labels[flip] + offsets[flip]) % n_classes
@@ -283,11 +273,11 @@ class DatasetProblem(GradientOracle):
     """Common machinery for mean-loss problems over a finite dataset.
 
     Subclasses implement :meth:`batch_loss_gradient` on an index set; the
-    full gradient is the batch over all samples. The stochastic gradient
-    is :meth:`minibatch_gradient`, a plain float64 array of shape
-    ``(dim,)`` for the batch size given per call. Minibatches are drawn
-    uniformly without replacement within a batch and independently across
-    steps.
+    full gradient is the batch over all samples. Only :meth:`minibatch_gradient`
+    samples (the inherited ``stochastic_gradient`` is the full gradient): a
+    float64 ``(dim,)`` array for the batch size given per call. Minibatches are
+    drawn uniformly without replacement within a batch and independently
+    across steps.
     """
 
     def __init__(self, dataset: FiniteDataset):

@@ -2,10 +2,10 @@
 
 None of these is reached by a command or the benchmark, so they live with
 the tests: a diagonal-Gaussian KL (the closed form ``kl_q_gamma``
-specializes), a central-finite-difference gradient check, the
-recorded PNM run plus the Lemma 1 residuals of its shifted iterates, and
-Adam and AdaPNM written out as two separate update rules, each with its
-own second moment.
+specializes), a central-finite-difference gradient check, the beta0 at
+which PNM recovers plain momentum, the recorded PNM run plus the Lemma 1
+residuals of its shifted iterates, and Adam and AdaPNM written out as two
+separate update rules, each with its own second moment.
 """
 
 import numpy as np
@@ -57,6 +57,12 @@ def fd_gradient_check(oracle: GradientOracle, theta, h: float = 1e-5) -> float:
                       - oracle.full_gradient(theta - e)[0]) / (2.0 * h)
     scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-12)
     return float(np.max(np.abs(analytic - numeric)) / scale)
+
+
+def momentum_recovery_beta0(beta1: float) -> float:
+    """The beta0 at which the positive-negative pair collapses to a plain
+    momentum buffer: -beta1 / (1 + beta1)."""
+    return -beta1 / (1.0 + beta1)
 
 
 def record_pnm_run(

@@ -19,10 +19,9 @@ from pnmkit.noise import (
 )
 from pnmkit.optim import (
     AdaPnm,
-    AmsGrad,
+    Adam,
     HeavyBall,
     Pnm,
-    momentum_recovery_beta0,
     pn_normalization,
 )
 from pnmkit.pacbayes import (
@@ -46,7 +45,13 @@ from pnmkit.problems import (
     QuadraticModel,
     RosenbrockProblem,
 )
-from reference import GaussianDist, gaussian_kl, pnm_lemma1_residuals, record_pnm_run
+from reference import (
+    GaussianDist,
+    gaussian_kl,
+    momentum_recovery_beta0,
+    pnm_lemma1_residuals,
+    record_pnm_run,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -91,7 +96,7 @@ def test_criterion_02_adam_recovery():
     b0 = momentum_recovery_beta0(beta1)
     scale = pn_normalization(b0)
     ros = RosenbrockProblem()
-    base = AmsGrad(dim=2, lr=1e-3)
+    base = Adam(dim=2, lr=1e-3, amsgrad=True)
     ada = AdaPnm(dim=2, lr=1e-3 * scale, beta0=b0, beta1=beta1, amsgrad=True)
     th_b = np.array([-1.2, 1.0])
     th_a = th_b.copy()

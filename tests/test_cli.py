@@ -872,9 +872,10 @@ class TestSurface:
         for stem, tree in modules.items():
             defs = {node.name: node for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-            # Named by another module, the benchmark, or this module's top-level code.
+            # Named by another module, the benchmark, or this module's top-level code;
+            # a re-export in __init__ is not a use.
             named = bench_names.union(*(_code_names(other) for s, other in modules.items()
-                                        if s != stem),
+                                        if s not in (stem, "__init__")),
                                       *(_code_names(node) for node in tree.body
                                         if not isinstance(node, (ast.FunctionDef, ast.ClassDef))))
             frontier = [name for name in defs if name in named]

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from pnmkit import harness
 from pnmkit.core import DivergenceError, config_digest
 from pnmkit.harness import REQUIRED, ConfigError
-from pnmkit.optim import WeightDecay, momentum_recovery_beta0, pn_normalization
+from pnmkit.optim import WeightDecay, pn_normalization
+from reference import momentum_recovery_beta0
 
 
 def analytic_config(**overrides):
@@ -106,10 +107,14 @@ class TestOptimizerTable:
         assert harness.build_optimizer({"name": "sgd", "lr": 0.1}, 1).beta1 == 0.0
         assert harness.build_optimizer({"name": "hb", "lr": 0.1}, 1).beta1 == 0.9
 
-    def test_unknown_name_is_config_error(self):
-        for name in ("adamw2", "PNM"):  # names are exact
-            with pytest.raises(ConfigError, match="'optimizer.name' must be one of"):
-                harness.build_optimizer({"name": name, "lr": 0.1}, 1)
+    # Names are exact, and each algorithm has one: AMSGrad is "adam" with
+    # "amsgrad": true, and Heavy Ball is "hb".
+    @pytest.mark.parametrize("name", ["adamw2", "PNM", "momentum", "amsgrad"])
+    def test_unknown_name_is_config_error(self, name):
+        message = (r"'optimizer\.name' must be one of \['sgd', 'hb', 'pnm', 'adapnm', "
+                   rf"'adam'\], got '{name}'$")
+        with pytest.raises(ConfigError, match=message):
+            harness.build_optimizer({"name": name, "lr": 0.1}, 1)
 
     @pytest.mark.parametrize("name", sorted(harness.OPTIMIZERS))
     def test_keys_are_the_constructor_parameters(self, name):

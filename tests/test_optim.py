@@ -7,11 +7,9 @@ from pnmkit.core import NonFiniteError, RngStream
 from pnmkit.optim import (
     AdaPnm,
     Adam,
-    AmsGrad,
     HeavyBall,
     Pnm,
     WeightDecay,
-    momentum_recovery_beta0,
     pn_normalization,
 )
 from pnmkit.problems import (
@@ -19,7 +17,13 @@ from pnmkit.problems import (
     QuadraticModel,
     RosenbrockProblem,
 )
-from reference import SeparateAdam, SeparateAdaPnm, pnm_lemma1_residuals, record_pnm_run
+from reference import (
+    SeparateAdam,
+    SeparateAdaPnm,
+    momentum_recovery_beta0,
+    pnm_lemma1_residuals,
+    record_pnm_run,
+)
 
 
 class TestHeavyBall:
@@ -146,7 +150,7 @@ class TestAdaPnm:
         b0 = momentum_recovery_beta0(0.9)
         scale = pn_normalization(b0)
         ros = RosenbrockProblem()
-        base = AmsGrad(dim=2, lr=1e-3)
+        base = Adam(dim=2, lr=1e-3, amsgrad=True)
         ada = AdaPnm(dim=2, lr=1e-3 * scale, beta0=b0, beta1=0.9, amsgrad=True)
         th_b = np.array([-1.2, 1.0])
         th_a = th_b.copy()
@@ -195,7 +199,7 @@ class TestAdaptiveBits:
     ], ids=["none", "l2", "decoupled"])
     @pytest.mark.parametrize("cls,ref,kwargs", [
         (Adam, SeparateAdam, {}),
-        (AmsGrad, SeparateAdam, {}),
+        (Adam, SeparateAdam, {"amsgrad": True}),
         (Adam, SeparateAdam, {"amsgrad": True, "beta1": 0.5, "beta2": 0.9}),
         *[(AdaPnm, SeparateAdaPnm, {"beta0": b0, "amsgrad": ams})
           for b0 in (1.0, 3.0, momentum_recovery_beta0(0.9)) for ams in (True, False)],
@@ -334,7 +338,7 @@ class TestBatchAxis:
         lambda: AdaPnm(dim=3, lr=0.01, beta0=2.0, amsgrad=True),
         lambda: AdaPnm(dim=3, lr=0.01, beta0=2.0, amsgrad=False),
         lambda: Adam(dim=3, lr=0.01),
-        lambda: AmsGrad(dim=3, lr=0.01),
+        lambda: Adam(dim=3, lr=0.01, amsgrad=True),
     ], ids=["hb", "hb_l2", "pnm_decoupled", "adapnm_amsgrad", "adapnm", "adam", "amsgrad"])
     def test_stacked_state_equals_separate_runs(self, make):
         # k replicas stepped as one (k, dim) state must equal k independent

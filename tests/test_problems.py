@@ -5,7 +5,6 @@ from pnmkit.core import DimensionMismatchError, GradientOracle, RngStream
 from pnmkit.problems import (
     AdditiveNoiseOracle,
     FiniteDataset,
-    LabelNoiseSpec,
     LinearRegressionProblem,
     QuadraticModel,
     RosenbrockProblem,
@@ -650,7 +649,7 @@ class TestTwoMoons:
 class TestLabelNoise:
     def test_zero_rate_identity(self):
         data = make_two_moons(100, 0.1, RngStream(50))
-        noisy, mask = apply_label_noise(data, LabelNoiseSpec("symmetric", 0.0), RngStream(51))
+        noisy, mask = apply_label_noise(data, "symmetric", 0.0, RngStream(51))
         np.testing.assert_array_equal(noisy.labels, data.labels)
         assert not mask.any()
 
@@ -658,7 +657,7 @@ class TestLabelNoise:
         # Binomial(10^4, 0.4): 0.4 +- 0.02 is a > 4-sigma band
         labels = np.repeat(np.arange(10), 1000)
         data = FiniteDataset(np.zeros((10_000, 1)), labels)
-        noisy, mask = apply_label_noise(data, LabelNoiseSpec("symmetric", 0.4), RngStream(52))
+        noisy, mask = apply_label_noise(data, "symmetric", 0.4, RngStream(52))
         frac = mask.mean()
         assert abs(frac - 0.4) < 0.02
         # symmetric flips always change the label
@@ -667,15 +666,16 @@ class TestLabelNoise:
     def test_asymmetric_pattern(self):
         labels = np.repeat(np.arange(10), 200)
         data = FiniteDataset(np.zeros((2000, 1)), labels)
-        noisy, mask = apply_label_noise(data, LabelNoiseSpec("asymmetric", 0.3), RngStream(53))
+        noisy, mask = apply_label_noise(data, "asymmetric", 0.3, RngStream(53))
         np.testing.assert_array_equal(noisy.labels[mask], (data.labels[mask] + 1) % 10)
         np.testing.assert_array_equal(noisy.labels[~mask], data.labels[~mask])
 
     def test_rate_out_of_range(self):
-        with pytest.raises(ValueError):
-            LabelNoiseSpec("symmetric", 1.0)
-        with pytest.raises(ValueError):
-            LabelNoiseSpec("bogus", 0.1)
+        data = make_two_moons(20, 0.1, RngStream(54))
+        with pytest.raises(ValueError, match=r"rate must lie in \[0, 1\)"):
+            apply_label_noise(data, "symmetric", 1.0, RngStream(55))
+        with pytest.raises(ValueError, match="unknown label-noise kind 'bogus'"):
+            apply_label_noise(data, "bogus", 0.1, RngStream(55))
 
 
 class TestCsv:
